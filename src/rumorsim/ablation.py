@@ -3,7 +3,8 @@ reference statistics.
 
 Each grid cell fixes the delay and derives the transmission rate from the
 target reproduction number via ``beta = R0 * (gamma + rho) / N``, then
-runs an independent ensemble.  Cell seeds are derived from
+runs an independent ensemble.  The cells of one delay run as a single
+batch with a per-run transmission rate.  Cell seeds are derived from
 ``(base_seed, tau_index, r0_index)`` so cells are statistically
 independent and the whole sweep is reproducible from its spec.
 
@@ -23,9 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .ensemble import run_ensemble
-from .errors import ConfigFileError, GridMismatchError, RumorSimError
-from .integrator import CSV_FLOAT_FORMAT, IntegratorConfig
+from .ensemble import OutbreakMetrics, _warn_if_unconverged
+from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
+from .integrator import CSV_FLOAT_FORMAT, IntegratorConfig, stream_model
 from .model import HistoryFunction, ModelParams, StateVector, default_initial_state
 from .rng import derive_seed
 
@@ -106,26 +107,49 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one ensemble per grid cell; a pure function of the grid spec.
 
-    Integrator errors are re-raised with the failing cell coordinates
-    attached.
+    The cells of one delay run as one batch that keeps each run's peak of
+    ``I`` and terminal state; the statistics equal ``run_ensemble`` ones
+    exactly.  Integrator errors are re-raised with the failing cell
+    attached, and a non-finite state names the run's seed.
     """
-    initial = spec.initial_state
+    n, initial = spec.run_count, spec.initial_state
     cells = []
     for i, tau in enumerate(spec.taus):
-        for j, r0 in enumerate(spec.r0_values):
-            params = replace(spec.template, tau=tau, beta=spec.beta_for(r0))
-            start = initial if initial is not None else default_initial_state(params)
-            history = HistoryFunction.constant(start)
-            cell_seed = derive_seed(spec.base_seed, i, j)
-            try:
-                result = run_ensemble(
-                    params, history, spec.integrator, spec.run_count, cell_seed
-                )
-            except ConfigFileError:
-                raise  # carries a violation list, not a plain message
-            except RumorSimError as exc:
-                raise type(exc)(f"sweep cell (tau={tau:g}, R0={r0:g}): {exc}") from exc
-            m = result.metrics
+        grid = [replace(spec.template, tau=tau, beta=spec.beta_for(r0)) for r0 in spec.r0_values]
+        cell_seeds = [derive_seed(spec.base_seed, i, j) for j in range(len(grid))]
+        seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
+        start = initial if initial is not None else default_initial_state(grid[0])
+        peak = np.full(len(seeds), -np.inf)
+        try:
+            terminal, _ = stream_model(
+                grid[0],
+                HistoryFunction.constant(start),
+                spec.integrator,
+                seeds,
+                lambda row, x: np.maximum(peak, x[:, 2], out=peak),
+                beta=np.repeat([params.beta for params in grid], n),
+            )
+        except ConfigFileError:
+            raise  # carries a violation list, not a plain message
+        except NumericsError as exc:
+            j, r = divmod(exc.run, n)
+            raise NumericsError(
+                f"sweep cell (tau={tau:g}, R0={spec.r0_values[j]:g}): non-finite state at "
+                f"step {exc.step} (t={exc.step * spec.integrator.step_size:g}) in run {r} "
+                f"(seed {derive_seed(cell_seeds[j], r)})",
+                step=exc.step,
+                run=r,
+            ) from exc
+        except RumorSimError as exc:
+            raise type(exc)(f"sweep cell (tau={tau:g}, R0={spec.r0_values[0]:g}): {exc}") from exc
+        for j, (r0, params) in enumerate(zip(spec.r0_values, grid)):
+            rows = slice(j * n, (j + 1) * n)
+            _warn_if_unconverged(terminal[rows, 2], params.population)
+            m = OutbreakMetrics(
+                peak_values=peak[rows],
+                peak_times=np.full(n, np.nan),  # not tracked by the sweep
+                final_sizes=terminal[rows, 3] + terminal[rows, 5],
+            )
             cells.append(
                 SweepCell(
                     tau=float(tau),

@@ -4,9 +4,11 @@ bands and per-run outbreak metrics.
 Run ``k`` of an ensemble uses the child seed ``derive_seed(base_seed, k)``,
 so the whole ensemble is a deterministic function of its inputs and any
 single run can be reproduced in isolation.  Runs are integrated as one
-batch; because every state update is elementwise, the batch is
-bit-identical to integrating the runs one at a time, and the summary
-statistics do not depend on any scheduling order.
+batch by the streaming kernel; because every state update is elementwise,
+the batch is bit-identical to integrating the runs one at a time, and the
+summary statistics do not depend on any scheduling order.  The recorded
+paths are the only per-step state an ensemble holds.  Sweeps build
+:class:`OutbreakMetrics` from each run's peak and terminal state instead.
 """
 
 from __future__ import annotations
@@ -153,6 +155,20 @@ class EnsembleResult:
     trajectories: tuple[Trajectory, ...] | None
 
 
+def _warn_if_unconverged(terminal_spreader: np.ndarray, population: float) -> None:
+    """Warn the caller's caller when the mean terminal spreader mass is not
+    below the extinction fraction."""
+    terminal_spreader_mean = float(terminal_spreader.mean())
+    if terminal_spreader_mean >= EXTINCTION_FRACTION * population:
+        warnings.warn(
+            f"ensemble-mean spreader mass at the horizon is "
+            f"{terminal_spreader_mean:.3g} >= {EXTINCTION_FRACTION:g} * N; "
+            f"final-size statistics are not converged, extend the horizon",
+            FinalSizeHorizonWarning,
+            stacklevel=3,
+        )
+
+
 def _pointwise_band(
     paths: np.ndarray, mean: np.ndarray, std: np.ndarray, level: float, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -214,15 +230,7 @@ def run_ensemble(
         final_sizes=paths[:, -1, 3] + paths[:, -1, 5],
     )
 
-    terminal_spreader_mean = float(spreader[:, -1].mean())
-    if terminal_spreader_mean >= EXTINCTION_FRACTION * p.population:
-        warnings.warn(
-            f"ensemble-mean spreader mass at the horizon is "
-            f"{terminal_spreader_mean:.3g} >= {EXTINCTION_FRACTION:g} * N; "
-            f"final-size statistics are not converged, extend the horizon",
-            FinalSizeHorizonWarning,
-            stacklevel=2,
-        )
+    _warn_if_unconverged(spreader[:, -1], p.population)
 
     summary = EnsembleSummary(
         times=times,

@@ -22,7 +22,13 @@ class ConfigurationError(RumorSimError, ValueError):
 
 
 class NumericsError(RumorSimError, ArithmeticError):
-    """The integration produced a non-finite state."""
+    """The integration produced a non-finite state; ``step`` and ``run``
+    (the run's index in its batch or sweep cell) locate it when known."""
+
+    def __init__(self, message: str, step: int | None = None, run: int | None = None):
+        super().__init__(message)
+        self.step = step
+        self.run = run
 
 
 class InsufficientDataError(RumorSimError, ValueError):

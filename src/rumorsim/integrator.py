@@ -1,11 +1,15 @@
-"""Euler-Maruyama integration of the delayed system with a stored-path
-delay buffer, optional nonnegativity projection, and deterministic
-counter-based noise.
+"""Euler-Maruyama integration of the delayed system with a ring-buffer
+delay, optional nonnegativity projection, and deterministic counter-based
+noise.
+
+One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
+of the full model and of the linearized stability subsystem; its memory
+scales with what is recorded, not with the step count.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
-``n >= k`` is read from the stored path at index ``n - k``, and from the
-initial history function before that.  Requiring grid alignment avoids
+``n >= k`` is that of step ``n - k`` exactly, and comes from the initial
+history function before that.  Requiring grid alignment avoids
 silent interpolation error inside the delayed drift term.
 
 With all noise intensities zero and no projection events the Euler step
@@ -30,7 +34,7 @@ from .model import (
     StateVector,
     _drift_with_delayed_i,
 )
-from .rng import normal_block
+from .rng import normal_block, seed_array
 
 __all__ = [
     "IntegratorConfig",
@@ -43,6 +47,11 @@ __all__ = [
 ]
 
 _GRID_RTOL = 1e-9
+
+# Noise is drawn in step chunks of about this many draws, which keeps a
+# chunk and the temporaries of its generation in cache; on the benchmark's
+# wide batches a whole-horizon block costs about twice as much per draw.
+_NOISE_CHUNK_DRAWS = 32_768
 
 CSV_FLOAT_FORMAT = "%.9g"
 
@@ -132,16 +141,80 @@ class Trajectory:
         return StateVector.from_array(np.maximum(self.states[-1], 0.0))
 
 
-def _delayed_history_spreader(
-    history: HistoryFunction, p: ModelParams, h: float, delay_steps: int
-) -> np.ndarray:
-    if delay_steps == 0:
-        return np.empty(0)
-    lags = np.arange(delay_steps) * h - p.tau
+def euler_maruyama(
+    drift, start, early_delayed, delayed_column, noise, seeds, cfg, record, project
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
+    sqrt(h) Z(n)`` for one run per seed.
+
+    ``D(n)`` is column ``delayed_column`` of ``X(n - k)``, or
+    ``early_delayed[n]`` for the first ``k = len(early_delayed)`` steps; a
+    ring buffer holds the ``k + 1`` delayed values still to be read, and no
+    other past state is kept.  ``Z(n)`` is each run's counter stream at step
+    ``n``, drawn step-major in chunks.  ``record(row, x)`` receives the
+    start as row 0 and every ``cfg.record_stride``-th state after it.  With
+    ``project``, negative components are clamped to zero after each step.
+    Returns the terminal state and the per-run count of clamped steps;
+    raises :class:`NumericsError` with ``step`` and ``run`` set.
+    """
+    seeds = seed_array(seeds)
+    h, n_steps, stride, k = cfg.step_size, cfg.step_count, cfg.record_stride, len(early_delayed)
+    x = np.empty((seeds.size, noise.size))
+    x[...] = start
+    lag = np.empty((k + 1, seeds.size))
+    lag[:k] = np.reshape(early_delayed, (k, 1))
+    lag[k] = x[:, delayed_column]
+    record(0, x)
+    projection_counts = np.zeros(seeds.size, dtype=np.int64)
+    noisy = bool(np.any(noise > 0.0))
+    chunk = max(1, _NOISE_CHUNK_DRAWS // x.size)
+
+    for step in range(n_steps):
+        if noisy and step % chunk == 0:
+            dw = normal_block(seeds, min(chunk, n_steps - step), noise.size, step_offset=step)
+            dw *= np.sqrt(h)
+        slot = step % (k + 1)
+        x_next = x + drift(x, lag[slot]) * h
+        if noisy:
+            x_next += (noise * x) * dw[step % chunk]
+        if project:
+            clamped = x_next < 0.0
+            if clamped.any():
+                projection_counts += clamped.any(axis=1)
+                np.maximum(x_next, 0.0, out=x_next)
+        finite = np.isfinite(x_next)
+        if not finite.all():
+            bad = int(np.argwhere(~finite.all(axis=1))[0, 0])
+            raise NumericsError(
+                f"non-finite state at step {step + 1} (t={(step + 1) * h:g}) "
+                f"in run index {bad} (seed {seeds[bad]})",
+                step=step + 1,
+                run=bad,
+            )
+        lag[slot] = x_next[:, delayed_column]  # D(step + k + 1) replaces D(step)
+        x = x_next
+        if (step + 1) % stride == 0:
+            record((step + 1) // stride, x)
+    return x, projection_counts
+
+
+def stream_model(
+    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, record, beta=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`euler_maruyama` for the model, one run per seed; ``beta``, if
+    given, is a per-run transmission rate replacing ``p.beta``."""
+    history.validate_for(p)
+    h = cfg.step_size
+    # the first k = tau / h steps read the delayed spreader from the history
+    lags = np.arange(steps_on_grid(p.tau, h, "tau")) * h - p.tau
     if not history.is_constant:
         # guard against rounding a hair past the sampled span
         lags = np.clip(lags, -history.span, 0.0)
-    return history(lags)[:, 2]
+    return euler_maruyama(
+        lambda x, i_delayed: _drift_with_delayed_i(x, i_delayed, p, beta),
+        history(0.0), history(lags)[:, 2], 2, p.noise.as_array(), seeds, cfg, record,
+        cfg.projection_enabled,
+    )
 
 
 def simulate_paths(
@@ -155,54 +228,19 @@ def simulate_paths(
     Returns ``(times, paths, projection_counts)`` where ``paths`` has shape
     ``(len(seeds), recorded_count, 6)``.  Row ``j`` is bit-identical to the
     single-path result for ``seeds[j]``: the noise is a pure function of
-    ``(seed, step)`` and all state updates are elementwise.
+    ``(seed, step)`` and all state updates are elementwise.  Memory scales
+    with the recorded rows, not with the step count.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    history.validate_for(p)
-    h = cfg.step_size
-    n_steps = cfg.step_count
-    k = steps_on_grid(p.tau, h, "tau")
-    n_runs = len(seeds)
+    paths = np.empty((len(seeds), cfg.recorded_count, 6))
 
-    increments = np.empty((n_runs, n_steps, 6))
-    for j, seed in enumerate(seeds):
-        increments[j] = normal_block(seed, n_steps, 6)
-    increments *= np.sqrt(h)
+    def record(row, x):
+        paths[:, row] = x
 
-    hist_i = _delayed_history_spreader(history, p, h, k)
-    noise_arr = p.noise.as_array()
-    noisy = bool(np.any(noise_arr > 0.0))
-
-    states = np.empty((n_steps + 1, n_runs, 6))
-    states[0] = history(0.0)
-    projection_counts = np.zeros(n_runs, dtype=np.int64)
-
-    for step in range(n_steps):
-        x = states[step]
-        if step >= k:
-            i_delayed = states[step - k][:, 2]
-        else:
-            i_delayed = np.full(n_runs, hist_i[step])
-        x_next = x + _drift_with_delayed_i(x, i_delayed, p) * h
-        if noisy:
-            x_next += (noise_arr * x) * increments[:, step, :]
-        if cfg.projection_enabled:
-            clamped = x_next < 0.0
-            if clamped.any():
-                projection_counts += clamped.any(axis=1)
-                np.maximum(x_next, 0.0, out=x_next)
-        if not np.all(np.isfinite(x_next)):
-            bad = int(np.argwhere(~np.isfinite(x_next).all(axis=1))[0, 0])
-            raise NumericsError(
-                f"non-finite state at step {step + 1} (t={(step + 1) * h:g}) "
-                f"in run index {bad}"
-            )
-        states[step + 1] = x_next
-
-    times = h * np.arange(0, n_steps + 1)[:: cfg.record_stride]
-    paths = np.ascontiguousarray(states[:: cfg.record_stride].transpose(1, 0, 2))
+    _, projection_counts = stream_model(p, history, cfg, seeds, record)
+    times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]
     return times, paths, projection_counts
 
 

@@ -195,11 +195,12 @@ def _state_array(x) -> np.ndarray:
     return arr
 
 
-def _drift_with_delayed_i(x: np.ndarray, i_delayed, p: ModelParams) -> np.ndarray:
+def _drift_with_delayed_i(x: np.ndarray, i_delayed, p: ModelParams, beta=None) -> np.ndarray:
     # Shared kernel: each inter-compartment flow is computed once and
     # reused with both signs, so the six components cancel to zero exactly
-    # (up to the final rounding of the additions).
-    transmission = p.beta * x[..., 0] * i_delayed
+    # (up to the final rounding of the additions).  ``beta`` overrides
+    # ``p.beta``, as a scalar or one rate per leading row of ``x``.
+    transmission = (p.beta if beta is None else beta) * x[..., 0] * i_delayed
     activation = p.sigma_act * x[..., 1]
     removal = p.gamma * x[..., 2]
     skepticism = p.rho * x[..., 2]

@@ -40,6 +40,7 @@ __all__ = [
     "derive_seed",
     "mix64",
     "normal_block",
+    "seed_array",
     "wiener_increments",
 ]
 
@@ -49,6 +50,7 @@ _KEY_SALT = 0xD1B54A32D192ED03
 _STREAM_STRIDE = 8
 
 _U_GOLDEN = np.uint64(GOLDEN_GAMMA)
+_U_KEY_SALT = np.uint64(_KEY_SALT)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_M2 = np.uint64(0x94D049BB133111EB)
 _U_S30 = np.uint64(30)
@@ -90,14 +92,29 @@ def _stream_key(seed: int) -> np.uint64:
     return np.uint64(mix64((seed & _MASK64) ^ _KEY_SALT))
 
 
+def seed_array(seeds) -> np.ndarray:
+    """Seeds as a 1-D ``uint64`` array, reduced mod 2**64 like one seed is;
+    a ``uint64`` array is returned as is, so callers can convert once."""
+    if np.ndim(seeds) != 1:
+        raise ValueError("seeds must be a one-dimensional sequence")
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    # element by element: numpy infers float64 for a list that mixes
+    # integers on both sides of 2**63, which would round the seeds
+    return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
+
+
 def normal_block(
-    seed: int, n_steps: int, n_components: int = 6, step_offset: int = 0
+    seed, n_steps: int, n_components: int = 6, step_offset: int = 0
 ) -> np.ndarray:
     """Standard-normal draws for steps ``step_offset .. step_offset+n_steps-1``.
 
     Returns an array of shape ``(n_steps, n_components)`` whose row ``m``
     is exactly :func:`wiener_increments` at ``step_offset + m``: the block
-    is a view into the counter stream, not a separate generator.
+    is a view into the counter stream, not a separate generator.  For a
+    1-D array of seeds the block is step-major, ``(n_steps, len(seeds),
+    n_components)``, and ``block[:, j, :]`` equals ``normal_block(seeds[j],
+    ...)`` bit for bit, since each draw depends only on its counter.
     """
     if n_components < 1 or n_components > _STREAM_STRIDE:
         raise ValueError(f"n_components must be in 1..{_STREAM_STRIDE}")
@@ -106,7 +123,13 @@ def normal_block(
     steps = np.arange(step_offset, step_offset + n_steps, dtype=np.uint64)
     comps = np.arange(n_components, dtype=np.uint64)
     positions = steps[:, None] * np.uint64(_STREAM_STRIDE) + comps[None, :] + np.uint64(1)
-    words = _mix64_array(_stream_key(seed) + positions * _U_GOLDEN)
+    offsets = positions * _U_GOLDEN
+    if np.ndim(seed) == 0:
+        key = _stream_key(seed)
+    else:
+        key = _mix64_array(seed_array(seed) ^ _U_KEY_SALT)[:, None]
+        offsets = offsets[:, None, :]
+    words = _mix64_array(key + offsets)
     uniforms = ((words >> _U_S11).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(uniforms)
 

@@ -12,8 +12,9 @@ susceptible point is governed by the linear delay subsystem
 
 whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
 whenever :func:`~rumorsim.model.stochastic_margin` is positive.  This
-module estimates that second moment over an ensemble and issues an
-empirical verdict instead of re-deriving the analysis.
+module estimates that second moment over an ensemble, integrated by the
+streaming kernel of :mod:`rumorsim.integrator`, and issues an empirical
+verdict instead of re-deriving the analysis.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ import numpy as np
 
 from .ensemble import EXTINCTION_FRACTION, EnsembleSummary, FinalSizeHorizonWarning
 from .errors import NumericsError
-from .integrator import CSV_FLOAT_FORMAT, IntegratorConfig, Trajectory, steps_on_grid
+from .integrator import (
+    CSV_FLOAT_FORMAT,
+    IntegratorConfig,
+    Trajectory,
+    euler_maruyama,
+    steps_on_grid,
+)
 from .model import ModelParams, StateVector, drift, stochastic_margin
-from .rng import derive_seed, normal_block
+from .rng import derive_seed
 
 __all__ = [
     "DECAY_RATIO",
@@ -165,34 +172,30 @@ def simulate_linearized(
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
 
-    h = cfg.step_size
-    n_steps = cfg.step_count
-    k = steps_on_grid(p.tau, h, "tau")
     bn = p.beta * p.population
 
-    states = np.empty((n_steps + 1, run_count, 2))
-    states[0] = (e0, i0)
-    increments = np.empty((run_count, n_steps, 2))
-    for j in range(run_count):
-        increments[j] = normal_block(derive_seed(base_seed, j), n_steps, 2)
-    increments *= np.sqrt(h)
-
-    noise_pair = np.array([p.noise.e, p.noise.i])
-    for step in range(n_steps):
-        x = states[step]
-        i_delayed = states[step - k][:, 1] if step >= k else np.full(run_count, i0)
+    def drift(x, i_delayed):
         de = bn * i_delayed - p.sigma_act * x[:, 0]
         di = p.sigma_act * x[:, 0] - p.removal_rate * x[:, 1]
-        x_next = x + np.stack([de, di], axis=1) * h + (noise_pair * x) * increments[:, step, :]
-        if not np.all(np.isfinite(x_next)):
-            raise NumericsError(
-                f"linearized second moment overflowed at step {step + 1} "
-                f"(t={(step + 1) * h:g}); shorten the horizon"
-            )
-        states[step + 1] = x_next
+        return np.stack([de, di], axis=1)
 
-    recorded = states[:: cfg.record_stride]
-    times = h * np.arange(0, n_steps + 1)[:: cfg.record_stride]
+    recorded = np.empty((cfg.recorded_count, run_count, 2))
+
+    def record(row, x):
+        recorded[row] = x
+
+    early = np.full(steps_on_grid(p.tau, cfg.step_size, "tau"), i0)
+    noise_pair = np.array([p.noise.e, p.noise.i])
+    seeds = [derive_seed(base_seed, j) for j in range(run_count)]
+    try:
+        euler_maruyama(drift, (e0, i0), early, 1, noise_pair, seeds, cfg, record, False)
+    except NumericsError as exc:
+        raise NumericsError(
+            f"linearized second moment overflowed at step {exc.step} "
+            f"(t={exc.step * cfg.step_size:g}); shorten the horizon"
+        ) from exc
+
+    times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]
     sq_sum = (recorded**2).sum(axis=2)
     ms_estimate = sq_sum.mean(axis=1)
 

@@ -1,20 +1,29 @@
 import dataclasses
+import warnings
 
+import numpy as np
 import pytest
 
 from rumorsim import (
+    FinalSizeHorizonWarning,
     GridMismatchError,
+    HistoryFunction,
     IntegratorConfig,
+    NumericsError,
     SweepCell,
     SweepResult,
     SweepSpec,
     compare_to_reference,
+    default_initial_state,
     default_params,
     filter_reference,
+    integrate,
     load_reference,
+    run_ensemble,
     run_sweep,
 )
 from rumorsim.ablation import read_sweep_csv, write_deviation_csv, write_sweep_csv
+from rumorsim.rng import derive_seed
 
 
 def small_spec(taus=(0.0, 10.0), r0s=(0.5, 2.0), runs=12, seed=5):
@@ -101,6 +110,62 @@ class TestRunSweep:
             small_spec(r0s=(0.5, 0.0))
         with pytest.raises(ValueError):
             small_spec(runs=0)
+
+
+class TestBatchedSweep:
+    # the cells of one delay run as one batch; each must still equal the
+    # ensemble of its own cell seed bit for bit
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_cells_equal_per_cell_ensembles(self, stride):
+        spec = dataclasses.replace(
+            small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3),
+            integrator=IntegratorConfig(0.1, 150.0, record_stride=stride),
+        )
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            result = run_sweep(spec)
+        expected_warnings = 0
+        for i, tau in enumerate(spec.taus):
+            for j, r0 in enumerate(spec.r0_values):
+                params = dataclasses.replace(spec.template, tau=tau, beta=spec.beta_for(r0))
+                history = HistoryFunction.constant(default_initial_state(params))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    m = run_ensemble(
+                        params, history, spec.integrator, spec.run_count,
+                        derive_seed(spec.base_seed, i, j),
+                    ).metrics
+                expected_warnings += sum(
+                    issubclass(w.category, FinalSizeHorizonWarning) for w in caught
+                )
+                assert result.cell(tau, r0) == SweepCell(
+                    tau=tau, r0=r0, beta=params.beta,
+                    peak_mean=m.peak_mean, peak_std=m.peak_std,
+                    final_mean=m.final_size_mean, final_std=m.final_size_std,
+                )
+        horizon = [w for w in swept if issubclass(w.category, FinalSizeHorizonWarning)]
+        assert 0 < expected_warnings < len(result.cells)
+        assert len(horizon) == expected_warnings
+
+    def test_nonfinite_state_names_cell_run_and_seed(self):
+        cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
+        spec = dataclasses.replace(
+            small_spec(taus=(0.0, 1.0), r0s=(1.0, 1e155), runs=3, seed=11), integrator=cfg
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericsError) as failed:
+                run_sweep(spec)
+            message = str(failed.value)
+            assert message.startswith("sweep cell (tau=0, R0=1e+155): non-finite state at step ")
+            run = int(message.split(" in run ")[1].split()[0])
+            seed = derive_seed(derive_seed(spec.base_seed, 0, 1), run)
+            assert message.endswith(f" in run {run} (seed {seed})")
+            # the named seed reproduces the failure at the same step on its own
+            params = dataclasses.replace(spec.template, beta=spec.beta_for(1e155))
+            history = HistoryFunction.constant(default_initial_state(params))
+            with pytest.raises(NumericsError) as single:
+                integrate(params, history, cfg, seed)
+        assert single.value.step == failed.value.step
 
 
 class TestCompare:

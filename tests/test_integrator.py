@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from rumorsim import (
     second_moment_envelope,
     simulate_paths,
 )
-from rumorsim.integrator import write_trajectory_csv
+from rumorsim.integrator import _NOISE_CHUNK_DRAWS, write_trajectory_csv
 from rumorsim.rng import normal_block
 
 
@@ -207,6 +209,27 @@ class TestNumericGuards:
         cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
             integrate(p, hist, cfg, 1)
+
+
+class TestMemory:
+    def test_peak_scales_with_recorded_rows(self):
+        # no full-horizon state or increment array: the peak stays within
+        # twice the recorded paths plus the delay ring and one noise chunk
+        p = default_params(tau=5.0, r0=2.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 200.0, record_stride=10)
+        runs, k = 500, 50
+        recorded = runs * cfg.recorded_count * 6 * 8
+        ring = (k + 1) * runs * 8
+        chunk = _NOISE_CHUNK_DRAWS * 8
+        tracemalloc.start()
+        try:
+            _, paths, _ = simulate_paths(p, hist, cfg, range(runs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.nbytes == recorded
+        assert peak < 2 * (recorded + ring + chunk)
 
 
 class TestMomentEnvelope:

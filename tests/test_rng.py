@@ -23,6 +23,15 @@ def test_block_offset_is_a_window():
     assert np.array_equal(block[60:], shifted)
 
 
+@pytest.mark.parametrize("n_components", [2, 6])
+def test_seed_array_block_is_step_major(n_components):
+    seeds = [derive_seed(3, k) for k in range(5)] + [0, 7]  # both sides of 2**63
+    block = normal_block(seeds, 30, n_components, step_offset=45)
+    assert block.shape == (30, len(seeds), n_components)
+    for j, seed in enumerate(seeds):
+        assert np.array_equal(block[:, j, :], normal_block(seed, 30, n_components, step_offset=45))
+
+
 def test_gaussian_moments():
     n = 10**6
     draws = normal_block(2024, n // 6 + 1, 6).ravel()[:n]
@@ -75,3 +84,5 @@ def test_invalid_block_arguments():
         normal_block(1, -1)
     with pytest.raises(ValueError):
         wiener_increments(1, -1)
+    with pytest.raises(ValueError):
+        normal_block([[1, 2]], 10)

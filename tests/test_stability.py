@@ -10,6 +10,7 @@ from rumorsim import (
     IntegratorConfig,
     ModelParams,
     NoiseIntensities,
+    NumericsError,
     StateVector,
     classify_equilibrium,
     default_initial_state,
@@ -130,6 +131,13 @@ class TestLinearizedSimulation:
                     p, 0.005, 0.005, IntegratorConfig(0.1, 400.0), 50, 23
                 )
                 assert report.verdict is DecayVerdict.DECAY, (r0, noise, tau)
+
+    def test_overflow_names_step_and_advice(self):
+        p = linear_params(r0=1e150, tau=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            advice = r"overflowed at step \d+ \(t=.*\); shorten the horizon"
+            with pytest.raises(NumericsError, match=advice):
+                simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 50.0), 3, 1)
 
     def test_input_validation(self, short_cfg):
         p = linear_params(r0=0.5)
