@@ -18,7 +18,6 @@ than treated as failures.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .ensemble import OutbreakMetrics, _warn_if_unconverged
 from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
-from .integrator import CSV_FLOAT_FORMAT, IntegratorConfig, stream_model
+from .integrator import IntegratorConfig, check_memory, stream_model, write_table
 from .model import HistoryFunction, ModelParams, StateVector, default_initial_state
 from .rng import derive_seed
 
@@ -113,6 +112,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     attached, and a non-finite state names the run's seed.
     """
     n, initial = spec.run_count, spec.initial_state
+    check_memory(spec.integrator, max(spec.taus), n * len(spec.r0_values), 6, recorded=False)
     cells = []
     for i, tau in enumerate(spec.taus):
         grid = [replace(spec.template, tau=tau, beta=spec.beta_for(r0)) for r0 in spec.r0_values]
@@ -184,13 +184,16 @@ def load_reference(path=None) -> tuple[ReferenceCell, ...]:
     else:
         with open(path, "r") as fh:
             text = fh.read()
-    rows = []
-    reader = csv.DictReader(
-        line for line in text.splitlines() if line and not line.startswith("#")
-    )
-    for record in reader:
-        rows.append(ReferenceCell(**_statistics_columns(record, path or "bundled reference")))
-    return tuple(rows)
+    _, records = _read_table(text)
+    return tuple(ReferenceCell(**_statistics_columns(r, path or "bundled reference")) for r in records)
+
+
+def _read_table(text: str) -> tuple[dict, list[dict]]:
+    """The ``# key=value`` lines and the records of a table in the format
+    of :func:`~rumorsim.integrator.write_table`."""
+    lines = text.splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
+    return meta, list(csv.DictReader(line for line in lines if line and not line.startswith("#")))
 
 
 def _statistics_columns(record: dict, source) -> dict:
@@ -327,84 +330,37 @@ def compare_to_reference(result: SweepResult, reference) -> DeviationReport:
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Mirror of the reference-table columns, one row per cell."""
-    buf = io.StringIO()
-    buf.write(f"# run_count={result.run_count}\n")
-    buf.write(f"# base_seed={result.base_seed}\n")
-    buf.write("tau,R0,beta,peak_mean,peak_std,final_mean,final_std\n")
-    for c in result.cells:
-        buf.write(
-            ",".join(
-                CSV_FLOAT_FORMAT % v
-                for v in (c.tau, c.r0, c.beta, c.peak_mean, c.peak_std, c.final_mean, c.final_std)
-            )
-            + "\n"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    fields = ("tau", "r0", "beta", "peak_mean", "peak_std", "final_mean", "final_std")
+    write_table(
+        path,
+        ["tau", "R0", *fields[2:]],
+        [[getattr(c, name) for c in result.cells] for name in fields],
+        meta={"run_count": result.run_count, "base_seed": result.base_seed},
+    )
 
 
 def read_sweep_csv(path) -> SweepResult:
     """Read a sweep result written by :func:`write_sweep_csv`."""
     with open(path, "r") as fh:
-        text = fh.read()
-    run_count = None
-    base_seed = 0
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("# run_count="):
-            run_count = int(line.split("=", 1)[1])
-        elif line.startswith("# base_seed="):
-            base_seed = int(line.split("=", 1)[1])
-        elif line and not line.startswith("#"):
-            data_lines.append(line)
-    if run_count is None:
-        raise RumorSimError(f"{path}: missing '# run_count=' metadata line")
-    cells = [
-        SweepCell(**_statistics_columns(record, path))
-        for record in csv.DictReader(data_lines)
-    ]
-    return SweepResult(cells=tuple(cells), run_count=run_count, base_seed=base_seed)
+        meta, records = _read_table(fh.read())
+    try:
+        run_count, base_seed = int(meta["run_count"]), int(meta.get("base_seed", 0))
+    except (KeyError, ValueError) as exc:
+        raise RumorSimError(
+            f"{path}: missing or malformed '# run_count=' or '# base_seed=' metadata line"
+        ) from exc
+    cells = tuple(SweepCell(**_statistics_columns(record, path)) for record in records)
+    return SweepResult(cells=cells, run_count=run_count, base_seed=base_seed)
 
 
 def write_deviation_csv(report: DeviationReport, path) -> None:
     """Sweep columns plus reference values, relative deviations, and flags."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    buf.write(f"# run_count={report.run_count}\n")
-    writer.writerow(
-        [
-            "tau",
-            "R0",
-            "beta",
-            "peak_mean",
-            "final_mean",
-            "ref_peak_mean",
-            "ref_peak_std",
-            "ref_final_mean",
-            "ref_final_std",
-            "peak_dev_rel",
-            "final_dev_rel",
-            "flag",
-            "note",
-        ]
+    header = ["tau", "R0", "beta", "peak_mean", "final_mean", "ref_peak_mean", "ref_peak_std"]
+    header += ["ref_final_mean", "ref_final_std", "peak_dev_rel", "final_dev_rel", "flag", "note"]
+    fields = ["tau", "r0", *header[2:11], "flagged", "note"]
+    write_table(
+        path,
+        header,
+        [[getattr(r, name) for r in report.rows] for name in fields],
+        meta={"run_count": report.run_count},
     )
-    for r in report.rows:
-        writer.writerow(
-            [
-                CSV_FLOAT_FORMAT % r.tau,
-                CSV_FLOAT_FORMAT % r.r0,
-                CSV_FLOAT_FORMAT % r.beta,
-                CSV_FLOAT_FORMAT % r.peak_mean,
-                CSV_FLOAT_FORMAT % r.final_mean,
-                CSV_FLOAT_FORMAT % r.ref_peak_mean,
-                CSV_FLOAT_FORMAT % r.ref_peak_std,
-                CSV_FLOAT_FORMAT % r.ref_final_mean,
-                CSV_FLOAT_FORMAT % r.ref_final_std,
-                CSV_FLOAT_FORMAT % r.peak_dev_rel,
-                CSV_FLOAT_FORMAT % r.final_dev_rel,
-                "1" if r.flagged else "0",
-                r.note,
-            ]
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())

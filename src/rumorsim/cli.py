@@ -38,7 +38,7 @@ from .config import (
 )
 from .ensemble import run_ensemble, write_aggregate_csv, write_metrics_csv, write_summary_csv
 from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
-from .integrator import integrate, write_trajectory_csv
+from .integrator import integrate, write_table, write_trajectory_csv
 from .model import CSV_COMPARTMENTS, HistoryFunction, reproduction_number, stochastic_margin
 from .stability import simulate_linearized, write_decay_csv
 from .svg import Series, write_svg
@@ -150,7 +150,10 @@ def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
                     label="I mean",
                     times=summary.times,
                     values=summary.mean[:, i_col],
-                    band=(summary.lower[:, i_col], summary.upper[:, i_col]),
+                    # one run has no band: its edges are NaN
+                    band=(summary.lower[:, i_col], summary.upper[:, i_col])
+                    if summary.run_count >= 2
+                    else None,
                 )
             ],
             band_path,
@@ -187,16 +190,12 @@ def _cmd_stability(cfg: RunConfig) -> list[Path]:
     )
     if cfg.output.wants_csv:
         threshold_path = out_dir / "threshold.csv"
-        with open(threshold_path, "w", newline="\n") as fh:
-            fh.write("R0,stochastic_margin,ms_condition_holds\n")
-            fh.write(
-                "%.9g,%.9g,%d\n"
-                % (
-                    reproduction_number(cfg.model),
-                    stochastic_margin(cfg.model),
-                    1 if stochastic_margin(cfg.model) > 0 else 0,
-                )
-            )
+        margin = stochastic_margin(cfg.model)
+        write_table(
+            threshold_path,
+            ["R0", "stochastic_margin", "ms_condition_holds"],
+            [[reproduction_number(cfg.model)], [margin], [margin > 0]],
+        )
         written.append(threshold_path)
         decay_path = out_dir / "decay.csv"
         write_decay_csv(report, decay_path)

@@ -13,7 +13,6 @@ paths are the only per-step state an ensemble holds.  Sweeps build
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -21,12 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InsufficientDataError
-from .integrator import (
-    CSV_FLOAT_FORMAT,
-    IntegratorConfig,
-    Trajectory,
-    simulate_paths,
-)
+from .integrator import IntegratorConfig, Trajectory, check_memory, simulate_paths, write_table
 from .model import CSV_COMPARTMENTS, HistoryFunction, ModelParams
 from .rng import derive_seed
 
@@ -56,35 +50,46 @@ class FinalSizeHorizonWarning(UserWarning):
     final-size statistics underestimate the eventual reach."""
 
 
-def confidence_band(values, level: float, method: str = "quantile") -> tuple[float, float]:
-    """Pointwise confidence band over a sample of scalars.
+def confidence_band(values, level: float, method: str = "quantile"):
+    """Confidence band over a sample, pointwise along its first axis.
 
+    A 1-D sample of scalars gives a ``(lo, hi)`` pair of floats; a sample
+    of arrays gives a pair of arrays shaped like one of its elements.
     ``quantile`` (default): empirical quantiles at ``(1-level)/2`` and
     ``1-(1-level)/2`` with linear interpolation between order statistics;
     robust to the skew that multiplicative noise produces near zero.
     ``normal``: ``mean +/- z * std`` with ``z`` the standard-normal
-    quantile and the sample standard deviation (ddof=1).
+    quantile and the sample standard deviation of :func:`_sample_std`.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if values.size < 2:
+    if values.ndim == 0:
+        raise ValueError("values must be at least one-dimensional")
+    if values.shape[0] < 2:
         raise InsufficientDataError(
-            f"confidence band needs at least 2 values, got {values.size}"
+            f"confidence band needs at least 2 values, got {values.shape[0]}"
         )
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method == "quantile":
         alpha = (1.0 - level) / 2.0
-        lo, hi = np.quantile(values, [alpha, 1.0 - alpha])
+        lo, hi = np.quantile(values, [alpha, 1.0 - alpha], axis=0)
     elif method == "normal":
         z = ndtri(0.5 + level / 2.0)
-        mean = values.mean()
-        half = z * values.std(ddof=1)
-        lo, hi = mean - half, mean + half
+        mean, std = values.mean(axis=0), _sample_std(values)
+        lo, hi = mean - z * std, mean + z * std
     else:
         raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
-    return float(lo), float(hi)
+    if values.ndim == 1:
+        return float(lo), float(hi)
+    return lo, hi
+
+
+def _sample_std(values: np.ndarray):
+    """Standard deviation (ddof=1) along the first axis; exactly zero
+    where all values agree bitwise, suppressing the roundoff the two-pass
+    mean would otherwise leave."""
+    std = values.std(axis=0, ddof=1)
+    return np.where(values.max(axis=0) == values.min(axis=0), 0.0, std)
 
 
 @dataclass(frozen=True)
@@ -169,19 +174,6 @@ def _warn_if_unconverged(terminal_spreader: np.ndarray, population: float) -> No
         )
 
 
-def _pointwise_band(
-    paths: np.ndarray, mean: np.ndarray, std: np.ndarray, level: float, method: str
-) -> tuple[np.ndarray, np.ndarray]:
-    if method == "quantile":
-        alpha = (1.0 - level) / 2.0
-        band = np.quantile(paths, [alpha, 1.0 - alpha], axis=0)
-        return band[0], band[1]
-    if method == "normal":
-        z = ndtri(0.5 + level / 2.0)
-        return mean - z * std, mean + z * std
-    raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
-
-
 def run_ensemble(
     p: ModelParams,
     history: HistoryFunction,
@@ -207,16 +199,14 @@ def run_ensemble(
     if ci_method not in CI_METHODS:
         raise ValueError(f"unknown CI method {ci_method!r}; expected one of {CI_METHODS}")
 
+    check_memory(cfg, p.tau, run_count, 6)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
     times, paths, projection_counts = simulate_paths(p, history, cfg, seeds)
 
     mean = paths.mean(axis=0)
     if run_count >= 2:
-        std = paths.std(axis=0, ddof=1)
-        # where all runs agree bitwise the dispersion is exactly zero;
-        # suppress the roundoff the two-pass mean would otherwise leave
-        std[paths.max(axis=0) == paths.min(axis=0)] = 0.0
-        lower, upper = _pointwise_band(paths, mean, std, ci_level, ci_method)
+        std = _sample_std(paths)
+        lower, upper = confidence_band(paths, ci_level, ci_method)
     else:
         std = np.full_like(mean, np.nan)
         lower = np.full_like(mean, np.nan)
@@ -251,60 +241,37 @@ def run_ensemble(
     return EnsembleResult(summary=summary, metrics=metrics, trajectories=trajectories)
 
 
-def _fmt(values) -> str:
-    return ",".join(CSV_FLOAT_FORMAT % v for v in values)
-
-
 def write_summary_csv(summary: EnsembleSummary, path) -> None:
     """Write ``t,<comp>_mean,<comp>_std,<comp>_lo,<comp>_hi`` per compartment."""
-    buf = io.StringIO()
-    cols = ["t"]
-    for comp in CSV_COMPARTMENTS:
-        cols += [f"{comp}_mean", f"{comp}_std", f"{comp}_lo", f"{comp}_hi"]
-    buf.write(",".join(cols) + "\n")
-    for idx, t in enumerate(summary.times):
-        row = [t]
-        for c in range(6):
-            row += [
-                summary.mean[idx, c],
-                summary.std[idx, c],
-                summary.lower[idx, c],
-                summary.upper[idx, c],
-            ]
-        buf.write(_fmt(row) + "\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    header, columns = ["t"], [summary.times]
+    for c, comp in enumerate(CSV_COMPARTMENTS):
+        header += [f"{comp}_mean", f"{comp}_std", f"{comp}_lo", f"{comp}_hi"]
+        columns += [summary.mean[:, c], summary.std[:, c], summary.lower[:, c], summary.upper[:, c]]
+    write_table(path, header, columns)
 
 
 def write_metrics_csv(metrics: OutbreakMetrics, path) -> None:
     """One row per run: ``run,peak_I,peak_t,final_size``."""
-    buf = io.StringIO()
-    buf.write("run,peak_I,peak_t,final_size\n")
-    for k in range(metrics.run_count):
-        buf.write(
-            f"{k},"
-            + _fmt([metrics.peak_values[k], metrics.peak_times[k], metrics.final_sizes[k]])
-            + "\n"
-        )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table(
+        path,
+        ["run", "peak_I", "peak_t", "final_size"],
+        [np.arange(metrics.run_count), metrics.peak_values, metrics.peak_times, metrics.final_sizes],
+    )
 
 
 def write_aggregate_csv(metrics: OutbreakMetrics, path) -> None:
     """Single-row aggregate of the per-run metrics."""
-    buf = io.StringIO()
-    buf.write("run_count,peak_mean,peak_std,final_mean,final_std\n")
-    buf.write(
-        f"{metrics.run_count},"
-        + _fmt(
-            [
+    write_table(
+        path,
+        ["run_count", "peak_mean", "peak_std", "final_mean", "final_std"],
+        [
+            [value]
+            for value in (
+                metrics.run_count,
                 metrics.peak_mean,
                 metrics.peak_std,
                 metrics.final_size_mean,
                 metrics.final_size_std,
-            ]
-        )
-        + "\n"
+            )
+        ],
     )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())

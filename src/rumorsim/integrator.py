@@ -21,7 +21,7 @@ the population; nothing is renormalized.
 
 from __future__ import annotations
 
-import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "simulate_paths",
     "generator_growth_constant",
     "second_moment_envelope",
+    "write_table",
     "write_trajectory_csv",
 ]
 
@@ -59,6 +60,10 @@ CSV_FLOAT_FORMAT = "%.9g"
 def steps_on_grid(value: float, step_size: float, what: str) -> int:
     """Number of steps covering ``value``, requiring an integral ratio."""
     ratio = value / step_size
+    if not np.isfinite(ratio):
+        raise ConfigurationError(
+            f"{what} ({value:g}) spans more steps of size {step_size:g} than can be counted"
+        )
     n = round(ratio)
     if abs(ratio - n) > _GRID_RTOL * max(1.0, abs(ratio)):
         raise ConfigurationError(
@@ -141,6 +146,35 @@ class Trajectory:
         return StateVector.from_array(np.maximum(self.states[-1], 0.0))
 
 
+def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
+    """Steps that read the delayed value from the history: ``tau / h``,
+    capped at the step count, since no step beyond the horizon is taken."""
+    return min(steps_on_grid(tau, cfg.step_size, "tau"), cfg.step_count)
+
+
+def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, recorded=True) -> None:
+    """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
+    more than the machine's physical memory.
+
+    The estimate counts the recorded rows (if ``recorded``), the delay ring
+    and the per-run state of :func:`euler_maruyama`, 8 bytes per value; it
+    runs before any seed is derived or any array allocated.
+    """
+    rows = cfg.recorded_count if recorded else 0
+    held = 8 * runs * (components * (rows + 4) + delay_steps(tau, cfg) + 3)
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # no way to tell on this platform
+    if held > physical:
+        gib = min(held, 2**1023) / 2**30  # a float even for absurd run counts
+        raise ConfigurationError(
+            f"a batch of {runs} runs would hold about {gib:.3g} GiB, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory; lower the run count, "
+            f"the horizon or the recorded rows"
+        )
+
+
 def euler_maruyama(
     drift, start, early_delayed, delayed_column, noise, seeds, cfg, record, project
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +240,7 @@ def stream_model(
     history.validate_for(p)
     h = cfg.step_size
     # the first k = tau / h steps read the delayed spreader from the history
-    lags = np.arange(steps_on_grid(p.tau, h, "tau")) * h - p.tau
+    lags = np.arange(delay_steps(p.tau, cfg)) * h - p.tau
     if not history.is_constant:
         # guard against rounding a hair past the sampled span
         lags = np.clip(lags, -history.span, 0.0)
@@ -234,6 +268,7 @@ def simulate_paths(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    check_memory(cfg, p.tau, len(seeds), 6)
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
 
     def record(row, x):
@@ -321,15 +356,47 @@ def second_moment_envelope(
     return np.exp(np.minimum(log_env, 709.0))
 
 
-def _format_row(values) -> str:
-    return ",".join(CSV_FLOAT_FORMAT % v for v in values)
+def _csv_text(text: str) -> str:
+    """Quote a text cell the way ``csv.writer`` does by default."""
+    if any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_table(path, header, columns, meta=None) -> None:
+    """Write a CSV table an array at a time.
+
+    ``columns`` holds one sequence per ``header`` name.  Floats print with
+    ``CSV_FLOAT_FORMAT`` (``nan`` and ``inf`` as such), integers and
+    booleans as integers, and text csv-quoted where it needs quoting.
+    Each ``meta`` item becomes a ``# key=value`` line above the header,
+    with a float value in ``CSV_FLOAT_FORMAT``.
+    """
+    formats, cells = [], []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind == "f":
+            formats.append(CSV_FLOAT_FORMAT)
+            cells.append(column.tolist())
+        elif column.dtype.kind in "biu":
+            formats.append("%d")
+            cells.append(column.tolist())
+        else:
+            formats.append("%s")
+            cells.append([_csv_text(str(text)) for text in column.tolist()])
+    row = ",".join(formats) + "\n"
+    lines = [
+        f"# {key}={CSV_FLOAT_FORMAT % value if isinstance(value, float) else value}\n"
+        for key, value in (meta or {}).items()
+    ]
+    lines.append(",".join(header) + "\n")
+    lines.extend(map(row.__mod__, zip(*cells)))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("".join(lines))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write ``t,S,E,I,R,Ig,F`` rows with 9 significant digits."""
-    buf = io.StringIO()
-    buf.write("t," + ",".join(CSV_COMPARTMENTS) + "\n")
-    for t, row in zip(trajectory.times, trajectory.states):
-        buf.write(_format_row([t, *row]) + "\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table(
+        path, ["t", *CSV_COMPARTMENTS], [trajectory.times, *trajectory.states.T]
+    )

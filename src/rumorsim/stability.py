@@ -20,7 +20,6 @@ verdict instead of re-deriving the analysis.
 from __future__ import annotations
 
 import enum
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -29,11 +28,12 @@ import numpy as np
 from .ensemble import EXTINCTION_FRACTION, EnsembleSummary, FinalSizeHorizonWarning
 from .errors import NumericsError
 from .integrator import (
-    CSV_FLOAT_FORMAT,
     IntegratorConfig,
     Trajectory,
+    check_memory,
+    delay_steps,
     euler_maruyama,
-    steps_on_grid,
+    write_table,
 )
 from .model import ModelParams, StateVector, drift, stochastic_margin
 from .rng import derive_seed
@@ -171,6 +171,7 @@ def simulate_linearized(
         raise ValueError("initial perturbation must be nonnegative and not identically zero")
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
+    check_memory(cfg, p.tau, run_count, 2)
 
     bn = p.beta * p.population
 
@@ -184,7 +185,7 @@ def simulate_linearized(
     def record(row, x):
         recorded[row] = x
 
-    early = np.full(steps_on_grid(p.tau, cfg.step_size, "tau"), i0)
+    early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
     seeds = [derive_seed(base_seed, j) for j in range(run_count)]
     try:
@@ -276,13 +277,14 @@ def final_size(source, p: ModelParams) -> FinalSizeReport:
 def write_decay_csv(report: MeanSquareDecayReport, path) -> None:
     """Write ``t,ms_estimate`` rows, with the margin, verdict, and fitted
     rate carried as ``#``-prefixed header lines."""
-    buf = io.StringIO()
-    buf.write("# margin=" + (CSV_FLOAT_FORMAT % report.margin) + "\n")
-    buf.write(f"# verdict={report.verdict.value}\n")
-    buf.write("# fitted_rate=" + (CSV_FLOAT_FORMAT % report.fitted_rate) + "\n")
-    buf.write(f"# run_count={report.run_count}\n")
-    buf.write("t,ms_estimate\n")
-    for t, v in zip(report.times, report.ms_estimate):
-        buf.write((CSV_FLOAT_FORMAT % t) + "," + (CSV_FLOAT_FORMAT % v) + "\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table(
+        path,
+        ["t", "ms_estimate"],
+        [report.times, report.ms_estimate],
+        meta={
+            "margin": report.margin,
+            "verdict": report.verdict.value,
+            "fitted_rate": report.fitted_rate,
+            "run_count": report.run_count,
+        },
+    )

@@ -56,6 +56,7 @@ class Series:
                 raise ValueError(f"series {self.label!r}: band must align with times")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
                 raise ValueError(f"series {self.label!r}: non-finite band")
+            object.__setattr__(self, "band", (lo, hi))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -68,6 +69,11 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 
 def _coord(v: float) -> str:
     return f"{v:.3f}"
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """``x,y`` pixel pairs in ``_coord`` precision, space-separated."""
+    return " ".join(map("%.3f,%.3f".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def render_svg(
@@ -110,10 +116,11 @@ def render_svg(
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(x: float) -> float:
+    # elementwise, so pixels are the same for scalars and for arrays
+    def sx(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return height - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = []
@@ -176,19 +183,15 @@ def render_svg(
             continue
         color = PALETTE[idx % len(PALETTE)]
         lo, hi = s.band
-        forward = [f"{_coord(sx(t))},{_coord(sy(v))}" for t, v in zip(s.times, hi)]
-        backward = [
-            f"{_coord(sx(t))},{_coord(sy(v))}" for t, v in zip(s.times[::-1], lo[::-1])
-        ]
+        px = sx(s.times)
+        forward, backward = _points(px, sy(hi)), _points(px[::-1], sy(lo[::-1]))
         out.append(
-            f'<polygon class="band" points="{" ".join(forward + backward)}" '
+            f'<polygon class="band" points="{forward} {backward}" '
             f'fill="{color}" fill-opacity="0.25" stroke="none"/>\n'
         )
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{_coord(sx(t))},{_coord(sy(v))}" for t, v in zip(s.times, s.values)
-        )
+        points = _points(sx(s.times), sy(s.values))
         out.append(
             f'<polyline class="line" points="{points}" fill="none" '
             f'stroke="{color}" stroke-width="1.5"/>\n'

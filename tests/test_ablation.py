@@ -241,6 +241,14 @@ class TestMalformedInputs:
         with pytest.raises(RumorSimError, match="run_count"):
             read_sweep_csv(path)
 
+    def test_sweep_csv_rejects_malformed_run_count(self, tmp_path):
+        from rumorsim import RumorSimError
+
+        path = tmp_path / "sweep.csv"
+        path.write_text("# run_count=many\ntau,R0,beta,peak_mean,peak_std,final_mean,final_std\n")
+        with pytest.raises(RumorSimError, match="malformed"):
+            read_sweep_csv(path)
+
 
 class TestCsvRoundTrip:
     def test_sweep_csv(self, tmp_path):

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rumorsim.cli import main
 
@@ -75,6 +76,45 @@ class TestSimulate:
         assert code == 2
         assert "error: model.beta" in err
         assert out == ""
+
+
+class TestEnsemble:
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_single_run_draws_no_band(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"ensemble": {"run_count": 1}, "integrator": {"horizon": 20.0}})
+        code, out, err = run_cli(
+            capsys, "ensemble", "--config", str(cfg), "--out", str(tmp_path / "out"), "--format", "svg"
+        )
+        assert code == 0, err
+        figure = (tmp_path / "out" / "spreader_band.svg").read_text()
+        assert "<polyline" in figure and "<polygon" not in figure
+
+
+class TestMemoryGuard:
+    """Sizes that cannot fit end in a typed error before any seed is
+    derived or any array allocated."""
+
+    @pytest.mark.parametrize(
+        "integrator", [{"step_size": 1e-300}, {"step_size": 1e-300, "horizon": 1e300}]
+    )
+    def test_step_count_beyond_memory(self, tmp_path, capsys, integrator):
+        cfg = write_config(tmp_path, {"integrator": integrator})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ") and ("GiB" in err or "than can be counted" in err)
+
+    @pytest.mark.parametrize("command", ["ensemble", "stability", "ablate"])
+    def test_run_count_beyond_memory(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*_):
+            raise AssertionError("seeds derived before the memory check")
+
+        for module in ("ensemble", "stability", "ablation"):
+            monkeypatch.setattr(f"rumorsim.{module}.derive_seed", refuse)
+        code, out, err = run_cli(
+            capsys, command, "--runs", "10000000000000", "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "GiB of physical memory" in err
 
 
 class TestStability:

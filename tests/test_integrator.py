@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,7 @@ from rumorsim import (
     second_moment_envelope,
     simulate_paths,
 )
-from rumorsim.integrator import _NOISE_CHUNK_DRAWS, write_trajectory_csv
+from rumorsim.integrator import _NOISE_CHUNK_DRAWS, check_memory, write_table, write_trajectory_csv
 from rumorsim.rng import normal_block
 
 
@@ -232,6 +234,35 @@ class TestMemory:
         assert peak < 2 * (recorded + ring + chunk)
 
 
+    def test_delay_beyond_horizon_reads_only_the_history(self):
+        # every step of the horizon reads the history, whatever the delay
+        cfg = IntegratorConfig(0.1, 20.0)
+        runs = {}
+        for tau in (20.0, 1e300):
+            p = default_params(tau=tau, r0=2.0)
+            runs[tau] = integrate(p, HistoryFunction.constant(default_initial_state(p)), cfg, 4)
+        assert np.array_equal(runs[1e300].states, runs[20.0].states)
+
+    def test_delay_buffer_is_capped_at_the_horizon(self):
+        p = default_params(tau=1e4, r0=2.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        tracemalloc.start()
+        try:
+            integrate(p, hist, IntegratorConfig(0.1, 1.0), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_guard_rejects_batches_beyond_physical_memory(self):
+        cfg = IntegratorConfig(0.1, 200.0)
+        check_memory(cfg, 5.0, 2000, 6)
+        with pytest.raises(ConfigurationError, match="GiB of physical memory"):
+            check_memory(cfg, 5.0, 10**13, 6)
+        with pytest.raises(ConfigurationError, match="GiB"):
+            check_memory(IntegratorConfig(1e-300, 200.0), 0.0, 1, 6)
+
+
 class TestMomentEnvelope:
     def test_envelope_dominates_ensemble_second_moment(self):
         p = default_params(tau=0.0, r0=2.0)
@@ -269,3 +300,25 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, out)
         row = out.read_text().splitlines()[2].split(",")
         assert row[1] == "%.9g" % traj.states[1, 0]
+
+
+class TestWriteTable:
+    def test_text_is_quoted_like_the_csv_module(self, tmp_path):
+        notes = ["plain", "a,b", 'say "x"', "two\nlines", "cr\rhere", "", "50% off"]
+        flags = [True, False, True, False, True, False, True]
+        values = [0.5, float("nan"), float("inf"), -1e-300, 1 / 3, 2.0, -0.0]
+        out = tmp_path / "table.csv"
+        write_table(out, ["k", "v", "flag", "note"], [range(7), values, flags, notes], meta={"n": 7})
+        expected = io.StringIO()
+        expected.write("# n=7\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["k", "v", "flag", "note"])
+        for row in zip(range(7), values, flags, notes):
+            writer.writerow([row[0], "%.9g" % row[1], int(row[2]), row[3]])
+        with open(out, newline="") as fh:
+            assert fh.read() == expected.getvalue()
+
+    def test_meta_floats_use_the_csv_float_format(self, tmp_path):
+        out = tmp_path / "meta.csv"
+        write_table(out, ["t"], [[0.1]], meta={"rate": 1 / 3, "verdict": "decay", "runs": 5})
+        assert out.read_text() == "# rate=0.333333333\n# verdict=decay\n# runs=5\nt\n0.1\n"
