@@ -3,8 +3,9 @@ reference statistics.
 
 Each grid cell fixes the delay and derives the transmission rate from the
 target reproduction number via ``beta = R0 * (gamma + rho) / N``, then
-runs an independent ensemble.  The cells of one delay run as a single
-batch with a per-run transmission rate.  Cell seeds are derived from
+runs an independent ensemble.  The whole grid runs as a single batch
+with a per-run transmission rate, the runs of each delay forming one
+group of the integrator's delay ring.  Cell seeds are derived from
 ``(base_seed, tau_index, r0_index)`` so cells are statistically
 independent and the whole sweep is reproducible from its spec.
 
@@ -18,14 +19,15 @@ than treated as failures.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .ensemble import OutbreakMetrics, _warn_if_unconverged
-from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
-from .integrator import IntegratorConfig, check_memory, stream_model, write_table
+from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
+from .integrator import IntegratorConfig, check_memory, delay_steps, stream_model, write_table
 from .model import HistoryFunction, ModelParams, StateVector, default_initial_state
 from .rng import derive_seed
 
@@ -106,61 +108,68 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one ensemble per grid cell; a pure function of the grid spec.
 
-    The cells of one delay run as one batch that keeps each run's peak of
-    ``I`` and terminal state; the statistics equal ``run_ensemble`` ones
-    exactly.  Integrator errors are re-raised with the failing cell
-    attached, and a non-finite state names the run's seed.
+    All cells run as one batch, each delay a group of runs in the
+    kernel's delay ring, and the batch keeps each run's peak of ``I`` and
+    terminal state; the statistics equal ``run_ensemble`` ones exactly.
+    An off-grid delay is reported with its cell.  A non-finite state names
+    the cell, the run and its seed; of several failing runs, the one at
+    the earliest step across the grid is reported, the first in grid order
+    on a tie.
     """
-    n, initial = spec.run_count, spec.initial_state
-    check_memory(spec.integrator, max(spec.taus), n * len(spec.r0_values), 6, recorded=False)
-    cells = []
-    for i, tau in enumerate(spec.taus):
-        grid = [replace(spec.template, tau=tau, beta=spec.beta_for(r0)) for r0 in spec.r0_values]
-        cell_seeds = [derive_seed(spec.base_seed, i, j) for j in range(len(grid))]
-        seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
-        start = initial if initial is not None else default_initial_state(grid[0])
-        peak = np.full(len(seeds), -np.inf)
+    n, cfg = spec.run_count, spec.integrator
+    taus, r0s = spec.taus, spec.r0_values
+    for tau in taus:
         try:
-            terminal, _ = stream_model(
-                grid[0],
-                HistoryFunction.constant(start),
-                spec.integrator,
-                seeds,
-                lambda row, x: np.maximum(peak, x[:, 2], out=peak),
-                beta=np.repeat([params.beta for params in grid], n),
+            delay_steps(tau, cfg)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0s[0]:g}): {exc}") from exc
+    cell_runs = n * len(r0s)
+    check_memory(cfg, max(taus), cell_runs * len(taus), 6, path_copies=0)
+    cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
+    seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
+    betas = [spec.beta_for(r0) for r0 in r0s]
+    start = spec.initial_state or default_initial_state(spec.template)
+    peak = np.full(len(seeds), -np.inf)
+    try:
+        terminal, _ = stream_model(
+            spec.template,  # its beta and tau give way to the per-run ones
+            HistoryFunction.constant(start),
+            cfg,
+            seeds,
+            lambda row, x: np.maximum(peak, x[2], out=peak),
+            beta=np.tile(np.repeat(betas, n), len(taus)),
+            delays=[(tau, cell_runs) for tau in taus],
+        )
+    except NumericsError as exc:
+        c, r = divmod(exc.run, n)
+        i, j = divmod(c, len(r0s))
+        raise NumericsError(
+            f"sweep cell (tau={taus[i]:g}, R0={r0s[j]:g}): non-finite state at "
+            f"step {exc.step} (t={exc.step * cfg.step_size:g}) in run {r} "
+            f"(seed {derive_seed(cell_seeds[c], r)})",
+            step=exc.step,
+            run=r,
+        ) from exc
+    cells = []
+    for c, (tau, (r0, beta)) in enumerate(itertools.product(taus, zip(r0s, betas))):
+        rows = slice(c * n, (c + 1) * n)
+        _warn_if_unconverged(terminal[2, rows], spec.template.population)
+        m = OutbreakMetrics(
+            peak_values=peak[rows],
+            peak_times=np.full(n, np.nan),  # not tracked by the sweep
+            final_sizes=terminal[3, rows] + terminal[5, rows],
+        )
+        cells.append(
+            SweepCell(
+                tau=float(tau),
+                r0=float(r0),
+                beta=beta,
+                peak_mean=m.peak_mean,
+                peak_std=m.peak_std,
+                final_mean=m.final_size_mean,
+                final_std=m.final_size_std,
             )
-        except ConfigFileError:
-            raise  # carries a violation list, not a plain message
-        except NumericsError as exc:
-            j, r = divmod(exc.run, n)
-            raise NumericsError(
-                f"sweep cell (tau={tau:g}, R0={spec.r0_values[j]:g}): non-finite state at "
-                f"step {exc.step} (t={exc.step * spec.integrator.step_size:g}) in run {r} "
-                f"(seed {derive_seed(cell_seeds[j], r)})",
-                step=exc.step,
-                run=r,
-            ) from exc
-        except RumorSimError as exc:
-            raise type(exc)(f"sweep cell (tau={tau:g}, R0={spec.r0_values[0]:g}): {exc}") from exc
-        for j, (r0, params) in enumerate(zip(spec.r0_values, grid)):
-            rows = slice(j * n, (j + 1) * n)
-            _warn_if_unconverged(terminal[rows, 2], params.population)
-            m = OutbreakMetrics(
-                peak_values=peak[rows],
-                peak_times=np.full(n, np.nan),  # not tracked by the sweep
-                final_sizes=terminal[rows, 3] + terminal[rows, 5],
-            )
-            cells.append(
-                SweepCell(
-                    tau=float(tau),
-                    r0=float(r0),
-                    beta=params.beta,
-                    peak_mean=m.peak_mean,
-                    peak_std=m.peak_std,
-                    final_mean=m.final_size_mean,
-                    final_std=m.final_size_std,
-                )
-            )
+        )
     return SweepResult(cells=tuple(cells), run_count=spec.run_count, base_seed=spec.base_seed)
 
 

@@ -11,7 +11,7 @@ determinism contract is exercised.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigFileError, ConfigurationError
 from .integrator import IntegratorConfig, steps_on_grid
@@ -21,6 +21,8 @@ from .model import (
     ModelParams,
     NoiseIntensities,
     StateVector,
+    default_initial_state,
+    default_params,
 )
 
 __all__ = [
@@ -37,16 +39,8 @@ __all__ = [
     "write_effective_config",
 ]
 
-_MODEL_DEFAULTS = {
-    "beta": 0.300,
-    "sigma_act": 0.25,
-    "gamma": 0.10,
-    "rho": 0.05,
-    "theta": 0.10,
-    "tau": 0.0,
-    "population": 1.0,
-}
-_INITIAL_DEFAULTS = {"s": 0.995, "e": 0.0, "i": 0.005, "r": 0.0, "ig": 0.0, "f": 0.0}
+_MODEL_DEFAULTS = {key: value for key, value in asdict(default_params()).items() if key != "noise"}
+_INITIAL_DEFAULTS = asdict(default_initial_state(default_params()))
 _INTEGRATOR_DEFAULTS = {
     "step_size": 0.1,
     "horizon": 200.0,

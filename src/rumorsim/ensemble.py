@@ -199,7 +199,7 @@ def run_ensemble(
     if ci_method not in CI_METHODS:
         raise ValueError(f"unknown CI method {ci_method!r}; expected one of {CI_METHODS}")
 
-    check_memory(cfg, p.tau, run_count, 6)
+    check_memory(cfg, p.tau, run_count, 6, path_copies=2)  # the band and std copy the paths
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
     times, paths, projection_counts = simulate_paths(p, history, cfg, seeds)
 

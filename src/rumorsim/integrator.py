@@ -3,8 +3,9 @@ delay, optional nonnegativity projection, and deterministic counter-based
 noise.
 
 One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
-of the full model and of the linearized stability subsystem; its memory
-scales with what is recorded, not with the step count.
+of the full model and of the linearized stability subsystem, updating a
+component-major ``(components, runs)`` state in place; groups of runs in
+a batch may have different delays.  Memory scales with what is recorded.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
@@ -21,8 +22,9 @@ the population; nothing is renormalized.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -152,16 +154,18 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     return min(steps_on_grid(tau, cfg.step_size, "tau"), cfg.step_count)
 
 
-def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, recorded=True) -> None:
+def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, path_copies=1) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory.
 
-    The estimate counts the recorded rows (if ``recorded``), the delay ring
-    and the per-run state of :func:`euler_maruyama`, 8 bytes per value; it
-    runs before any seed is derived or any array allocated.
+    The estimate counts ``path_copies`` copies of the recorded rows, and
+    the delay ring, state buffers, per-run vectors and noise chunk (with
+    its ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per
+    value; it runs before any seed is derived or any array allocated.
     """
-    rows = cfg.recorded_count if recorded else 0
-    held = 8 * runs * (components * (rows + 4) + delay_steps(tau, cfg) + 3)
+    rows = cfg.recorded_count * path_copies
+    noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
+    held = 8 * (runs * (components * (rows + 3) + delay_steps(tau, cfg) + 4) + noise_chunk)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -176,77 +180,110 @@ def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, 
 
 
 def euler_maruyama(
-    drift, start, early_delayed, delayed_column, noise, seeds, cfg, record, project
+    drift, start, delays, delayed_column, noise, seeds, cfg, record, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
-    sqrt(h) Z(n)`` for one run per seed.
+    sqrt(h) Z(n)`` for one run per seed; the operation order fixes the
+    bits of every output.  The state is ``(components, runs)``, in two
+    buffers that swap roles each step; ``drift(x, d, out)`` writes the
+    drift at the component rows ``x`` into the rows ``out``.
 
-    ``D(n)`` is column ``delayed_column`` of ``X(n - k)``, or
-    ``early_delayed[n]`` for the first ``k = len(early_delayed)`` steps; a
-    ring buffer holds the ``k + 1`` delayed values still to be read, and no
-    other past state is kept.  ``Z(n)`` is each run's counter stream at step
-    ``n``, drawn step-major in chunks.  ``record(row, x)`` receives the
-    start as row 0 and every ``cfg.record_stride``-th state after it.  With
+    ``delays`` splits the runs, in seed order, into groups: an item
+    ``(runs, early)`` gives the next ``runs`` runs ``D(n)`` = row
+    ``delayed_column`` of ``X(n - k)``, or ``early[n]`` for the first ``k
+    = len(early)`` steps.  A ring of ``K + 1`` rows, ``K`` the largest
+    ``k``, holds the delayed values still to be read: step ``n`` reads row
+    ``n mod (K + 1)``, and each group writes ``D(n + k + 1)`` to row ``(n +
+    k + 1) mod (K + 1)``.  ``Z(n)`` is each run's counter stream at step
+    ``n``, drawn in chunks of steps.  ``record(row, x)`` receives the start
+    as row 0 and every ``cfg.record_stride``-th state after it.  With
     ``project``, negative components are clamped to zero after each step.
     Returns the terminal state and the per-run count of clamped steps;
-    raises :class:`NumericsError` with ``step`` and ``run`` set.
+    raises :class:`NumericsError` with ``step`` and ``run`` set for the
+    lowest run index at the earliest non-finite step.
     """
     seeds = seed_array(seeds)
-    h, n_steps, stride, k = cfg.step_size, cfg.step_count, cfg.record_stride, len(early_delayed)
-    x = np.empty((seeds.size, noise.size))
-    x[...] = start
-    lag = np.empty((k + 1, seeds.size))
-    lag[:k] = np.reshape(early_delayed, (k, 1))
-    lag[k] = x[:, delayed_column]
-    record(0, x)
-    projection_counts = np.zeros(seeds.size, dtype=np.int64)
+    h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
+    n_comp, n_runs = noise.size, seeds.size
+    states = np.empty((2, n_comp, n_runs))
+    scratch = np.empty((n_comp, n_runs))
+    states[0] = np.reshape(start, (n_comp, 1))
+    buffers = [(b, tuple(b), b.reshape(-1)) for b in states]  # array, rows, flat
+    ring_rows = 1 + max(len(early) for _, early in delays)
+    ring = np.empty((ring_rows, n_runs))
+    writes, first = [], 0
+    for runs, early in delays:
+        cols = slice(first, first + runs)
+        first += runs
+        ring[: len(early), cols] = np.reshape(early, (-1, 1))
+        ring[len(early), cols] = states[0, delayed_column, cols]
+        writes.append((len(early) + 1, ring[:, cols], states[:, delayed_column, cols]))
+    record(0, states[0])
+    projection_counts = np.zeros(n_runs, dtype=np.int64)
+    noise = np.reshape(noise, (n_comp, 1))
     noisy = bool(np.any(noise > 0.0))
-    chunk = max(1, _NOISE_CHUNK_DRAWS // x.size)
+    chunk = max(1, _NOISE_CHUNK_DRAWS // (n_comp * n_runs))
 
-    for step in range(n_steps):
-        if noisy and step % chunk == 0:
-            dw = normal_block(seeds, min(chunk, n_steps - step), noise.size, step_offset=step)
-            dw *= np.sqrt(h)
-        slot = step % (k + 1)
-        x_next = x + drift(x, lag[slot]) * h
-        if noisy:
-            x_next += (noise * x) * dw[step % chunk]
-        if project:
-            clamped = x_next < 0.0
-            if clamped.any():
-                projection_counts += clamped.any(axis=1)
-                np.maximum(x_next, 0.0, out=x_next)
-        finite = np.isfinite(x_next)
-        if not finite.all():
-            bad = int(np.argwhere(~finite.all(axis=1))[0, 0])
-            raise NumericsError(
-                f"non-finite state at step {step + 1} (t={(step + 1) * h:g}) "
-                f"in run index {bad} (seed {seeds[bad]})",
-                step=step + 1,
-                run=bad,
-            )
-        lag[slot] = x_next[:, delayed_column]  # D(step + k + 1) replaces D(step)
-        x = x_next
-        if (step + 1) % stride == 0:
-            record((step + 1) // stride, x)
-    return x, projection_counts
+    # non-finite values are detected and reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            if noisy and step % chunk == 0:
+                dw = normal_block(seeds, min(chunk, n_steps - step), n_comp, step_offset=step)
+                dw = dw.transpose(0, 2, 1)  # contiguous (steps, components, runs)
+                dw *= np.sqrt(h)
+            new = (step + 1) & 1
+            x, x_rows, _ = buffers[step & 1]
+            x_next, next_rows, flat = buffers[new]
+            drift(x_rows, ring[step % ring_rows], next_rows)
+            x_next *= h
+            x_next += x  # x + drift * h
+            if noisy:
+                np.multiply(noise, x, out=scratch)
+                scratch *= dw[step % chunk]
+                x_next += scratch  # + (noise * x) * dw
+            if project and not np.minimum.reduce(flat) >= 0.0:
+                clamped = x_next < 0.0
+                if clamped.any():
+                    projection_counts += clamped.any(axis=0)
+                    np.maximum(x_next, 0.0, out=x_next)
+            # one sum is non-finite whenever an entry is; only then scan
+            if not math.isfinite(np.add.reduce(flat)):
+                bad = np.flatnonzero(~np.isfinite(x_next).all(axis=0))
+                if bad.size:
+                    raise NumericsError(
+                        f"non-finite state at step {step + 1} (t={(step + 1) * h:g}) "
+                        f"in run index {bad[0]} (seed {seeds[bad[0]]})",
+                        step=step + 1,
+                        run=int(bad[0]),
+                    )
+            for offset, rows, source in writes:
+                rows[(step + offset) % ring_rows] = source[new]  # D(step + k + 1)
+            if (step + 1) % stride == 0:
+                record((step + 1) // stride, x_next)
+    return x_next, projection_counts
 
 
 def stream_model(
-    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, record, beta=None
+    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, record,
+    beta=None, delays=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`euler_maruyama` for the model, one run per seed; ``beta``, if
-    given, is a per-run transmission rate replacing ``p.beta``."""
-    history.validate_for(p)
+    """:func:`euler_maruyama` for the model, one run per seed.  ``beta``, if
+    given, is a per-run transmission rate replacing ``p.beta``; ``delays``,
+    if given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
+    groups of runs their own delay in place of ``p.tau``."""
     h = cfg.step_size
-    # the first k = tau / h steps read the delayed spreader from the history
-    lags = np.arange(delay_steps(p.tau, cfg)) * h - p.tau
-    if not history.is_constant:
-        # guard against rounding a hair past the sampled span
-        lags = np.clip(lags, -history.span, 0.0)
+    groups = []
+    for tau, runs in delays or [(p.tau, len(seeds))]:
+        history.validate_for(replace(p, tau=tau))
+        # the first k = tau / h steps read the delayed spreader from the history
+        lags = np.arange(delay_steps(tau, cfg)) * h - tau
+        if not history.is_constant:
+            # guard against rounding a hair past the sampled span
+            lags = np.clip(lags, -history.span, 0.0)
+        groups.append((runs, history(lags)[:, 2]))
     return euler_maruyama(
-        lambda x, i_delayed: _drift_with_delayed_i(x, i_delayed, p, beta),
-        history(0.0), history(lags)[:, 2], 2, p.noise.as_array(), seeds, cfg, record,
+        lambda x, i_delayed, out: _drift_with_delayed_i(x, i_delayed, p, out, beta),
+        history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, record,
         cfg.projection_enabled,
     )
 
@@ -272,7 +309,7 @@ def simulate_paths(
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
 
     def record(row, x):
-        paths[:, row] = x
+        paths[:, row] = x.T
 
     _, projection_counts = stream_model(p, history, cfg, seeds, record)
     times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]

@@ -195,24 +195,24 @@ def _state_array(x) -> np.ndarray:
     return arr
 
 
-def _drift_with_delayed_i(x: np.ndarray, i_delayed, p: ModelParams, beta=None) -> np.ndarray:
-    # Shared kernel: each inter-compartment flow is computed once and
-    # reused with both signs, so the six components cancel to zero exactly
-    # (up to the final rounding of the additions).  ``beta`` overrides
-    # ``p.beta``, as a scalar or one rate per leading row of ``x``.
-    transmission = (p.beta if beta is None else beta) * x[..., 0] * i_delayed
-    activation = p.sigma_act * x[..., 1]
-    removal = p.gamma * x[..., 2]
-    skepticism = p.rho * x[..., 2]
-    verification = p.theta * x[..., 4]
-    out = np.empty_like(x)
-    out[..., 0] = -transmission
-    out[..., 1] = transmission - activation
-    out[..., 2] = activation - (removal + skepticism)
-    out[..., 3] = removal
-    out[..., 4] = skepticism - verification
-    out[..., 5] = verification
-    return out
+def _drift_with_delayed_i(x, i_delayed, p: ModelParams, out, beta=None) -> None:
+    # Shared kernel, component-major: ``x`` and ``out`` are sequences of six
+    # component arrays, and ``out`` is filled in place.  Each flow is
+    # computed once and reused with both signs, so the components cancel
+    # to zero up to the final rounding.  ``beta`` overrides ``p.beta``.
+    s, e, i, _, ig, _ = x
+    d_s, d_e, d_i, d_r, d_ig, d_f = out
+    np.multiply(p.beta if beta is None else beta, s, out=d_s)
+    np.multiply(d_s, i_delayed, out=d_s)  # transmission
+    np.multiply(p.gamma, i, out=d_r)  # removal
+    np.multiply(p.rho, i, out=d_ig)  # skepticism
+    np.add(d_r, d_ig, out=d_e)
+    np.multiply(p.sigma_act, e, out=d_f)  # activation
+    np.subtract(d_f, d_e, out=d_i)  # activation - (removal + skepticism)
+    np.subtract(d_s, d_f, out=d_e)  # transmission - activation
+    np.negative(d_s, out=d_s)
+    np.multiply(p.theta, ig, out=d_f)  # verification
+    np.subtract(d_ig, d_f, out=d_ig)  # skepticism - verification
 
 
 def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
@@ -226,7 +226,10 @@ def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
     """
     xa = _state_array(x)
     ya = _state_array(x_delayed)
-    return _drift_with_delayed_i(xa, ya[..., 2], p)
+    out = np.empty(xa.shape)
+    i_delayed = np.broadcast_to(ya[..., 2], xa.shape[:-1]).reshape(-1)
+    _drift_with_delayed_i(xa.reshape(-1, 6).T, i_delayed, p, out.reshape(-1, 6).T)
+    return out
 
 
 def diffusion(x, p: ModelParams) -> np.ndarray:
@@ -344,7 +347,7 @@ def verify_growth_bound(
         chunk = min(remaining, 1 << 17)
         x = _sample_nonnegative_ball(rng, chunk, radius)
         y = _sample_nonnegative_ball(rng, chunk, radius)
-        b = _drift_with_delayed_i(x, y[:, 2], p)
+        b = drift(x, y, p)
         g = p.noise.as_array() * x
         num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
         den = 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
@@ -373,7 +376,7 @@ def verify_lipschitz_bound(
         x2 = _sample_nonnegative_ball(rng, chunk, radius)
         y2 = _sample_nonnegative_ball(rng, chunk, radius)
         num = np.linalg.norm(
-            _drift_with_delayed_i(x, y[:, 2], p) - _drift_with_delayed_i(x2, y2[:, 2], p),
+            drift(x, y, p) - drift(x2, y2, p),
             axis=1,
         )
         den = np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)

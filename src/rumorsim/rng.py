@@ -23,6 +23,11 @@ The construction, spelled out so results can be reproduced independently:
    ``((word >> 11) + 0.5) * 2**-53`` and to a standard normal through the
    inverse normal CDF.
 
+Blocks are hashed in place in component-major memory, and
+:func:`normal_block` returns its documented step-major shape as a
+transposed view of it, so the integrator reads each step's
+``(components, runs)`` plane without a copy.
+
 Child seeds come from the same finalizer:
 ``derive_seed(base, k) = mix64(base + (k+1) * GOLDEN_GAMMA)``, chained left
 to right when several indices are given.  For a fixed base this map is
@@ -67,11 +72,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching mix64 above bit for bit
-    z = (z ^ (z >> _U_S30)) * _U_M1
-    z = (z ^ (z >> _U_S27)) * _U_M2
-    return z ^ (z >> _U_S31)
+def _mix64_inplace(z: np.ndarray, work: np.ndarray) -> None:
+    # uint64 arithmetic wraps mod 2**64, matching mix64 above bit for bit;
+    # ``work`` is a scratch array of z's shape
+    for shift, multiplier in ((_U_S30, _U_M1), (_U_S27, _U_M2), (_U_S31, None)):
+        np.right_shift(z, shift, out=work)
+        np.bitwise_xor(z, work, out=z)
+        if multiplier is not None:
+            np.multiply(z, multiplier, out=z)
 
 
 def derive_seed(base: int, *indices: int) -> int:
@@ -86,10 +94,6 @@ def derive_seed(base: int, *indices: int) -> int:
             raise ValueError("seed derivation indices must be nonnegative")
         state = mix64((state + (idx + 1) * GOLDEN_GAMMA) & _MASK64)
     return state
-
-
-def _stream_key(seed: int) -> np.uint64:
-    return np.uint64(mix64((seed & _MASK64) ^ _KEY_SALT))
 
 
 def seed_array(seeds) -> np.ndarray:
@@ -112,26 +116,34 @@ def normal_block(
     Returns an array of shape ``(n_steps, n_components)`` whose row ``m``
     is exactly :func:`wiener_increments` at ``step_offset + m``: the block
     is a view into the counter stream, not a separate generator.  For a
-    1-D array of seeds the block is step-major, ``(n_steps, len(seeds),
+    1-D array of seeds the block has shape ``(n_steps, len(seeds),
     n_components)``, and ``block[:, j, :]`` equals ``normal_block(seeds[j],
-    ...)`` bit for bit, since each draw depends only on its counter.
+    ...)`` bit for bit, since each draw depends only on its counter.  The
+    block is a view of component-major memory: ``block.transpose(0, 2,
+    1)`` is C-contiguous.
     """
     if n_components < 1 or n_components > _STREAM_STRIDE:
         raise ValueError(f"n_components must be in 1..{_STREAM_STRIDE}")
     if n_steps < 0 or step_offset < 0:
         raise ValueError("n_steps and step_offset must be nonnegative")
+    keys = seed_array([seed] if np.ndim(seed) == 0 else seed) ^ _U_KEY_SALT
+    _mix64_inplace(keys, np.empty_like(keys))
     steps = np.arange(step_offset, step_offset + n_steps, dtype=np.uint64)
     comps = np.arange(n_components, dtype=np.uint64)
     positions = steps[:, None] * np.uint64(_STREAM_STRIDE) + comps[None, :] + np.uint64(1)
-    offsets = positions * _U_GOLDEN
-    if np.ndim(seed) == 0:
-        key = _stream_key(seed)
-    else:
-        key = _mix64_array(seed_array(seed) ^ _U_KEY_SALT)[:, None]
-        offsets = offsets[:, None, :]
-    words = _mix64_array(key + offsets)
-    uniforms = ((words >> _U_S11).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(uniforms)
+    words = np.empty((n_steps, n_components, keys.size), dtype=np.uint64)
+    np.add((positions * _U_GOLDEN)[:, :, None], keys, out=words)
+    work = np.empty_like(words)
+    _mix64_inplace(words, work)
+    np.right_shift(words, _U_S11, out=words)
+    # the uniforms overwrite the scratch words, and the normals the uniforms
+    draws = work.view(np.float64)
+    np.copyto(draws, words, casting="unsafe")
+    draws += 0.5
+    draws *= 2.0**-53
+    ndtri(draws, out=draws)
+    block = draws.transpose(0, 2, 1)
+    return block[:, 0] if np.ndim(seed) == 0 else block
 
 
 def wiener_increments(rng_seed: int, step_index: int) -> np.ndarray:

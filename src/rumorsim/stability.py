@@ -171,16 +171,19 @@ def simulate_linearized(
         raise ValueError("initial perturbation must be nonnegative and not identically zero")
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    check_memory(cfg, p.tau, run_count, 2)
+    check_memory(cfg, p.tau, run_count, 2, path_copies=2)  # with the sums of squares
 
     bn = p.beta * p.population
 
-    def drift(x, i_delayed):
-        de = bn * i_delayed - p.sigma_act * x[:, 0]
-        di = p.sigma_act * x[:, 0] - p.removal_rate * x[:, 1]
-        return np.stack([de, di], axis=1)
+    def drift(x, i_delayed, out):
+        e, i = x
+        d_e, d_i = out
+        np.multiply(p.sigma_act, e, out=d_e)  # activation
+        np.multiply(p.removal_rate, i, out=d_i)
+        np.subtract(d_e, d_i, out=d_i)
+        np.subtract(bn * i_delayed, d_e, out=d_e)
 
-    recorded = np.empty((cfg.recorded_count, run_count, 2))
+    recorded = np.empty((cfg.recorded_count, 2, run_count))
 
     def record(row, x):
         recorded[row] = x
@@ -189,7 +192,9 @@ def simulate_linearized(
     noise_pair = np.array([p.noise.e, p.noise.i])
     seeds = [derive_seed(base_seed, j) for j in range(run_count)]
     try:
-        euler_maruyama(drift, (e0, i0), early, 1, noise_pair, seeds, cfg, record, False)
+        euler_maruyama(
+            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg, record, False
+        )
     except NumericsError as exc:
         raise NumericsError(
             f"linearized second moment overflowed at step {exc.step} "
@@ -197,7 +202,7 @@ def simulate_linearized(
         ) from exc
 
     times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]
-    sq_sum = (recorded**2).sum(axis=2)
+    sq_sum = np.square(recorded, out=recorded).sum(axis=1)
     ms_estimate = sq_sum.mean(axis=1)
 
     ratio = ms_estimate[-1] / ms_estimate[0]

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rumorsim
 from rumorsim.cli import main
+from rumorsim.integrator import IntegratorConfig, check_memory
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +120,49 @@ class TestMemoryGuard:
         )
         assert code == 2
         assert err.startswith("error: ") and "GiB of physical memory" in err
+
+    @pytest.mark.parametrize("command, components", [("ensemble", 6), ("stability", 2)])
+    def test_statistics_count_their_copy_of_the_paths(
+        self, tmp_path, capsys, monkeypatch, command, components
+    ):
+        # the ensemble's band and std, and the stability lab's sums of
+        # squares, need memory beyond the recorded paths: memory that holds
+        # the paths once but not twice must be refused up front
+        runs, cfg = 100, IntegratorConfig()
+        paths = runs * cfg.recorded_count * components * 8
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 3 * paths // 2 // 4096}
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+        check_memory(cfg, 0.0, runs, components)  # the paths alone fit
+
+        def refuse(*_):
+            raise AssertionError("seeds derived before the memory check")
+
+        monkeypatch.setattr(f"rumorsim.{command}.derive_seed", refuse)
+        code, out, err = run_cli(capsys, command, "--runs", str(runs), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "GiB of physical memory" in err
+
+
+class TestNumericFailure:
+    def test_nonfinite_run_prints_only_the_error_line(self, tmp_path):
+        # a run of its own, so that numpy's floating-point warnings would
+        # reach stderr as they do for a user
+        cfg = write_config(
+            tmp_path,
+            {"model": {"noise": {"i": 1e200}}, "output": {"directory": str(tmp_path / "out")}},
+        )
+        src = str(Path(rumorsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env["PYTHONWARNINGS"] = "default"
+        done = subprocess.run(
+            [sys.executable, "-m", "rumorsim.cli", "ensemble", "--runs", "3", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: numeric: non-finite state at step ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith(")\n")
 
 
 class TestStability:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rumorsim import ConfigFileError
+from rumorsim import ConfigFileError, config, default_initial_state, default_params
 from rumorsim.config import (
     apply_overrides,
     default_config,
@@ -35,6 +35,20 @@ class TestDefaults:
         cfg = from_dict({"model": {"noise": {"i": 0.0}}})
         assert cfg.model.noise.i == 0.0
         assert cfg.model.noise.s == 0.01
+
+    def test_model_and_initial_defaults_are_the_model_module_ones(self):
+        # derived from default_params() and default_initial_state(), and
+        # bit-equal to the literals every echoed config has carried
+        assert config._MODEL_DEFAULTS == {
+            "beta": 0.3, "sigma_act": 0.25, "gamma": 0.1, "rho": 0.05,
+            "theta": 0.1, "tau": 0.0, "population": 1.0,
+        }
+        assert config._INITIAL_DEFAULTS == {
+            "s": 0.995, "e": 0.0, "i": 0.005, "r": 0.0, "ig": 0.0, "f": 0.0,
+        }
+        cfg = default_config()
+        assert cfg.model == default_params()
+        assert cfg.initial == default_initial_state(default_params())
 
 
 class TestValidation:

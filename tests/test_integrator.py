@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tracemalloc
 
@@ -20,7 +21,15 @@ from rumorsim import (
     second_moment_envelope,
     simulate_paths,
 )
-from rumorsim.integrator import _NOISE_CHUNK_DRAWS, check_memory, write_table, write_trajectory_csv
+from rumorsim.integrator import (
+    _NOISE_CHUNK_DRAWS,
+    check_memory,
+    delay_steps,
+    euler_maruyama,
+    stream_model,
+    write_table,
+    write_trajectory_csv,
+)
 from rumorsim.rng import normal_block
 
 
@@ -211,6 +220,77 @@ class TestNumericGuards:
         cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
             integrate(p, hist, cfg, 1)
+
+
+class TestKernel:
+    def test_mixed_delay_batch_equals_per_delay_batches(self):
+        # k = 0, k = 25 and a delay capped at the horizon, read from a
+        # sampled history, in one batch; every group repeats the same seeds
+        p = default_params(r0=2.5, noise_level=1.0)
+        history = HistoryFunction.sampled(
+            [[1.0 - i, 0.0, i, 0.0, 0.0, 0.0] for i in np.linspace(0.002, 0.02, 6)], span=50.0
+        )
+        cfg = IntegratorConfig(0.1, 10.0, record_stride=2)
+        taus, n = (0.0, 2.5, 50.0), 4
+        assert [delay_steps(tau, cfg) for tau in taus] == [0, 25, cfg.step_count]
+
+        def run(params, seeds, **delays):
+            rows = []
+            terminal, counts = stream_model(
+                params, history, cfg, seeds, lambda row, x: rows.append(x.copy()), **delays
+            )
+            return np.array(rows), terminal, counts
+
+        mixed = run(p, list(range(n)) * len(taus), delays=[(tau, n) for tau in taus])
+        assert mixed[2].any()  # some steps were clamped
+        for g, tau in enumerate(taus):
+            alone = run(dataclasses.replace(p, tau=tau), range(n))
+            cols = slice(g * n, (g + 1) * n)
+            assert np.array_equal(mixed[0][..., cols], alone[0])
+            assert np.array_equal(mixed[1][:, cols], alone[1])
+            assert np.array_equal(mixed[2][cols], alone[2])
+        groups = np.split(mixed[1], len(taus), axis=1)
+        assert not np.array_equal(groups[0], groups[1]) and not np.array_equal(groups[1], groups[2])
+
+    def test_probe_reports_the_failure_an_exact_scan_finds_first(self):
+        # each run grows by the factor 1 + rate per step, so the runs
+        # overflow at different steps; the later runs overflow first
+        rates = np.array([0.0, 3e3, 0.0, 1e6, 1e6])
+
+        def drift(x, delayed, out):
+            for xc, oc in zip(x, out):
+                np.multiply(rates, xc, out=oc)
+
+        cfg = IntegratorConfig(1.0, 200.0, projection_enabled=False)
+        first_step = []
+        for rate in rates.tolist():  # exact scan, one run at a time in Python floats
+            x, step = 1.0, None
+            for n in range(1, cfg.step_count + 1):
+                x = rate * x * 1.0 + x
+                if not np.isfinite(x):
+                    step = n
+                    break
+            first_step.append(step or np.inf)
+        step = min(first_step)
+        assert step < max(s for s in first_step if s < np.inf)
+        with pytest.raises(NumericsError) as failed:
+            euler_maruyama(
+                drift, (1.0, 1.0), [(rates.size, [])], 0, np.zeros(2), range(rates.size),
+                cfg, lambda row, x: None, False,
+            )
+        assert failed.value.step == step
+        assert failed.value.run == first_step.index(step)
+
+    def test_finite_states_whose_sum_overflows_do_not_fail(self):
+        def drift(x, delayed, out):
+            for oc in out:
+                oc[...] = 0.0
+
+        terminal, _ = euler_maruyama(
+            drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), range(3),
+            IntegratorConfig(1.0, 5.0), lambda row, x: None, True,
+        )
+        assert np.all(terminal == 1e308)
 
 
 class TestMemory:
