@@ -124,7 +124,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0s[0]:g}): {exc}") from exc
     cell_runs = n * len(r0s)
-    check_memory(cfg, max(taus), cell_runs * len(taus), 6, path_copies=0)
+    check_memory(cfg, max(taus), cell_runs * len(taus), 6, 0)  # peaks and terminal states only
     cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
     betas = [spec.beta_for(r0) for r0 in r0s]

@@ -11,6 +11,7 @@ determinism contract is exercised.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigFileError, ConfigurationError
@@ -123,14 +124,24 @@ class _Collector:
                 self.add(f"{name}.{key}: unknown field")
         return raw
 
-    def number(self, raw, path, default, *, minimum=None, exclusive=False):
-        value = raw.get(path.split(".")[-1], default)
+    def finite(self, value, path):
+        """``value`` as a finite float, or ``None`` after recording why not;
+        a JSON integer beyond the float range counts as infinite."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.add(f"{path}: must be a number")
-            return default
-        value = float(value)
-        if value != value or value in (float("inf"), float("-inf")):
+            return None
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
             self.add(f"{path}: must be finite")
+            return None
+        return value
+
+    def number(self, raw, path, default, *, minimum=None, exclusive=False):
+        value = self.finite(raw.get(path.split(".")[-1], default), path)
+        if value is None:
             return default
         if minimum is not None:
             if exclusive and value <= minimum:
@@ -172,10 +183,9 @@ class _Collector:
             return list(default)
         out = []
         for idx, item in enumerate(value):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                self.add(f"{path}[{idx}]: must be a number")
+            item = self.finite(item, f"{path}[{idx}]")
+            if item is None:
                 return list(default)
-            item = float(item)
             if minimum is not None and (item <= minimum if exclusive else item < minimum):
                 op = ">" if exclusive else ">="
                 self.add(f"{path}[{idx}]: must be {op} {minimum:g}, got {item:g}")
@@ -329,7 +339,9 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigFileError([f"config: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an integer longer than
+        # Python converts, or nesting deeper than the decoder recurses
         raise ConfigFileError([f"config: invalid JSON in {path}: {exc}"]) from exc
     return from_dict(data)
 

@@ -6,9 +6,13 @@ so the whole ensemble is a deterministic function of its inputs and any
 single run can be reproduced in isolation.  Runs are integrated as one
 batch by the streaming kernel; because every state update is elementwise,
 the batch is bit-identical to integrating the runs one at a time, and the
-summary statistics do not depend on any scheduling order.  The recorded
-paths are the only per-step state an ensemble holds.  Sweeps build
-:class:`OutbreakMetrics` from each run's peak and terminal state instead.
+summary statistics do not depend on any scheduling order.  The
+statistics are reduced per block of recorded rows as the kernel hands
+them over, so an ensemble holds one block of ``runs x rows x 6`` values
+and the rows it writes, never the whole path set; every statistic is
+elementwise or reduces over the runs of one row, so the blocks change no
+bit of it.  Sweeps build :class:`OutbreakMetrics` from each run's peak
+and terminal state instead.
 """
 
 from __future__ import annotations
@@ -20,7 +24,16 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InsufficientDataError
-from .integrator import IntegratorConfig, Trajectory, check_memory, simulate_paths, write_table
+from .integrator import (
+    IntegratorConfig,
+    Trajectory,
+    block_recorder,
+    block_rows,
+    check_memory,
+    recorded_times,
+    stream_model,
+    write_table,
+)
 from .model import CSV_COMPARTMENTS, HistoryFunction, ModelParams
 from .rng import derive_seed
 
@@ -189,8 +202,12 @@ def run_ensemble(
 
     Emits :class:`FinalSizeHorizonWarning` when the ensemble-mean spreader
     mass at the horizon is still above ``EXTINCTION_FRACTION`` of the
-    population.  Trajectories are only materialized as objects when
-    ``retain_trajectories`` is set; the statistics are computed either way.
+    population.  The statistics are reduced per block of recorded rows
+    (see :func:`~rumorsim.integrator.block_rows`), so memory scales with
+    ``run_count`` times one block plus the written rows; the per-run peak
+    merges across blocks keeping its first occurrence, and the final size
+    comes from the terminal state.  Only ``retain_trajectories`` keeps
+    every path, as :class:`Trajectory` objects.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
@@ -199,28 +216,49 @@ def run_ensemble(
     if ci_method not in CI_METHODS:
         raise ValueError(f"unknown CI method {ci_method!r}; expected one of {CI_METHODS}")
 
-    check_memory(cfg, p.tau, run_count, 6, path_copies=2)  # the band and std copy the paths
+    rows = cfg.recorded_count
+    block = block_rows(cfg, run_count * 6)
+    held = run_count * block * 6 + rows * (4 * 6 + 1)  # a block, the outputs and times
+    if retain_trajectories:
+        held += run_count * rows * 6
+    check_memory(cfg, p.tau, run_count, 6, held)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
-    times, paths, projection_counts = simulate_paths(p, history, cfg, seeds)
 
-    mean = paths.mean(axis=0)
-    if run_count >= 2:
-        std = _sample_std(paths)
-        lower, upper = confidence_band(paths, ci_level, ci_method)
-    else:
-        std = np.full_like(mean, np.nan)
-        lower = np.full_like(mean, np.nan)
-        upper = np.full_like(mean, np.nan)
+    slab = np.empty((run_count, block, 6))
+    paths = np.empty((run_count, rows, 6)) if retain_trajectories else None
+    mean = np.empty((rows, 6))
+    std, lower, upper = (np.full((rows, 6), np.nan) for _ in range(3))
+    peak_values = np.full(run_count, -np.inf)
+    peak_rows = np.zeros(run_count, dtype=np.intp)
 
-    spreader = paths[:, :, 2]
-    peak_indices = spreader.argmax(axis=1)
+    def fill(j, x):
+        slab[:, j] = x.T
+
+    def reduce(first, count):
+        values, span = slab[:, :count], slice(first, first + count)
+        mean[span] = values.mean(axis=0)
+        if run_count >= 2:
+            std[span] = _sample_std(values)
+            lower[span], upper[span] = confidence_band(values, ci_level, ci_method)
+        spreader = values[:, :, 2]
+        block_peak = spreader.max(axis=1)
+        higher = block_peak > peak_values  # strict: the first occurrence wins
+        peak_values[higher] = block_peak[higher]
+        peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
+        if paths is not None:
+            paths[:, span] = values
+
+    terminal, projection_counts = stream_model(
+        p, history, cfg, seeds, block_recorder(cfg, block, fill, reduce)
+    )
+    times = recorded_times(cfg)
     metrics = OutbreakMetrics(
-        peak_values=spreader.max(axis=1),
-        peak_times=times[peak_indices],
-        final_sizes=paths[:, -1, 3] + paths[:, -1, 5],
+        peak_values=peak_values,
+        peak_times=times[peak_rows],
+        final_sizes=terminal[3] + terminal[5],
     )
 
-    _warn_if_unconverged(spreader[:, -1], p.population)
+    _warn_if_unconverged(terminal[2], p.population)
 
     summary = EnsembleSummary(
         times=times,

@@ -56,6 +56,12 @@ _GRID_RTOL = 1e-9
 # wide batches a whole-horizon block costs about twice as much per draw.
 _NOISE_CHUNK_DRAWS = 32_768
 
+# Ensemble and stability statistics reduce the recorded rows in blocks of
+# about this many values, so no caller holds a path per run and row; of
+# budgets from 2**15 to 2**21 values, this one reduced the benchmark's
+# batches fastest, and smaller blocks pay more per call than they save.
+_STATS_BLOCK_VALUES = 131_072
+
 CSV_FLOAT_FORMAT = "%.9g"
 
 
@@ -154,18 +160,18 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     return min(steps_on_grid(tau, cfg.step_size, "tau"), cfg.step_count)
 
 
-def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, path_copies=1) -> None:
+def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, held_values: int) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory.
 
-    The estimate counts ``path_copies`` copies of the recorded rows, and
-    the delay ring, state buffers, per-run vectors and noise chunk (with
-    its ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per
-    value; it runs before any seed is derived or any array allocated.
+    The estimate counts the ``held_values`` values the caller keeps (its
+    recorded rows, or its statistics blocks and outputs), and the delay
+    ring, state buffers, per-run vectors and noise chunk (with its
+    ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per value; it
+    runs before any seed is derived or any array allocated.
     """
-    rows = cfg.recorded_count * path_copies
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
-    held = 8 * (runs * (components * (rows + 3) + delay_steps(tau, cfg) + 4) + noise_chunk)
+    held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4) + noise_chunk)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -177,6 +183,33 @@ def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, 
             f"{physical / 2**30:.3g} GiB of physical memory; lower the run count, "
             f"the horizon or the recorded rows"
         )
+
+
+def recorded_times(cfg: IntegratorConfig) -> np.ndarray:
+    """The times of the recorded rows, ``0`` and the horizon included."""
+    return cfg.step_size * np.arange(0, cfg.step_count + 1, cfg.record_stride)
+
+
+def block_rows(cfg: IntegratorConfig, values_per_row: int) -> int:
+    """Recorded rows per statistics block: as many as
+    ``_STATS_BLOCK_VALUES`` values hold, at least one and at most all."""
+    return max(1, min(cfg.recorded_count, _STATS_BLOCK_VALUES // values_per_row))
+
+
+def block_recorder(cfg: IntegratorConfig, block: int, fill, reduce):
+    """A ``record`` callback for :func:`euler_maruyama` that reduces the
+    recorded rows in blocks of ``block`` rows: ``fill(j, x)`` stores a row
+    as row ``j`` of the block, and ``reduce(first, count)`` runs once the
+    block is full, and after the last row on the partial block left."""
+    last = cfg.recorded_count - 1
+
+    def record(row, x):
+        j = row % block
+        fill(j, x)
+        if j == block - 1 or row == last:
+            reduce(row - j, j + 1)
+
+    return record
 
 
 def euler_maruyama(
@@ -305,15 +338,14 @@ def simulate_paths(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    check_memory(cfg, p.tau, len(seeds), 6)
+    check_memory(cfg, p.tau, len(seeds), 6, len(seeds) * cfg.recorded_count * 6)
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
 
     def record(row, x):
         paths[:, row] = x.T
 
     _, projection_counts = stream_model(p, history, cfg, seeds, record)
-    times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]
-    return times, paths, projection_counts
+    return recorded_times(cfg), paths, projection_counts
 
 
 def integrate(

@@ -30,9 +30,12 @@ from .errors import NumericsError
 from .integrator import (
     IntegratorConfig,
     Trajectory,
+    block_recorder,
+    block_rows,
     check_memory,
     delay_steps,
     euler_maruyama,
+    recorded_times,
     write_table,
 )
 from .model import ModelParams, StateVector, drift, stochastic_margin
@@ -163,15 +166,21 @@ def simulate_linearized(
     is applied: the subsystem is linear and the second moment is
     sign-blind, while clamping would distort it.
 
-    Verdict: decay if the terminal estimate fell below ``DECAY_RATIO``
-    times the initial one, growth if it rose above ``GROWTH_RATIO`` times,
-    inconclusive in between.
+    The second moment is reduced per block of recorded rows (see
+    :func:`~rumorsim.integrator.block_rows`), so memory scales with
+    ``run_count`` times one block plus the estimate, not with the recorded
+    paths.  Verdict: decay if the terminal estimate fell below
+    ``DECAY_RATIO`` times the initial one, growth if it rose above
+    ``GROWTH_RATIO`` times, inconclusive in between.
     """
     if e0 < 0 or i0 < 0 or (e0 == 0 and i0 == 0):
         raise ValueError("initial perturbation must be nonnegative and not identically zero")
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
-    check_memory(cfg, p.tau, run_count, 2, path_copies=2)  # with the sums of squares
+    rows = cfg.recorded_count
+    block = block_rows(cfg, 2 * run_count)
+    # one block of (E, I) rows, and the estimate with its times
+    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
 
     bn = p.beta * p.population
 
@@ -183,17 +192,23 @@ def simulate_linearized(
         np.subtract(d_e, d_i, out=d_i)
         np.subtract(bn * i_delayed, d_e, out=d_e)
 
-    recorded = np.empty((cfg.recorded_count, 2, run_count))
+    slab = np.empty((block, 2, run_count))
+    ms_estimate = np.empty(rows)
 
-    def record(row, x):
-        recorded[row] = x
+    def fill(j, x):
+        slab[j] = x
+
+    def reduce(first, count):
+        squares = np.square(slab[:count], out=slab[:count])
+        ms_estimate[first : first + count] = squares.sum(axis=1).mean(axis=1)
 
     early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
     seeds = [derive_seed(base_seed, j) for j in range(run_count)]
     try:
         euler_maruyama(
-            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg, record, False
+            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg,
+            block_recorder(cfg, block, fill, reduce), False,
         )
     except NumericsError as exc:
         raise NumericsError(
@@ -201,10 +216,7 @@ def simulate_linearized(
             f"(t={exc.step * cfg.step_size:g}); shorten the horizon"
         ) from exc
 
-    times = cfg.step_size * np.arange(0, cfg.step_count + 1)[:: cfg.record_stride]
-    sq_sum = np.square(recorded, out=recorded).sum(axis=1)
-    ms_estimate = sq_sum.mean(axis=1)
-
+    times = recorded_times(cfg)
     ratio = ms_estimate[-1] / ms_estimate[0]
     if ratio <= DECAY_RATIO:
         verdict = DecayVerdict.DECAY

@@ -1,8 +1,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rumorsim import ConfigFileError, config, default_initial_state, default_params
+from rumorsim import (
+    ConfigFileError,
+    RumorSimError,
+    config,
+    default_initial_state,
+    default_params,
+)
 from rumorsim.config import (
     apply_overrides,
     default_config,
@@ -100,6 +108,98 @@ class TestValidation:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigFileError, match="cannot read"):
             load_config(tmp_path / "absent.json")
+
+    def test_numbers_beyond_the_float_range_are_not_finite(self):
+        with pytest.raises(ConfigFileError, match="model.beta: must be finite"):
+            from_dict({"model": {"beta": 10**400}})
+        with pytest.raises(ConfigFileError, match=r"sweep.taus\[1\]: must be finite"):
+            from_dict({"sweep": {"taus": [0.0, -(10**400)]}})
+        with pytest.raises(ConfigFileError, match=r"sweep.r0_values\[0\]: must be finite"):
+            from_dict({"sweep": {"r0_values": [float("nan")]}})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"model": {"beta": ' + b"1" * 5000 + b"}}",  # beyond int conversion
+            b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+            b'\xff\xfe{"model": {}}',  # not UTF-8
+        ],
+        ids=["long-integer", "deep-nesting", "not-utf8"],
+    )
+    def test_undecodable_files_reported(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigFileError, match="invalid JSON"):
+            load_config(path)
+
+
+_BLOCK_FIELDS = {
+    "model": [*config._MODEL_DEFAULTS, "noise"],
+    "initial": list(config._INITIAL_DEFAULTS),
+    "integrator": list(config._INTEGRATOR_DEFAULTS),
+    "ensemble": list(config._ENSEMBLE_DEFAULTS),
+    "stability": list(config._STABILITY_DEFAULTS),
+    "sweep": list(config._SWEEP_DEFAULTS),
+    "output": list(config._OUTPUT_DEFAULTS),
+}
+_NUMBERS = (
+    st.integers()
+    | st.integers(min_value=2**1024, max_value=2**1100)  # beyond the float range
+    | st.floats()
+)
+_SCALARS = (
+    _NUMBERS
+    | st.none()
+    | st.booleans()
+    | st.sampled_from(["csv", "svg", "normal", "quantile", ""])
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(list(config._INITIAL_DEFAULTS)) | st.text(max_size=3), children, max_size=4
+    ),
+    max_leaves=12,
+)
+# objects whose blocks mostly carry known fields with numbers or lists of
+# them, so values reach the checks behind the field names
+_FIELD_VALUES = _NUMBERS | st.lists(_NUMBERS, max_size=3) | _JSON
+_CONFIGS = (
+    st.fixed_dictionaries(
+        {},
+        optional={
+            name: st.dictionaries(
+                st.sampled_from(fields) | st.text(max_size=3), _FIELD_VALUES, max_size=4
+            )
+            | _JSON
+            for name, fields in _BLOCK_FIELDS.items()
+        },
+    )
+    | _JSON
+)
+
+
+class TestFuzz:
+    """Arbitrary JSON reaches no error but the package's typed ones."""
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(data=_CONFIGS)
+    def test_only_typed_errors_escape(self, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        for load in (lambda: from_dict(data), lambda: load_config(path)):
+            try:
+                cfg = load()
+            except RumorSimError:
+                continue
+            assert effective_dict(cfg) == effective_dict(from_dict(effective_dict(cfg)))
 
 
 class TestEcho:

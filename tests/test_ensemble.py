@@ -7,12 +7,24 @@ from rumorsim import (
     HistoryFunction,
     InsufficientDataError,
     IntegratorConfig,
+    ModelParams,
+    NoiseIntensities,
+    StateVector,
     confidence_band,
     default_initial_state,
     default_params,
+    derive_seed,
     run_ensemble,
+    simulate_linearized,
+    simulate_paths,
 )
-from rumorsim.ensemble import write_aggregate_csv, write_metrics_csv, write_summary_csv
+from rumorsim.ensemble import (
+    _sample_std,
+    write_aggregate_csv,
+    write_metrics_csv,
+    write_summary_csv,
+)
+from rumorsim.integrator import block_recorder, block_rows
 
 
 def quiet_ensemble(run_count=5, noise=0.0, r0=2.0, horizon=200.0, seed=42, **kwargs):
@@ -208,3 +220,108 @@ class TestInputValidation:
     def test_ci_level_range(self, params, initial_history, short_cfg):
         with pytest.raises(ValueError):
             run_ensemble(params, initial_history, short_cfg, 2, 1, ci_level=1.0)
+
+
+def set_block(monkeypatch, rows, values_per_row):
+    """Make the statistics blocks ``rows`` recorded rows long."""
+    monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", rows * values_per_row)
+
+
+def whole_array_reference(p, hist, cfg, run_count, seed, ci_level, ci_method):
+    """The ensemble statistics over every recorded path at once."""
+    seeds = [derive_seed(seed, k) for k in range(run_count)]
+    times, paths, _ = simulate_paths(p, hist, cfg, seeds)
+    nan = np.full((times.size, 6), np.nan)
+    std, lower, upper = nan, nan, nan
+    if run_count >= 2:
+        std = _sample_std(paths)
+        lower, upper = confidence_band(paths, ci_level, ci_method)
+    spreader = paths[:, :, 2]
+    return {
+        "times": times,
+        "mean": paths.mean(axis=0),
+        "std": std,
+        "lower": lower,
+        "upper": upper,
+        "peak_values": spreader.max(axis=1),
+        "peak_times": times[spreader.argmax(axis=1)],
+        "final_sizes": paths[:, -1, 3] + paths[:, -1, 5],
+        "paths": paths,
+    }
+
+
+def assert_matches_reference(result, ref):
+    s, m = result.summary, result.metrics
+    for name, streamed in [
+        ("times", s.times), ("mean", s.mean), ("std", s.std), ("lower", s.lower),
+        ("upper", s.upper), ("peak_values", m.peak_values), ("peak_times", m.peak_times),
+        ("final_sizes", m.final_sizes),
+    ]:
+        assert streamed.shape == ref[name].shape, name
+        assert np.array_equal(streamed, ref[name], equal_nan=True), name
+
+
+@pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+class TestBlockwiseStatistics:
+    """Statistics reduced per block of recorded rows equal, bit for bit,
+    the same statistics over the whole paths array."""
+
+    # 201 and 21 recorded rows: blocks of 3 rows divide both, blocks of 4
+    # leave a one-row partial block, and None gives one block of all rows
+    @pytest.mark.parametrize("block", [None, 3, 4])
+    @pytest.mark.parametrize("stride", [1, 10])
+    @pytest.mark.parametrize("ci_method", ["quantile", "normal"])
+    @pytest.mark.parametrize("run_count", [1, 2, 7])
+    def test_equals_whole_array_reference(self, monkeypatch, block, stride, ci_method, run_count):
+        p = default_params(tau=2.0, r0=2.0, noise_level=0.05)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 20.0, record_stride=stride)
+        if block is not None:
+            set_block(monkeypatch, block, run_count * 6)
+        assert block_rows(cfg, run_count * 6) == (block or cfg.recorded_count)
+        ref = whole_array_reference(p, hist, cfg, run_count, 9, 0.9, ci_method)
+        result = run_ensemble(
+            p, hist, cfg, run_count, 9, ci_level=0.9, ci_method=ci_method,
+            retain_trajectories=True,
+        )
+        assert_matches_reference(result, ref)
+        retained = np.stack([trajectory.states for trajectory in result.trajectories])
+        assert np.array_equal(retained, ref["paths"])
+
+    def test_peak_tie_across_blocks_keeps_the_first_row(self, monkeypatch):
+        # no transmission and a vanishing outflow: I rises until its
+        # increments fall below half an ulp, then repeats its maximum
+        # bit for bit through every later block
+        p = ModelParams(
+            beta=0.0, sigma_act=1.0, gamma=1e-300, rho=1e-300, theta=0.1, tau=0.0,
+            noise=NoiseIntensities.uniform(0.0), population=1.0,
+        )
+        hist = HistoryFunction.constant(StateVector(s=0.98, e=0.01, i=0.01, r=0.0, ig=0.0, f=0.0))
+        cfg = IntegratorConfig(0.1, 60.0)
+        set_block(monkeypatch, 50, 2 * 6)
+        ref = whole_array_reference(p, hist, cfg, 2, 1, 0.95, "quantile")
+        spreader = ref["paths"][0, :, 2]
+        tied = np.flatnonzero(spreader == spreader.max())
+        assert tied[0] > 50 and tied[-1] // 50 > tied[0] // 50  # several blocks
+        result = run_ensemble(p, hist, cfg, 2, 1)
+        assert_matches_reference(result, ref)
+        assert np.all(result.metrics.peak_times == result.summary.times[tied[0]])
+
+    @pytest.mark.parametrize("block", [None, 7, 20])
+    def test_linearized_estimate_equals_whole_array_reference(self, monkeypatch, block):
+        # every row the kernel records, seen through the record callback
+        recorded = []
+
+        def spy(cfg, rows, fill, reduce):
+            record = block_recorder(cfg, rows, fill, reduce)
+            return lambda row, x: (recorded.append(x.copy()), record(row, x))
+
+        monkeypatch.setattr("rumorsim.stability.block_recorder", spy)
+        runs, cfg = 5, IntegratorConfig(0.1, 20.0)
+        if block is not None:
+            set_block(monkeypatch, block, 2 * runs)
+        p = default_params(tau=2.0, r0=2.0, noise_level=0.3)
+        report = simulate_linearized(p, 0.01, 0.02, cfg, runs, 4)
+        reference = np.square(np.stack(recorded)).sum(1).mean(1)
+        assert len(recorded) == cfg.recorded_count
+        assert np.array_equal(report.ms_estimate, reference)

@@ -10,7 +10,9 @@ every output byte has to stay as it was.
 The cases cover both CI methods, a one-run ensemble (whose std and band
 columns print ``nan``; its figure is checked in ``test_cli``), delays
 with and without a ring buffer, and a deviation report with flagged rows
-and their notes.
+and their notes.  The ``*_blocks`` cases were recorded before the
+ensemble and stability statistics were reduced per block of recorded
+rows; their rows span several blocks and end on a partial one.
 """
 
 import csv
@@ -20,6 +22,8 @@ import json
 import pytest
 
 from rumorsim.cli import main
+from rumorsim.config import from_dict
+from rumorsim.integrator import block_rows
 
 # the horizon is too short for the outbreaks to die out
 pytestmark = pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
@@ -42,6 +46,17 @@ CASES = {
         {"sweep": {"taus": [0.0, 5.0], "r0_values": [0.8, 2.0], "run_count": 10}},
         "both",
     ),
+    "ensemble_blocks": ("ensemble", {"ensemble": {"run_count": 300}}, "both"),
+    "ensemble_blocks_normal": (
+        "ensemble",
+        {"ensemble": {"run_count": 300, "ci_method": "normal"}},
+        "csv",
+    ),
+    "stability_blocks": (
+        "stability",
+        {"integrator": {"horizon": 60.0}, "model": {"tau": 2.0}, "stability": {"run_count": 400}},
+        "both",
+    ),
 }
 
 GOLDEN = {
@@ -53,6 +68,18 @@ GOLDEN = {
     },
     "compare": {
         "deviation.csv": "61647a1bfb475624dbfd6166770958775de2f700ea9b1295eab3eb542d7ff10e",
+    },
+    "ensemble_blocks": {
+        "aggregate.csv": "6fc64b268651c3b856301ecf3eb6be37f0ebb070377ed6c94b65ccddc2362b38",
+        "compartment_means.svg": "0c22ce74b1c5792455f72c0b62b3a19efd17d229f693bbe6988ecf554bfd9d0f",
+        "metrics.csv": "f1c29043000211bd1dad8f98f48cc8e5abc520e50c125412cea5c357a9d2253d",
+        "spreader_band.svg": "da162c4fdde419a320e3ad0dc32e5de6715d9e3a61165df539a55be2969ef711",
+        "summary.csv": "8b9ac0525180deb5b81d40a92a6a10ce4704de363b09a562e016809de51f4602",
+    },
+    "ensemble_blocks_normal": {
+        "aggregate.csv": "6fc64b268651c3b856301ecf3eb6be37f0ebb070377ed6c94b65ccddc2362b38",
+        "metrics.csv": "f1c29043000211bd1dad8f98f48cc8e5abc520e50c125412cea5c357a9d2253d",
+        "summary.csv": "b779173c59caa15d53c3c0f0e2e6bf9d6a560943ef36233b426a7ed7ef108a92",
     },
     "ensemble_normal": {
         "aggregate.csv": "eec7a66c28a8904ec43ced2ef83c7513dfc758a956a21d1516d9a7b9e345befc",
@@ -80,6 +107,11 @@ GOLDEN = {
     "stability": {
         "decay.csv": "4cb212ba84c10b405722c68c635ab8c5e323fab2905f41bef2dcaedf47a80d98",
         "decay.svg": "eaac6ceffbafed51e1486e652b235e33e7b84ee9931e3bd1d42f954d8a1b7d9a",
+        "threshold.csv": "a560740717d43bc3afb907c959ae1287aac21ef283716b77260f9ec997aed819",
+    },
+    "stability_blocks": {
+        "decay.csv": "dcc608099baee014c04fd8df4fb1cbbac8c332f64721affce3f1a3841e183bc9",
+        "decay.svg": "f35990f25e36d3afdca9d9303d7be9a1c9e4573c43cf00fbba7a1aaa7d3b847a",
         "threshold.csv": "a560740717d43bc3afb907c959ae1287aac21ef283716b77260f9ec997aed819",
     },
 }
@@ -128,3 +160,14 @@ def test_cases_exercise_nan_columns_and_flagged_notes(produced):
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     flagged = [row["note"] for row in rows if row["flag"] == "1"]
     assert flagged and all(note.endswith("advisory only") for note in flagged)
+
+
+@pytest.mark.parametrize(
+    "case, runs, components",
+    [("ensemble_blocks", 300, 6), ("ensemble_blocks_normal", 300, 6), ("stability_blocks", 400, 2)],
+)
+def test_block_cases_end_on_a_partial_block(case, runs, components):
+    integrator = from_dict({**_SMALL, **CASES[case][1]}).integrator
+    block = block_rows(integrator, runs * components)
+    assert integrator.recorded_count > 2 * block
+    assert integrator.recorded_count % block != 0

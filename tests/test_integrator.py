@@ -18,11 +18,14 @@ from rumorsim import (
     default_initial_state,
     default_params,
     integrate,
+    run_ensemble,
     second_moment_envelope,
+    simulate_linearized,
     simulate_paths,
 )
 from rumorsim.integrator import (
     _NOISE_CHUNK_DRAWS,
+    block_rows,
     check_memory,
     delay_steps,
     euler_maruyama,
@@ -313,6 +316,43 @@ class TestMemory:
         assert paths.nbytes == recorded
         assert peak < 2 * (recorded + ring + chunk)
 
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_ensemble_holds_one_block_not_the_paths(self):
+        # the statistics are reduced per block of recorded rows: the peak
+        # stays within twice the outputs, one block, the delay ring and one
+        # noise chunk, far below the 19.3 MB of recorded paths
+        p = default_params(tau=5.0, r0=2.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 200.0, record_stride=10)
+        runs, k, rows = 2000, 50, cfg.recorded_count
+        outputs = rows * 6 * 4 * 8
+        block = runs * block_rows(cfg, runs * 6) * 6 * 8
+        ring = (k + 1) * runs * 8
+        chunk = _NOISE_CHUNK_DRAWS * 8
+        tracemalloc.start()
+        try:
+            run_ensemble(p, hist, cfg, runs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (outputs + block + ring + chunk) < runs * rows * 6 * 8 / 4
+
+    def test_stability_lab_holds_one_block_not_the_paths(self):
+        p = default_params(tau=2.0, r0=2.0)
+        cfg = IntegratorConfig(0.1, 100.0)
+        runs, k, rows = 1000, 20, cfg.recorded_count
+        outputs = rows * 2 * 8  # the estimate and its times
+        block = runs * block_rows(cfg, runs * 2) * 2 * 8
+        ring = (k + 1) * runs * 8
+        chunk = _NOISE_CHUNK_DRAWS * 8
+        tracemalloc.start()
+        try:
+            simulate_linearized(p, 0.01, 0.01, cfg, runs, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (outputs + block + ring + chunk) < runs * rows * 2 * 8 / 4
+
 
     def test_delay_beyond_horizon_reads_only_the_history(self):
         # every step of the horizon reads the history, whatever the delay
@@ -335,12 +375,14 @@ class TestMemory:
         assert peak < 2**20
 
     def test_guard_rejects_batches_beyond_physical_memory(self):
+        # each call holds the recorded rows, as simulate_paths does
         cfg = IntegratorConfig(0.1, 200.0)
-        check_memory(cfg, 5.0, 2000, 6)
+        check_memory(cfg, 5.0, 2000, 6, 2000 * cfg.recorded_count * 6)
         with pytest.raises(ConfigurationError, match="GiB of physical memory"):
-            check_memory(cfg, 5.0, 10**13, 6)
+            check_memory(cfg, 5.0, 10**13, 6, 10**13 * cfg.recorded_count * 6)
+        tiny_steps = IntegratorConfig(1e-300, 200.0)
         with pytest.raises(ConfigurationError, match="GiB"):
-            check_memory(IntegratorConfig(1e-300, 200.0), 0.0, 1, 6)
+            check_memory(tiny_steps, 0.0, 1, 6, tiny_steps.recorded_count * 6)
 
 
 class TestMomentEnvelope:
