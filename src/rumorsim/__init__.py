@@ -7,7 +7,6 @@ sweeps against a bundled reference table.
 
 from .ablation import (
     DeviationReport,
-    ReferenceCell,
     SweepCell,
     SweepResult,
     SweepSpec,
@@ -92,7 +91,6 @@ __all__ = [
     "NoiseIntensities",
     "NumericsError",
     "OutbreakMetrics",
-    "ReferenceCell",
     "RumorSimError",
     "Series",
     "StateVector",

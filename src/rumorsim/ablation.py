@@ -34,7 +34,6 @@ from .rng import derive_seed
 __all__ = [
     "DeviationReport",
     "DeviationRow",
-    "ReferenceCell",
     "SweepCell",
     "SweepResult",
     "SweepSpec",
@@ -82,6 +81,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """The statistics of one (tau, R0) cell, of a sweep or of a reference
+    table."""
+
     tau: float
     r0: float
     beta: float
@@ -173,18 +175,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(cells=tuple(cells), run_count=spec.run_count, base_seed=spec.base_seed)
 
 
-@dataclass(frozen=True)
-class ReferenceCell:
-    tau: float
-    r0: float
-    beta: float
-    peak_mean: float
-    peak_std: float
-    final_mean: float
-    final_std: float
-
-
-def load_reference(path=None) -> tuple[ReferenceCell, ...]:
+def load_reference(path=None) -> tuple[SweepCell, ...]:
     """Load a reference table; defaults to the bundled 18-cell one."""
     if path is None:
         text = (
@@ -194,7 +185,7 @@ def load_reference(path=None) -> tuple[ReferenceCell, ...]:
         with open(path, "r") as fh:
             text = fh.read()
     _, records = _read_table(text)
-    return tuple(ReferenceCell(**_statistics_columns(r, path or "bundled reference")) for r in records)
+    return tuple(SweepCell(**_statistics_columns(r, path or "bundled reference")) for r in records)
 
 
 def _read_table(text: str) -> tuple[dict, list[dict]]:
@@ -225,7 +216,7 @@ def _statistics_columns(record: dict, source) -> dict:
 
 def filter_reference(
     reference, taus, r0_values
-) -> tuple[ReferenceCell, ...]:
+) -> tuple[SweepCell, ...]:
     """Subset a reference table to a grid."""
     tau_keys = {round(float(t), _KEY_DECIMALS) for t in taus}
     r0_keys = {round(float(r), _KEY_DECIMALS) for r in r0_values}

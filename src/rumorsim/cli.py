@@ -281,6 +281,12 @@ def _cmd_compare(cfg: RunConfig, result_path: str, reference_path: str | None) -
     return written
 
 
+def _one_line(message) -> str:
+    """``message`` with every character that could break or hide a line
+    escaped, so that each error prints as one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -297,13 +303,13 @@ def main(argv=None) -> int:
             written = _cmd_compare(cfg, args.result, args.reference)
     except ConfigFileError as exc:
         for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
+            print(f"error: {_one_line(violation)}", file=sys.stderr)
         return 2
     except NumericsError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
+        print(f"error: numeric: {_one_line(exc)}", file=sys.stderr)
         return 3
     except (RumorSimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
     for path in written:
         print(path)

@@ -42,12 +42,7 @@ __all__ = [
 
 _MODEL_DEFAULTS = {key: value for key, value in asdict(default_params()).items() if key != "noise"}
 _INITIAL_DEFAULTS = asdict(default_initial_state(default_params()))
-_INTEGRATOR_DEFAULTS = {
-    "step_size": 0.1,
-    "horizon": 200.0,
-    "projection_enabled": True,
-    "record_stride": 1,
-}
+_INTEGRATOR_DEFAULTS = asdict(IntegratorConfig())
 _ENSEMBLE_DEFAULTS = {"run_count": 100, "ci_level": 0.95, "ci_method": "quantile", "seed": 12345}
 _STABILITY_DEFAULTS = {"e0": 0.005, "i0": 0.005, "run_count": 200}
 _SWEEP_DEFAULTS = {
@@ -236,6 +231,7 @@ def from_dict(data: dict) -> RunConfig:
     horizon = col.number(integ_raw, "integrator.horizon", _INTEGRATOR_DEFAULTS["horizon"], minimum=0.0, exclusive=True)
     projection = col.boolean(integ_raw, "integrator.projection_enabled", _INTEGRATOR_DEFAULTS["projection_enabled"])
     record_stride = col.integer(integ_raw, "integrator.record_stride", _INTEGRATOR_DEFAULTS["record_stride"], minimum=1)
+    max_path_steps = col.integer(integ_raw, "integrator.max_path_steps", _INTEGRATOR_DEFAULTS["max_path_steps"], minimum=1)
 
     ens_raw = col.block(data, "ensemble", set(_ENSEMBLE_DEFAULTS))
     ens_runs = col.integer(ens_raw, "ensemble.run_count", _ENSEMBLE_DEFAULTS["run_count"], minimum=1)
@@ -316,6 +312,7 @@ def from_dict(data: dict) -> RunConfig:
             horizon=horizon,
             projection_enabled=projection,
             record_stride=record_stride,
+            max_path_steps=max_path_steps,
         ),
         ensemble=EnsembleSettings(
             run_count=ens_runs, ci_level=ci_level, ci_method=ci_method, seed=ens_seed
@@ -349,46 +346,7 @@ def load_config(path) -> RunConfig:
 def effective_dict(cfg: RunConfig) -> dict:
     """The fully resolved configuration as a plain dict, every field
     explicit so assumptions are never hidden."""
-    return {
-        "model": {
-            "beta": cfg.model.beta,
-            "sigma_act": cfg.model.sigma_act,
-            "gamma": cfg.model.gamma,
-            "rho": cfg.model.rho,
-            "theta": cfg.model.theta,
-            "tau": cfg.model.tau,
-            "population": cfg.model.population,
-            "noise": {name: getattr(cfg.model.noise, name) for name in COMPARTMENTS},
-        },
-        "initial": {name: getattr(cfg.initial, name) for name in COMPARTMENTS},
-        "integrator": {
-            "step_size": cfg.integrator.step_size,
-            "horizon": cfg.integrator.horizon,
-            "projection_enabled": cfg.integrator.projection_enabled,
-            "record_stride": cfg.integrator.record_stride,
-        },
-        "ensemble": {
-            "run_count": cfg.ensemble.run_count,
-            "ci_level": cfg.ensemble.ci_level,
-            "ci_method": cfg.ensemble.ci_method,
-            "seed": cfg.ensemble.seed,
-        },
-        "stability": {
-            "e0": cfg.stability.e0,
-            "i0": cfg.stability.i0,
-            "run_count": cfg.stability.run_count,
-        },
-        "sweep": {
-            "taus": list(cfg.sweep.taus),
-            "r0_values": list(cfg.sweep.r0_values),
-            "run_count": cfg.sweep.run_count,
-            "seed": cfg.sweep.seed,
-        },
-        "output": {
-            "directory": cfg.output.directory,
-            "formats": list(cfg.output.formats),
-        },
-    }
+    return asdict(cfg)
 
 
 def write_effective_config(cfg: RunConfig, path) -> None:

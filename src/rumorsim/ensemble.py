@@ -17,6 +17,7 @@ and terminal state instead.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,11 +69,12 @@ def confidence_band(values, level: float, method: str = "quantile"):
 
     A 1-D sample of scalars gives a ``(lo, hi)`` pair of floats; a sample
     of arrays gives a pair of arrays shaped like one of its elements.
-    ``quantile`` (default): empirical quantiles at ``(1-level)/2`` and
-    ``1-(1-level)/2`` with linear interpolation between order statistics;
-    robust to the skew that multiplicative noise produces near zero.
-    ``normal``: ``mean +/- z * std`` with ``z`` the standard-normal
-    quantile and the sample standard deviation of :func:`_sample_std`.
+    ``quantile`` (default): numpy's "linear" quantiles (Hyndman & Fan
+    type 7) at ``(1-level)/2`` and ``1-(1-level)/2``, read from the sorted
+    sample; robust to the skew that multiplicative noise produces near
+    zero.  ``normal``: ``mean +/- z * std`` with ``z`` the standard-normal
+    quantile and the ddof=1 standard deviation, exactly zero where all
+    values agree.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 0:
@@ -83,26 +85,51 @@ def confidence_band(values, level: float, method: str = "quantile"):
         )
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    if method == "quantile":
-        alpha = (1.0 - level) / 2.0
-        lo, hi = np.quantile(values, [alpha, 1.0 - alpha], axis=0)
-    elif method == "normal":
-        z = ndtri(0.5 + level / 2.0)
-        mean, std = values.mean(axis=0), _sample_std(values)
-        lo, hi = mean - z * std, mean + z * std
-    else:
+    if method not in CI_METHODS:
         raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
+    ordered = np.sort(values, axis=0)
+    mean = std = None
+    if method == "normal":
+        mean, std = values.mean(axis=0), _zero_spread(values.std(axis=0, ddof=1), ordered)
+    lo, hi = _band(ordered, level, method, mean, std)
     if values.ndim == 1:
         return float(lo), float(hi)
     return lo, hi
 
 
-def _sample_std(values: np.ndarray):
-    """Standard deviation (ddof=1) along the first axis; exactly zero
-    where all values agree bitwise, suppressing the roundoff the two-pass
-    mean would otherwise leave."""
-    std = values.std(axis=0, ddof=1)
-    return np.where(values.max(axis=0) == values.min(axis=0), 0.0, std)
+def _zero_spread(std, ordered):
+    """``std`` set exactly to zero where the sorted sample ``ordered`` has
+    no spread (first == last), suppressing the roundoff the two-pass mean
+    would otherwise leave."""
+    return np.where(ordered[0] == ordered[-1], 0.0, std)
+
+
+def _band(ordered, level: float, method: str, mean, std):
+    """The band of a sample sorted along its first axis.
+
+    ``quantile`` interpolates between the order statistics at and after
+    ``(n - 1) q`` as numpy's "linear" quantile does: the same weight, the
+    same two ``_lerp`` branches, and NaN wherever the last order statistic
+    is NaN, so the band equals numpy's to the bit.  ``normal`` needs the
+    ``mean`` and masked ``std`` of the unsorted sample, whose summation
+    order fixes their bits.
+    """
+    if method == "normal":
+        z = ndtri(0.5 + level / 2.0)
+        return mean - z * std, mean + z * std
+    n, last = ordered.shape[0], ordered[-1]
+    nan_lanes = np.isnan(last)
+    alpha = (1.0 - level) / 2.0
+    band = []
+    for q in (alpha, 1.0 - alpha):
+        position = (n - 1) * q
+        # at q = 1 both ends are the last value, where the weight is moot
+        below = min(math.floor(position), n - 1)
+        a, b, t = ordered[below], ordered[min(below + 1, n - 1)], position - below
+        diff = b - a
+        value = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+        band.append(np.where(nan_lanes, last, value))
+    return band
 
 
 @dataclass(frozen=True)
@@ -206,8 +233,11 @@ def run_ensemble(
     (see :func:`~rumorsim.integrator.block_rows`), so memory scales with
     ``run_count`` times one block plus the written rows; the per-run peak
     merges across blocks keeping its first occurrence, and the final size
-    comes from the terminal state.  Only ``retain_trajectories`` keeps
-    every path, as :class:`Trajectory` objects.
+    comes from the terminal state.  Once its mean, spread, peaks and
+    retained rows are read, each block is sorted in place along the runs,
+    and its band read from the order statistics.  Only
+    ``retain_trajectories`` keeps every path, as :class:`Trajectory`
+    objects.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
@@ -237,9 +267,6 @@ def run_ensemble(
     def reduce(first, count):
         values, span = slab[:, :count], slice(first, first + count)
         mean[span] = values.mean(axis=0)
-        if run_count >= 2:
-            std[span] = _sample_std(values)
-            lower[span], upper[span] = confidence_band(values, ci_level, ci_method)
         spreader = values[:, :, 2]
         block_peak = spreader.max(axis=1)
         higher = block_peak > peak_values  # strict: the first occurrence wins
@@ -247,6 +274,11 @@ def run_ensemble(
         peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
         if paths is not None:
             paths[:, span] = values
+        if run_count >= 2:
+            raw_std = values.std(axis=0, ddof=1)
+            values.sort(axis=0)  # in place: the rest reads order statistics
+            std[span] = _zero_spread(raw_std, values)
+            lower[span], upper[span] = _band(values, ci_level, ci_method, mean[span], std[span])
 
     terminal, projection_counts = stream_model(
         p, history, cfg, seeds, block_recorder(cfg, block, fill, reduce)

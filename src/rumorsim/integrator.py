@@ -33,7 +33,6 @@ from .model import (
     CSV_COMPARTMENTS,
     HistoryFunction,
     ModelParams,
-    StateVector,
     _drift_with_delayed_i,
 )
 from .rng import normal_block, seed_array
@@ -83,17 +82,21 @@ def steps_on_grid(value: float, step_size: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon, projection switch, and recording stride.
+    """Step size, horizon, projection switch, recording stride, and the
+    most path-steps (runs x steps) one batch may take.
 
     The horizon must be a whole number of steps and the step count a whole
     number of recording strides so the recorded grid always contains both
-    ``t = 0`` and ``t = horizon``.
+    ``t = 0`` and ``t = horizon``.  The work bound lets every input end:
+    the default is 2,500 times the 4 M path-steps of the largest
+    documented workload.
     """
 
     step_size: float = 0.1
     horizon: float = 200.0
     projection_enabled: bool = True
     record_stride: int = 1
+    max_path_steps: int = 10_000_000_000
 
     def __post_init__(self):
         if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
@@ -103,6 +106,10 @@ class IntegratorConfig:
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ConfigurationError(
                 f"record_stride must be a positive integer, got {self.record_stride!r}"
+            )
+        if not isinstance(self.max_path_steps, int) or self.max_path_steps < 1:
+            raise ConfigurationError(
+                f"max_path_steps must be a positive integer, got {self.max_path_steps!r}"
             )
         n = steps_on_grid(self.horizon, self.step_size, "horizon")
         if n < 1:
@@ -148,11 +155,6 @@ class Trajectory:
             raise KeyError(f"unknown compartment {name!r}")
         return self.states[:, names.index(key)]
 
-    def final_state(self) -> StateVector:
-        """Terminal state; components are clamped at zero, which only
-        matters for trajectories integrated with projection disabled."""
-        return StateVector.from_array(np.maximum(self.states[-1], 0.0))
-
 
 def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     """Steps that read the delayed value from the history: ``tau / h``,
@@ -162,26 +164,34 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
 
 def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, held_values: int) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
-    more than the machine's physical memory.
+    more than the machine's physical memory, or take more than
+    ``cfg.max_path_steps`` path-steps.
 
-    The estimate counts the ``held_values`` values the caller keeps (its
-    recorded rows, or its statistics blocks and outputs), and the delay
-    ring, state buffers, per-run vectors and noise chunk (with its
-    ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per value; it
-    runs before any seed is derived or any array allocated.
+    The memory estimate counts the ``held_values`` values the caller keeps
+    (its recorded rows, or its statistics blocks and outputs), and the
+    delay ring, state buffers, per-run vectors and noise chunk (with its
+    ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per value.
+    Both checks run before any seed is derived or any array allocated.
     """
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
     held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4) + noise_chunk)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return  # no way to tell on this platform
-    if held > physical:
+        physical = None  # no way to tell on this platform
+    if physical is not None and held > physical:
         gib = min(held, 2**1023) / 2**30  # a float even for absurd run counts
         raise ConfigurationError(
             f"a batch of {runs} runs would hold about {gib:.3g} GiB, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory; lower the run count, "
             f"the horizon or the recorded rows"
+        )
+    path_steps = runs * cfg.step_count
+    if path_steps > cfg.max_path_steps:
+        raise ConfigurationError(
+            f"a batch of {runs} runs of {cfg.step_count:.3g} steps would take "
+            f"{min(path_steps, 2**1023):.3g} path-steps, more than integrator.max_path_steps "
+            f"({cfg.max_path_steps}); lower the run count or the horizon, or raise the bound"
         )
 
 

@@ -97,9 +97,6 @@ class NoiseIntensities:
     def zero(cls) -> "NoiseIntensities":
         return cls.uniform(0.0)
 
-    def scaled(self, factor: float) -> "NoiseIntensities":
-        return NoiseIntensities(*(factor * v for v in self.as_array()))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i, self.r, self.ig, self.f])
 
@@ -170,13 +167,6 @@ class StateVector:
             value = _require_finite(name, getattr(self, name))
             if value < 0:
                 raise ValueError(f"state component {name} must be >= 0, got {value}")
-
-    @classmethod
-    def from_array(cls, values) -> "StateVector":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (6,):
-            raise ValueError(f"expected 6 components, got shape {values.shape}")
-        return cls(*(float(v) for v in values))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i, self.r, self.ig, self.f])

@@ -216,6 +216,11 @@ def simulate_linearized(
             f"(t={exc.step * cfg.step_size:g}); shorten the horizon"
         ) from exc
 
+    if not 0.0 < ms_estimate[0] < np.inf:  # no ratio to judge decay by
+        raise NumericsError(
+            f"initial second moment {ms_estimate[0]:g} is not a positive finite number; "
+            f"rescale e0 ({e0:g}) and i0 ({i0:g})"
+        )
     times = recorded_times(cfg)
     ratio = ms_estimate[-1] / ms_estimate[0]
     if ratio <= DECAY_RATIO:
@@ -250,10 +255,6 @@ class FinalSizeReport:
     def outbreak_size(self) -> float:
         """Cumulative reach of the rumor, terminal ``R + F``."""
         return self.r_inf + self.f_inf
-
-    @property
-    def srf_sum(self) -> float:
-        return self.s_inf + self.r_inf + self.f_inf
 
 
 def final_size(source, p: ModelParams) -> FinalSizeReport:

@@ -66,6 +66,14 @@ def quantile_band(values, level):
     return at(alpha), at(1.0 - alpha)
 
 
+def sample_std(values):
+    """Standard deviation (ddof=1) along the first axis, exactly zero
+    where the largest and smallest values agree."""
+    values = np.asarray(values, dtype=float)
+    std = values.std(axis=0, ddof=1)
+    return np.where(values.max(axis=0) == values.min(axis=0), 0.0, std)
+
+
 def linear_cascade(e0, i0, sigma_act, removal, t):
     """Closed-form solution of the decoupled linear pair
     ``E' = -sigma_act * E``, ``I' = sigma_act * E - removal * I``

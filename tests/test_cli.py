@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from strategies import CONFIGS, RUNNABLE_CONFIGS
 
 import rumorsim
 from rumorsim.cli import main
@@ -22,6 +25,18 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def run_cli_process(*argv, timeout):
+    """The CLI in a process of its own, so that numpy's floating-point
+    warnings reach stderr as they do for a user."""
+    src = str(Path(rumorsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONWARNINGS"] = "default"
+    return subprocess.run(
+        [sys.executable, "-m", "rumorsim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def read_column(path, column):
@@ -81,6 +96,13 @@ class TestSimulate:
         assert code == 2
         assert "error: model.beta" in err
         assert out == ""
+
+
+    def test_control_characters_stay_on_the_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": {"be\nta\r": 0.3}})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: model.be\\nta\\r: unknown field\n"
 
 
 class TestEnsemble:
@@ -151,21 +173,61 @@ class TestMemoryGuard:
         assert "GiB of physical memory" in err
 
 
+class TestWorkBound:
+    """A batch of more than ``integrator.max_path_steps`` path-steps ends in
+    a typed error before any seed is derived."""
+
+    def test_endless_sweep_ends_in_an_error_line(self, tmp_path):
+        # 2e302 steps of one zero delay: the sweep holds nothing per step,
+        # so no memory estimate stops it; only the work bound does
+        cfg = write_config(tmp_path, {"integrator": {"step_size": 1e-300}, "sweep": {"taus": [0.0]}})
+        done = run_cli_process("ablate", "--config", str(cfg), "--out", str(tmp_path / "out"), timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "integrator.max_path_steps" in done.stderr
+
+    # 20 steps of 3 runs; the sweep runs its 18 cells in one batch
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize(
+        "command, path_steps",
+        [("simulate", 20), ("ensemble", 60), ("stability", 60), ("ablate", 18 * 60)],
+    )
+    def test_bound_counts_every_run_of_the_batch(self, tmp_path, capsys, monkeypatch, command, path_steps):
+        def config(bound):
+            return write_config(tmp_path, {"integrator": {"horizon": 2.0, "max_path_steps": bound}})
+
+        argv = [command, "--runs", "3", "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv, "--config", str(config(path_steps)))
+        assert code == 0, err
+
+        def refuse(*_):
+            raise AssertionError("seeds derived or paths integrated before the work bound")
+
+        for module in ("ensemble", "stability", "ablation"):
+            monkeypatch.setattr(f"rumorsim.{module}.derive_seed", refuse)
+        monkeypatch.setattr("rumorsim.integrator.stream_model", refuse)
+        code, out, err = run_cli(capsys, *argv, "--config", str(config(path_steps - 1)))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"would take {path_steps:.3g} path-steps" in err
+
+
 class TestNumericFailure:
+    @pytest.mark.parametrize("e0, i0", [(0.0, 1e-300), (1e200, 0.0)], ids=["underflow", "overflow"])
+    def test_initial_second_moment_beyond_the_float_range(self, tmp_path, capsys, e0, i0):
+        # the decay verdict divides by it
+        cfg = write_config(tmp_path, {"stability": {"e0": e0, "i0": i0}, "integrator": {"horizon": 2.0}})
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert err.startswith("error: numeric: initial second moment ") and err.count("\n") == 1
+
     def test_nonfinite_run_prints_only_the_error_line(self, tmp_path):
-        # a run of its own, so that numpy's floating-point warnings would
-        # reach stderr as they do for a user
         cfg = write_config(
             tmp_path,
             {"model": {"noise": {"i": 1e200}}, "output": {"directory": str(tmp_path / "out")}},
         )
-        src = str(Path(rumorsim.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env["PYTHONWARNINGS"] = "default"
-        done = subprocess.run(
-            [sys.executable, "-m", "rumorsim.cli", "ensemble", "--runs", "3", "--config", str(cfg)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        done = run_cli_process("ensemble", "--runs", "3", "--config", str(cfg), timeout=300)
         assert done.returncode == 3
         assert done.stderr.startswith("error: numeric: non-finite state at step ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith(")\n")
@@ -277,3 +339,42 @@ class TestDeterminism:
         for name in ("summary.csv", "metrics.csv", "aggregate.csv", "spreader_band.svg"):
             a, b = out1 / name, out2 / name
             assert a.read_bytes() == b.read_bytes(), name
+
+
+class TestFuzz:
+    """Any JSON config and any ``--runs`` and ``--seed`` end in results or
+    in ``error:`` lines with exit 2 or 3, never in an exception."""
+
+    _FLAG = st.none() | st.integers(-3, 12) | st.sampled_from([10**6, 2**64, 10**30, -(10**30)])
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(
+        data=CONFIGS | RUNNABLE_CONFIGS,
+        command=st.sampled_from(["simulate", "ensemble", "stability", "ablate"]),
+        runs=_FLAG,
+        seed=_FLAG,
+    )
+    def test_every_input_ends(self, tmp_path, capsys, data, command, runs, seed):
+        # a low work bound ends every example within a fraction of a second
+        if isinstance(data, dict) and isinstance(data.get("integrator", {}), dict):
+            data = {**data, "integrator": {**data.get("integrator", {}), "max_path_steps": 20_000}}
+        argv = [command, "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out")]
+        for flag, value in (("--runs", runs), ("--seed", seed)):
+            if value is not None:
+                argv += [flag, str(value)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert all(Path(path).is_file() for path in out.split())
+            assert all(line.startswith("note: ") for line in err.splitlines())
+        else:
+            assert out == ""
+            assert err and all(line.startswith("error: ") for line in err.splitlines())

@@ -2,10 +2,11 @@ import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from strategies import CONFIGS
 
 from rumorsim import (
     ConfigFileError,
+    IntegratorConfig,
     RumorSimError,
     config,
     default_initial_state,
@@ -58,6 +59,13 @@ class TestDefaults:
         assert cfg.model == default_params()
         assert cfg.initial == default_initial_state(default_params())
 
+    def test_integrator_defaults_are_the_integrator_config_ones(self):
+        assert config._INTEGRATOR_DEFAULTS == {
+            "step_size": 0.1, "horizon": 200.0, "projection_enabled": True,
+            "record_stride": 1, "max_path_steps": 10**10,
+        }
+        assert default_config().integrator == IntegratorConfig()
+
 
 class TestValidation:
     def test_all_violations_reported_at_once(self):
@@ -94,6 +102,11 @@ class TestValidation:
             from_dict({"ensemble": {"seed": 1.5}})
         with pytest.raises(ConfigFileError, match="must be true or false"):
             from_dict({"integrator": {"projection_enabled": "yes"}})
+
+    @pytest.mark.parametrize("bound", [0, -1, 1.5, True, "many"])
+    def test_work_bound_must_be_a_positive_integer(self, bound):
+        with pytest.raises(ConfigFileError, match="integrator.max_path_steps: must be"):
+            from_dict({"integrator": {"max_path_steps": bound}})
 
     def test_formats_validated(self):
         with pytest.raises(ConfigFileError, match="output.formats"):
@@ -133,53 +146,6 @@ class TestValidation:
             load_config(path)
 
 
-_BLOCK_FIELDS = {
-    "model": [*config._MODEL_DEFAULTS, "noise"],
-    "initial": list(config._INITIAL_DEFAULTS),
-    "integrator": list(config._INTEGRATOR_DEFAULTS),
-    "ensemble": list(config._ENSEMBLE_DEFAULTS),
-    "stability": list(config._STABILITY_DEFAULTS),
-    "sweep": list(config._SWEEP_DEFAULTS),
-    "output": list(config._OUTPUT_DEFAULTS),
-}
-_NUMBERS = (
-    st.integers()
-    | st.integers(min_value=2**1024, max_value=2**1100)  # beyond the float range
-    | st.floats()
-)
-_SCALARS = (
-    _NUMBERS
-    | st.none()
-    | st.booleans()
-    | st.sampled_from(["csv", "svg", "normal", "quantile", ""])
-    | st.text(max_size=4)
-)
-_JSON = st.recursive(
-    _SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(
-        st.sampled_from(list(config._INITIAL_DEFAULTS)) | st.text(max_size=3), children, max_size=4
-    ),
-    max_leaves=12,
-)
-# objects whose blocks mostly carry known fields with numbers or lists of
-# them, so values reach the checks behind the field names
-_FIELD_VALUES = _NUMBERS | st.lists(_NUMBERS, max_size=3) | _JSON
-_CONFIGS = (
-    st.fixed_dictionaries(
-        {},
-        optional={
-            name: st.dictionaries(
-                st.sampled_from(fields) | st.text(max_size=3), _FIELD_VALUES, max_size=4
-            )
-            | _JSON
-            for name, fields in _BLOCK_FIELDS.items()
-        },
-    )
-    | _JSON
-)
-
-
 class TestFuzz:
     """Arbitrary JSON reaches no error but the package's typed ones."""
 
@@ -190,7 +156,7 @@ class TestFuzz:
         database=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
     )
-    @given(data=_CONFIGS)
+    @given(data=CONFIGS)
     def test_only_typed_errors_escape(self, tmp_path, data):
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(data))
@@ -222,6 +188,7 @@ class TestEcho:
         assert data["model"]["noise"]["f"] == 0.01
         assert data["initial"]["e"] == 0.0
         assert data["stability"]["run_count"] == 200
+        assert data["integrator"]["max_path_steps"] == 10**10
 
 
 class TestOverrides:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from oracles import quantile_band
+from oracles import quantile_band, sample_std
 from rumorsim import (
     FinalSizeHorizonWarning,
     HistoryFunction,
@@ -19,7 +20,6 @@ from rumorsim import (
     simulate_paths,
 )
 from rumorsim.ensemble import (
-    _sample_std,
     write_aggregate_csv,
     write_metrics_csv,
     write_summary_csv,
@@ -234,7 +234,7 @@ def whole_array_reference(p, hist, cfg, run_count, seed, ci_level, ci_method):
     nan = np.full((times.size, 6), np.nan)
     std, lower, upper = nan, nan, nan
     if run_count >= 2:
-        std = _sample_std(paths)
+        std = sample_std(paths)
         lower, upper = confidence_band(paths, ci_level, ci_method)
     spreader = paths[:, :, 2]
     return {
@@ -325,3 +325,129 @@ class TestBlockwiseStatistics:
         reference = np.square(np.stack(recorded)).sum(1).mean(1)
         assert len(recorded) == cfg.recorded_count
         assert np.array_equal(report.ms_estimate, reference)
+
+
+RUN_COUNTS = [2, 3, 7, 20, 41, 100, 2000]
+LEVELS = [0.95, 0.9, 0.5, 0.99]
+
+
+def numpy_band(sample, level):
+    alpha = (1.0 - level) / 2.0
+    return np.quantile(sample, [alpha, 1.0 - alpha], axis=0, method="linear")
+
+
+def assert_same_band(got, want, sample):
+    """``got == want`` with NaN where ``want`` is NaN, and the sign of every
+    zero equal, except in lanes that hold zeros of both signs: they compare
+    equal, so the order in which a sort or np.quantile's partition leaves
+    them, and with it the sign their band takes, is unspecified."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.all((got == want) | nan)
+    zero = sample == 0.0
+    mixed = (zero & np.signbit(sample)).any(axis=0) & (zero & ~np.signbit(sample)).any(axis=0)
+    assert np.all((np.signbit(got) == np.signbit(want)) | mixed | nan)
+
+
+def band_samples(n):
+    """``(n, 5, 6)`` samples: continuous values, ties, signed zeros, and
+    infinities and NaNs in some lanes."""
+    rng = np.random.default_rng(n)
+    continuous = rng.lognormal(-3.0, 1.0, size=(n, 5, 6)) * rng.choice([-1.0, 1.0], size=(n, 5, 6))
+    tied = np.round(4.0 * continuous) / 4.0  # few distinct values, -0.0 among them
+    zeros = np.stack(
+        [
+            rng.choice(values, size=(n, 6))
+            for values in ([-0.0, 0.0], [-0.0, 1.0], [0.0, -1.0], [-0.0], [-0.0, 0.0, 2.0])
+        ],
+        axis=1,
+    )
+    special = continuous.copy()
+    special[0, 0] = np.nan  # a NaN in every lane of one row
+    special[n // 2, 1, :3] = np.nan
+    special[-1, 2] = np.inf
+    special[0, 3] = -np.inf
+    special[:, 4, :2] = np.inf  # whole lanes of one infinity
+    special[:, 4, 2:4] = [np.inf, -np.inf]  # and of both
+    return {"continuous": continuous, "tied": tied, "zeros": zeros, "special": special}
+
+
+class TestExactBandOracle:
+    """The quantile band equals numpy's "linear" quantile bit for bit."""
+
+    def test_run_counts_take_both_interpolation_branches(self):
+        # numpy's _lerp interpolates from the lower value for weights
+        # below 1/2 and from the upper one from 1/2 on
+        weights = set()
+        for n in RUN_COUNTS:
+            for level in LEVELS:
+                alpha = (1.0 - level) / 2.0
+                for q in (alpha, 1.0 - alpha):
+                    position = (n - 1) * q
+                    weights.add(position - np.floor(position))
+        assert any(w < 0.5 for w in weights) and any(w >= 0.5 for w in weights)
+        assert 0.0 in weights  # an order statistic exactly
+
+    @pytest.mark.parametrize("n", RUN_COUNTS)
+    def test_confidence_band_equals_numpy_quantile(self, n):
+        for kind, sample in band_samples(n).items():
+            before = sample.copy()
+            for level in LEVELS:
+                with np.errstate(invalid="ignore"):  # inf - inf in both
+                    want = numpy_band(sample, level)
+                    got = confidence_band(sample, level)
+                    assert_same_band(got[0], want[0], sample)
+                    assert_same_band(got[1], want[1], sample)
+                    for lane in [(0, 0), (1, 0), (2, 5), (4, 3)]:  # 1-D samples
+                        column = sample[(slice(None), *lane)]
+                        lo, hi = confidence_band(column, level)
+                        assert isinstance(lo, float) and isinstance(hi, float)
+                        want = numpy_band(column, level)
+                        assert_same_band(lo, want[0], column)
+                        assert_same_band(hi, want[1], column)
+            assert np.array_equal(sample, before, equal_nan=True), kind  # sorted a copy
+
+    def test_band_of_the_last_order_statistic(self):
+        # level 1 - 2**-53 puts the upper quantile at 1.0 exactly, where
+        # numpy reads the last value with the weight taken from index -1
+        level = 1.0 - 2.0**-53
+        assert 1.0 - (1.0 - level) / 2.0 == 1.0
+        for sample in band_samples(7).values():
+            with np.errstate(invalid="ignore"):
+                got, want = confidence_band(sample, level), numpy_band(sample, level)
+            assert_same_band(got[1], want[1], sample)
+            assert_same_band(got[0], want[0], sample)
+
+    @pytest.mark.parametrize("n", RUN_COUNTS)
+    def test_normal_band_is_mean_and_zero_spread_std(self, n):
+        z = ndtri(0.5 + 0.9 / 2.0)
+        for sample in band_samples(n).values():
+            with np.errstate(invalid="ignore"):
+                lo, hi = confidence_band(sample, 0.9, method="normal")
+                mean, std = sample.mean(axis=0), sample_std(sample)
+            assert np.array_equal(lo, mean - z * std, equal_nan=True)
+            assert np.array_equal(hi, mean + z * std, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize("block", [21, 4])
+    @pytest.mark.parametrize("run_count", RUN_COUNTS)
+    def test_streamed_band_equals_numpy_quantile(self, monkeypatch, block, run_count):
+        # 21 recorded rows: one block, or five of 4 rows and a 1-row one
+        # strong noise: projection clamps some runs to zero, which ties
+        # the lowest values of a row without tying all of them
+        p = default_params(tau=1.0, r0=2.0, noise_level=1.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 20.0, record_stride=10)
+        set_block(monkeypatch, block, run_count * 6)
+        assert block_rows(cfg, run_count * 6) == block
+        _, paths, _ = simulate_paths(p, hist, cfg, [derive_seed(5, k) for k in range(run_count)])
+        result = run_ensemble(p, hist, cfg, run_count, 5, ci_level=0.9, retain_trajectories=True)
+        want = numpy_band(paths, 0.9)
+        assert_same_band(result.summary.lower, want[0], paths)
+        assert_same_band(result.summary.upper, want[1], paths)
+        assert np.array_equal(result.summary.std, sample_std(paths))
+        # the in-place sort of each block comes after the paths are kept
+        retained = np.stack([trajectory.states for trajectory in result.trajectories])
+        assert np.array_equal(retained, paths)

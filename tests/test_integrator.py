@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestConfigValidation:
             IntegratorConfig(step_size=0.0, horizon=1.0)
         with pytest.raises(ConfigurationError):
             IntegratorConfig(step_size=0.1, horizon=-1.0)
+
+    @pytest.mark.parametrize("bound", [0, -5, 2.5, None])
+    def test_work_bound_is_a_positive_integer(self, bound):
+        with pytest.raises(ConfigurationError, match="max_path_steps"):
+            IntegratorConfig(max_path_steps=bound)
 
 
 class TestDeterministicMode:
@@ -383,6 +389,18 @@ class TestMemory:
         tiny_steps = IntegratorConfig(1e-300, 200.0)
         with pytest.raises(ConfigurationError, match="GiB"):
             check_memory(tiny_steps, 0.0, 1, 6, tiny_steps.recorded_count * 6)
+
+    def test_work_bound_holds_where_memory_is_unknown(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "sysconf", unknown)
+        with pytest.raises(ConfigurationError, match="max_path_steps"):
+            check_memory(IntegratorConfig(1e-300, 200.0), 0.0, 1, 6, 0)
+        bounded = IntegratorConfig(0.1, 1.0, max_path_steps=30)  # 10 steps
+        check_memory(bounded, 0.0, 3, 6, 0)
+        with pytest.raises(ConfigurationError, match=r"4 runs of 10 steps would take 40 path-steps"):
+            check_memory(bounded, 0.0, 4, 6, 0)
 
 
 class TestMomentEnvelope:
