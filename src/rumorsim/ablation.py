@@ -74,6 +74,10 @@ class SweepSpec:
             raise ValueError("R0 values must be > 0 (the derived beta must be positive)")
         if self.run_count < 1:
             raise ValueError(f"run_count must be >= 1, got {self.run_count}")
+        if len({_cell_key(t, r) for t in self.taus for r in self.r0_values}) < len(self.taus) * len(self.r0_values):
+            raise ConfigurationError(
+                f"sweep grid repeats a cell: taus and R0 values must each be distinct to {_KEY_DECIMALS} decimals"
+            )
 
     def beta_for(self, r0: float) -> float:
         return r0 * self.template.removal_rate / self.template.population

@@ -244,16 +244,19 @@ def _cmd_ablate(cfg: RunConfig) -> list[Path]:
             write_deviation_csv(report, deviation_path)
             written.append(deviation_path)
     if cfg.output.wants_svg:
+        labels = [f"tau={tau:g}" for tau in cfg.sweep.taus]
+        if len(set(labels)) < len(labels):  # delays alike to 6 significant digits
+            labels = [f"tau={tau!r}" for tau in cfg.sweep.taus]
         for stat, fname, label in (
             ("final_mean", "sweep_final.svg", "mean final size R+F"),
             ("peak_mean", "sweep_peak.svg", "mean peak spreader density"),
         ):
             series = []
-            for tau in cfg.sweep.taus:
+            for tau, tau_label in zip(cfg.sweep.taus, labels):
                 cells = [result.cell(tau, r0) for r0 in cfg.sweep.r0_values]
                 series.append(
                     Series(
-                        label=f"tau={tau:g}",
+                        label=tau_label,
                         times=list(cfg.sweep.r0_values),
                         values=[getattr(c, stat) for c in cells],
                     )

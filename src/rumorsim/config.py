@@ -231,7 +231,6 @@ def from_dict(data: dict) -> RunConfig:
     horizon = col.number(integ_raw, "integrator.horizon", _INTEGRATOR_DEFAULTS["horizon"], minimum=0.0, exclusive=True)
     projection = col.boolean(integ_raw, "integrator.projection_enabled", _INTEGRATOR_DEFAULTS["projection_enabled"])
     record_stride = col.integer(integ_raw, "integrator.record_stride", _INTEGRATOR_DEFAULTS["record_stride"], minimum=1)
-    max_path_steps = col.integer(integ_raw, "integrator.max_path_steps", _INTEGRATOR_DEFAULTS["max_path_steps"], minimum=1)
 
     ens_raw = col.block(data, "ensemble", set(_ENSEMBLE_DEFAULTS))
     ens_runs = col.integer(ens_raw, "ensemble.run_count", _ENSEMBLE_DEFAULTS["run_count"], minimum=1)
@@ -312,7 +311,6 @@ def from_dict(data: dict) -> RunConfig:
             horizon=horizon,
             projection_enabled=projection,
             record_stride=record_stride,
-            max_path_steps=max_path_steps,
         ),
         ensemble=EnsembleSettings(
             run_count=ens_runs, ci_level=ci_level, ci_method=ci_method, seed=ens_seed

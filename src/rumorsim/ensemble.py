@@ -87,36 +87,49 @@ def confidence_band(values, level: float, method: str = "quantile"):
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method not in CI_METHODS:
         raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
-    ordered = np.sort(values, axis=0)
-    mean = std = None
     if method == "normal":
-        mean, std = values.mean(axis=0), _zero_spread(values.std(axis=0, ddof=1), ordered)
-    lo, hi = _band(ordered, level, method, mean, std)
+        flat = values.max(axis=0) == values.min(axis=0)
+        lo, hi = _normal_band(values.mean(axis=0), np.where(flat, 0.0, _sample_std(values)), level)
+    else:
+        lo, hi = _quantile_band(np.sort(values, axis=0), level)
     if values.ndim == 1:
         return float(lo), float(hi)
     return lo, hi
 
 
-def _zero_spread(std, ordered):
-    """``std`` set exactly to zero where the sorted sample ``ordered`` has
-    no spread (first == last), suppressing the roundoff the two-pass mean
-    would otherwise leave."""
-    return np.where(ordered[0] == ordered[-1], 0.0, std)
+def _sample_std(values):
+    """The ddof=1 standard deviation along the first axis.
+
+    A lane whose squared deviations overflow is recomputed on its values
+    scaled by a power of two, which is exact, so huge but finite samples
+    keep a finite spread; every other lane keeps numpy's bits.  Callers
+    set it exactly to zero where all values agree, suppressing the
+    roundoff the two-pass mean would otherwise leave.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.std(values, axis=0, ddof=1)
+        lost = ~np.isfinite(std)
+        if lost.any():  # scale the whole sample, which keeps numpy's sum order
+            exponent = np.where(lost, np.frexp(np.abs(values).max(axis=0))[1], 0)
+            rescaled = np.ldexp(np.std(np.ldexp(values, -exponent), axis=0, ddof=1), exponent)
+            std = np.where(lost, rescaled, std)
+    return std
 
 
-def _band(ordered, level: float, method: str, mean, std):
-    """The band of a sample sorted along its first axis.
+def _normal_band(mean, std, level: float):
+    """``mean +/- z * std``, with ``z`` the standard-normal quantile."""
+    z = ndtri(0.5 + level / 2.0)
+    return mean - z * std, mean + z * std
 
-    ``quantile`` interpolates between the order statistics at and after
+
+def _quantile_band(ordered, level: float):
+    """The quantile band of a sample sorted along its first axis.
+
+    It interpolates between the order statistics at and after
     ``(n - 1) q`` as numpy's "linear" quantile does: the same weight, the
     same two ``_lerp`` branches, and NaN wherever the last order statistic
-    is NaN, so the band equals numpy's to the bit.  ``normal`` needs the
-    ``mean`` and masked ``std`` of the unsorted sample, whose summation
-    order fixes their bits.
+    is NaN, so the band equals numpy's to the bit.
     """
-    if method == "normal":
-        z = ndtri(0.5 + level / 2.0)
-        return mean - z * std, mean + z * std
     n, last = ordered.shape[0], ordered[-1]
     nan_lanes = np.isnan(last)
     alpha = (1.0 - level) / 2.0
@@ -174,11 +187,7 @@ class OutbreakMetrics:
 
     @property
     def peak_std(self) -> float:
-        if self.run_count < 2:
-            return float("nan")
-        if np.ptp(self.peak_values) == 0.0:
-            return 0.0
-        return float(self.peak_values.std(ddof=1))
+        return _run_spread(self.peak_values)
 
     @property
     def final_size_mean(self) -> float:
@@ -186,11 +195,14 @@ class OutbreakMetrics:
 
     @property
     def final_size_std(self) -> float:
-        if self.run_count < 2:
-            return float("nan")
-        if np.ptp(self.final_sizes) == 0.0:
-            return 0.0
-        return float(self.final_sizes.std(ddof=1))
+        return _run_spread(self.final_sizes)
+
+
+def _run_spread(values) -> float:
+    """The ddof=1 std over runs: NaN below two runs, exactly 0 where all agree."""
+    if values.size < 2:
+        return float("nan")
+    return 0.0 if values.max() == values.min() else float(_sample_std(values))
 
 
 @dataclass(frozen=True)
@@ -274,11 +286,16 @@ def run_ensemble(
         peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
         if paths is not None:
             paths[:, span] = values
-        if run_count >= 2:
-            raw_std = values.std(axis=0, ddof=1)
+        if run_count < 2:
+            return
+        raw_std = _sample_std(values)
+        if ci_method == "normal":
+            std[span] = np.where(values.max(axis=0) == values.min(axis=0), 0.0, raw_std)
+            lower[span], upper[span] = _normal_band(mean[span], std[span], ci_level)
+        else:
             values.sort(axis=0)  # in place: the rest reads order statistics
-            std[span] = _zero_spread(raw_std, values)
-            lower[span], upper[span] = _band(values, ci_level, ci_method, mean[span], std[span])
+            std[span] = np.where(values[0] == values[-1], 0.0, raw_std)
+            lower[span], upper[span] = _quantile_band(values, ci_level)
 
     terminal, projection_counts = stream_model(
         p, history, cfg, seeds, block_recorder(cfg, block, fill, reduce)

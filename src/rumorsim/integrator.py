@@ -55,6 +55,11 @@ _GRID_RTOL = 1e-9
 # wide batches a whole-horizon block costs about twice as much per draw.
 _NOISE_CHUNK_DRAWS = 32_768
 
+# No batch may take more path-steps (runs x steps) than this, so that every
+# input ends; it is 2,500 times the 4 M path-steps of the largest
+# documented workload.
+_MAX_PATH_STEPS = 10_000_000_000
+
 # Ensemble and stability statistics reduce the recorded rows in blocks of
 # about this many values, so no caller holds a path per run and row; of
 # budgets from 2**15 to 2**21 values, this one reduced the benchmark's
@@ -82,21 +87,17 @@ def steps_on_grid(value: float, step_size: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon, projection switch, recording stride, and the
-    most path-steps (runs x steps) one batch may take.
+    """Step size, horizon, projection switch, and recording stride.
 
     The horizon must be a whole number of steps and the step count a whole
     number of recording strides so the recorded grid always contains both
-    ``t = 0`` and ``t = horizon``.  The work bound lets every input end:
-    the default is 2,500 times the 4 M path-steps of the largest
-    documented workload.
+    ``t = 0`` and ``t = horizon``.
     """
 
     step_size: float = 0.1
     horizon: float = 200.0
     projection_enabled: bool = True
     record_stride: int = 1
-    max_path_steps: int = 10_000_000_000
 
     def __post_init__(self):
         if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
@@ -106,10 +107,6 @@ class IntegratorConfig:
         if not isinstance(self.record_stride, int) or self.record_stride < 1:
             raise ConfigurationError(
                 f"record_stride must be a positive integer, got {self.record_stride!r}"
-            )
-        if not isinstance(self.max_path_steps, int) or self.max_path_steps < 1:
-            raise ConfigurationError(
-                f"max_path_steps must be a positive integer, got {self.max_path_steps!r}"
             )
         n = steps_on_grid(self.horizon, self.step_size, "horizon")
         if n < 1:
@@ -165,7 +162,7 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
 def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, held_values: int) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory, or take more than
-    ``cfg.max_path_steps`` path-steps.
+    ``_MAX_PATH_STEPS`` path-steps.
 
     The memory estimate counts the ``held_values`` values the caller keeps
     (its recorded rows, or its statistics blocks and outputs), and the
@@ -187,11 +184,11 @@ def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, 
             f"the horizon or the recorded rows"
         )
     path_steps = runs * cfg.step_count
-    if path_steps > cfg.max_path_steps:
+    if path_steps > _MAX_PATH_STEPS:
         raise ConfigurationError(
             f"a batch of {runs} runs of {cfg.step_count:.3g} steps would take "
-            f"{min(path_steps, 2**1023):.3g} path-steps, more than integrator.max_path_steps "
-            f"({cfg.max_path_steps}); lower the run count or the horizon, or raise the bound"
+            f"{min(path_steps, 2**1023):.3g} path-steps, more than the bound of "
+            f"{_MAX_PATH_STEPS:.3g}; lower the run count or the horizon, or raise the step size"
         )
 
 

@@ -222,6 +222,12 @@ def simulate_linearized(
             f"rescale e0 ({e0:g}) and i0 ({i0:g})"
         )
     times = recorded_times(cfg)
+    finite = np.isfinite(ms_estimate)
+    if not finite.all():  # finite states whose squares overflow
+        raise NumericsError(
+            f"linearized second moment overflowed at t={times[np.argmin(finite)]:g}; "
+            f"shorten the horizon"
+        )
     ratio = ms_estimate[-1] / ms_estimate[0]
     if ratio <= DECAY_RATIO:
         verdict = DecayVerdict.DECAY

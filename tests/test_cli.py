@@ -174,8 +174,8 @@ class TestMemoryGuard:
 
 
 class TestWorkBound:
-    """A batch of more than ``integrator.max_path_steps`` path-steps ends in
-    a typed error before any seed is derived."""
+    """A batch of more than ``integrator._MAX_PATH_STEPS`` path-steps ends
+    in a typed error before any seed is derived."""
 
     def test_endless_sweep_ends_in_an_error_line(self, tmp_path):
         # 2e302 steps of one zero delay: the sweep holds nothing per step,
@@ -185,7 +185,7 @@ class TestWorkBound:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert "integrator.max_path_steps" in done.stderr
+        assert "path-steps, more than the bound of 1e+10;" in done.stderr
 
     # 20 steps of 3 runs; the sweep runs its 18 cells in one batch
     @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
@@ -194,11 +194,10 @@ class TestWorkBound:
         [("simulate", 20), ("ensemble", 60), ("stability", 60), ("ablate", 18 * 60)],
     )
     def test_bound_counts_every_run_of_the_batch(self, tmp_path, capsys, monkeypatch, command, path_steps):
-        def config(bound):
-            return write_config(tmp_path, {"integrator": {"horizon": 2.0, "max_path_steps": bound}})
-
-        argv = [command, "--runs", "3", "--out", str(tmp_path / "out")]
-        code, out, err = run_cli(capsys, *argv, "--config", str(config(path_steps)))
+        cfg = write_config(tmp_path, {"integrator": {"horizon": 2.0}})
+        argv = [command, "--runs", "3", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        monkeypatch.setattr("rumorsim.integrator._MAX_PATH_STEPS", path_steps)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
 
         def refuse(*_):
@@ -207,7 +206,8 @@ class TestWorkBound:
         for module in ("ensemble", "stability", "ablation"):
             monkeypatch.setattr(f"rumorsim.{module}.derive_seed", refuse)
         monkeypatch.setattr("rumorsim.integrator.stream_model", refuse)
-        code, out, err = run_cli(capsys, *argv, "--config", str(config(path_steps - 1)))
+        monkeypatch.setattr("rumorsim.integrator._MAX_PATH_STEPS", path_steps - 1)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"would take {path_steps:.3g} path-steps" in err
@@ -222,6 +222,17 @@ class TestNumericFailure:
         assert code == 3
         assert err.startswith("error: numeric: initial second moment ") and err.count("\n") == 1
 
+    def test_second_moment_of_finite_states_beyond_the_float_range(self, tmp_path, capsys):
+        # each step multiplies E by 1 - 5e4: the states stay finite for a
+        # while after their squares overflow
+        cfg = write_config(
+            tmp_path,
+            {"model": {"beta": 0.0, "sigma_act": 1e6}, "integrator": {"horizon": 2.0, "step_size": 0.05}},
+        )
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert err == "error: numeric: linearized second moment overflowed at t=1.7; shorten the horizon\n"
+
     def test_nonfinite_run_prints_only_the_error_line(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -231,6 +242,29 @@ class TestNumericFailure:
         assert done.returncode == 3
         assert done.stderr.startswith("error: numeric: non-finite state at step ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith(")\n")
+
+
+class TestHugeStates:
+    """States far above the population but finite keep a finite spread."""
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_sweep_spread_of_huge_states_is_finite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"integrator": {"horizon": 0.5}, "sweep": {"taus": [0.0], "r0_values": [1e200]}})
+        code, out, err = run_cli(capsys, "ablate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        row = dict(zip(*(line.split(",") for line in lines if not line.startswith("#"))))
+        for column in ("peak_mean", "peak_std", "final_std"):
+            assert 1e180 < float(row[column]) < np.inf, column
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_ensemble_spread_of_huge_states_is_finite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"integrator": {"horizon": 0.5}, "model": {"beta": 1e200}})
+        code, out, err = run_cli(capsys, "ensemble", "--runs", "20", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        summary = (tmp_path / "out" / "summary.csv").read_text()
+        assert "inf" not in summary and "nan" not in summary
+        assert "inf" not in (tmp_path / "out" / "aggregate.csv").read_text()
 
 
 class TestStability:
@@ -284,6 +318,31 @@ class TestAblate:
         assert code == 0
         assert not (tmp_path / "out" / "deviation.csv").exists()
         assert "deviation report skipped" in err
+
+    @pytest.mark.parametrize(
+        "sweep", [{"taus": [0.0, 0.0]}, {"r0_values": [2.0, 1.0, 2.0 + 1e-12]}], ids=["tau", "r0"]
+    )
+    def test_repeated_cell_is_a_configuration_error(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path, {"sweep": sweep, "output": {"formats": ["svg"]}})
+        code, out, err = run_cli(capsys, "ablate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err == "error: sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals\n"
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_delays_alike_to_six_digits_keep_distinct_labels(self, tmp_path, capsys):
+        # both delays print as 1e+06 to 6 significant digits
+        cfg = write_config(
+            tmp_path,
+            {
+                "integrator": {"step_size": 1.0, "horizon": 2.0},
+                "sweep": {"taus": [1e6, 1e6 + 1], "r0_values": [2.0], "run_count": 2},
+                "output": {"formats": ["svg"]},
+            },
+        )
+        code, out, err = run_cli(capsys, "ablate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        svg = (tmp_path / "out" / "sweep_peak.svg").read_text()
+        assert "tau=1000000.0" in svg and "tau=1000001.0" in svg
 
 
 class TestCompare:
@@ -361,10 +420,9 @@ class TestFuzz:
         runs=_FLAG,
         seed=_FLAG,
     )
-    def test_every_input_ends(self, tmp_path, capsys, data, command, runs, seed):
+    def test_every_input_ends(self, tmp_path, capsys, monkeypatch, data, command, runs, seed):
         # a low work bound ends every example within a fraction of a second
-        if isinstance(data, dict) and isinstance(data.get("integrator", {}), dict):
-            data = {**data, "integrator": {**data.get("integrator", {}), "max_path_steps": 20_000}}
+        monkeypatch.setattr("rumorsim.integrator._MAX_PATH_STEPS", 20_000)
         argv = [command, "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out")]
         for flag, value in (("--runs", runs), ("--seed", seed)):
             if value is not None:

@@ -62,7 +62,7 @@ class TestDefaults:
     def test_integrator_defaults_are_the_integrator_config_ones(self):
         assert config._INTEGRATOR_DEFAULTS == {
             "step_size": 0.1, "horizon": 200.0, "projection_enabled": True,
-            "record_stride": 1, "max_path_steps": 10**10,
+            "record_stride": 1,
         }
         assert default_config().integrator == IntegratorConfig()
 
@@ -102,11 +102,6 @@ class TestValidation:
             from_dict({"ensemble": {"seed": 1.5}})
         with pytest.raises(ConfigFileError, match="must be true or false"):
             from_dict({"integrator": {"projection_enabled": "yes"}})
-
-    @pytest.mark.parametrize("bound", [0, -1, 1.5, True, "many"])
-    def test_work_bound_must_be_a_positive_integer(self, bound):
-        with pytest.raises(ConfigFileError, match="integrator.max_path_steps: must be"):
-            from_dict({"integrator": {"max_path_steps": bound}})
 
     def test_formats_validated(self):
         with pytest.raises(ConfigFileError, match="output.formats"):
@@ -188,7 +183,6 @@ class TestEcho:
         assert data["model"]["noise"]["f"] == 0.01
         assert data["initial"]["e"] == 0.0
         assert data["stability"]["run_count"] == 200
-        assert data["integrator"]["max_path_steps"] == 10**10
 
 
 class TestOverrides:

@@ -20,6 +20,8 @@ from rumorsim import (
     simulate_paths,
 )
 from rumorsim.ensemble import (
+    CI_METHODS,
+    OutbreakMetrics,
     write_aggregate_csv,
     write_metrics_csv,
     write_summary_csv,
@@ -170,6 +172,59 @@ class TestMetrics:
         result = quiet_ensemble(run_count=1, noise=0.01, horizon=20.0)
         assert np.isnan(result.metrics.peak_std)
         assert np.all(np.isnan(result.summary.std))
+
+
+class TestHugeSpread:
+    """Squared deviations that overflow do not make a finite spread
+    infinite, and ordinary lanes keep numpy's bits."""
+
+    SCALE = 2.0**900  # squares of values this large overflow
+
+    def sample(self, shape=(40, 3, 6)):
+        return np.random.default_rng(5).lognormal(-3.0, 1.0, size=shape)
+
+    def test_normal_band_of_huge_values_is_the_scaled_band(self):
+        x = self.sample()
+        for level in (0.5, 0.9):
+            lo, hi = confidence_band(x, level, method="normal")
+            huge_lo, huge_hi = confidence_band(x * self.SCALE, level, method="normal")
+            assert np.array_equal(huge_lo, lo * self.SCALE)
+            assert np.array_equal(huge_hi, hi * self.SCALE)
+            assert np.all(np.isfinite(huge_hi))
+
+    def test_only_overflowing_lanes_are_recomputed(self):
+        x = self.sample()
+        mixed = x.copy()
+        mixed[:, 1, 2] *= self.SCALE
+        mixed[3, 2, 0], mixed[7, 2, 4] = np.nan, np.inf
+        lo, hi = confidence_band(mixed, 0.9, method="normal")
+        z = ndtri(0.95)
+        mean = mixed.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.std(mixed, axis=0, ddof=1)  # numpy's bits, inf in one lane
+        want[1, 2] = np.std(x, axis=0, ddof=1)[1, 2] * self.SCALE  # the same sum order
+        assert np.array_equal(lo, mean - z * want, equal_nan=True)
+        assert np.array_equal(hi, mean + z * want, equal_nan=True)
+        assert np.isnan(hi[2, 0]) and np.isnan(hi[2, 4])
+
+    def test_outbreak_metrics_of_huge_values(self):
+        peaks, finals = self.sample((2, 100))
+        huge = OutbreakMetrics(peaks * self.SCALE, np.zeros(100), finals * self.SCALE)
+        assert huge.peak_std == np.std(peaks, ddof=1) * self.SCALE
+        assert huge.final_size_std == np.std(finals, ddof=1) * self.SCALE
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize("ci_method", CI_METHODS)
+    def test_streamed_spread_of_huge_states_is_finite(self, ci_method):
+        # transmission at 1e200 lifts the exposed mass to about 1e196 in a step
+        p = default_params(noise_level=0.05)
+        p = ModelParams(**{**p.__dict__, "beta": 1e200})
+        hist = HistoryFunction.constant(default_initial_state(p))
+        result = run_ensemble(p, hist, IntegratorConfig(0.1, 0.5), 20, 9, ci_method=ci_method)
+        assert np.nanmax(result.summary.mean) > 1e190
+        assert np.all(np.isfinite(result.summary.std))
+        assert np.all(np.isfinite(result.summary.upper))
+        assert np.isfinite(result.metrics.peak_std) and np.isfinite(result.metrics.final_size_std)
 
 
 class TestHorizonWarning:
