@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +54,15 @@ _KEY_DECIMALS = 9
 
 def _cell_key(tau: float, r0: float) -> tuple[float, float]:
     return (round(float(tau), _KEY_DECIMALS), round(float(r0), _KEY_DECIMALS))
+
+
+def _at_cell(items, tau: float, r0: float, what: str):
+    """The item of ``items`` at the (tau, R0) cell."""
+    wanted = _cell_key(tau, r0)
+    for item in items:
+        if _cell_key(item.tau, item.r0) == wanted:
+            return item
+    raise KeyError(f"no {what} at tau={tau}, R0={r0}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +109,10 @@ class SweepCell:
     final_std: float
 
 
+_FIELDS = [f.name for f in fields(SweepCell)]
+_COLUMNS = ["R0" if name == "r0" else name for name in _FIELDS]  # of a sweep or reference table
+
+
 @dataclass(frozen=True)
 class SweepResult:
     cells: tuple[SweepCell, ...]
@@ -104,11 +120,7 @@ class SweepResult:
     base_seed: int
 
     def cell(self, tau: float, r0: float) -> SweepCell:
-        wanted = _cell_key(tau, r0)
-        for c in self.cells:
-            if _cell_key(c.tau, c.r0) == wanted:
-                return c
-        raise KeyError(f"no sweep cell at tau={tau}, R0={r0}")
+        return _at_cell(self.cells, tau, r0, "sweep cell")
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -181,41 +193,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def load_reference(path=None) -> tuple[SweepCell, ...]:
     """Load a reference table; defaults to the bundled 18-cell one."""
-    if path is None:
-        text = (
-            resources.files("rumorsim.data").joinpath("table_reference.csv").read_text()
-        )
-    else:
-        with open(path, "r") as fh:
-            text = fh.read()
-    _, records = _read_table(text)
-    return tuple(SweepCell(**_statistics_columns(r, path or "bundled reference")) for r in records)
+    source = resources.files("rumorsim.data").joinpath("table_reference.csv") if path is None else Path(path)
+    return _read_cells(source, path or "bundled reference")[1]
 
 
-def _read_table(text: str) -> tuple[dict, list[dict]]:
-    """The ``# key=value`` lines and the records of a table in the format
-    of :func:`~rumorsim.integrator.write_table`."""
-    lines = text.splitlines()
-    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
-    return meta, list(csv.DictReader(line for line in lines if line and not line.startswith("#")))
-
-
-def _statistics_columns(record: dict, source) -> dict:
+def _read_cells(source, name) -> tuple[dict, tuple[SweepCell, ...]]:
+    """The ``# key=value`` lines and the cells of a sweep or reference
+    table in the format of :func:`~rumorsim.integrator.write_table`."""
     try:
-        return {
-            "tau": float(record["tau"]),
-            "r0": float(record["R0"]),
-            "beta": float(record["beta"]),
-            "peak_mean": float(record["peak_mean"]),
-            "peak_std": float(record["peak_std"]),
-            "final_mean": float(record["final_mean"]),
-            "final_std": float(record["final_std"]),
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RumorSimError(
-            f"{source}: expected columns tau,R0,beta,peak_mean,peak_std,"
-            f"final_mean,final_std ({exc!r})"
-        ) from exc
+        lines = source.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise RumorSimError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
+    try:
+        records = list(csv.DictReader(line for line in lines if line and not line.startswith("#")))
+        return meta, tuple(SweepCell(*(float(r[column]) for column in _COLUMNS)) for r in records)
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise RumorSimError(f"{name}: expected columns {','.join(_COLUMNS)} ({exc!r})") from exc
 
 
 def filter_reference(
@@ -263,11 +257,7 @@ class DeviationReport:
         return tuple(r for r in self.rows if r.flagged)
 
     def row(self, tau: float, r0: float) -> DeviationRow:
-        wanted = _cell_key(tau, r0)
-        for r in self.rows:
-            if _cell_key(r.tau, r.r0) == wanted:
-                return r
-        raise KeyError(f"no deviation row at tau={tau}, R0={r0}")
+        return _at_cell(self.rows, tau, r0, "deviation row")
 
 
 def compare_to_reference(result: SweepResult, reference) -> DeviationReport:
@@ -288,72 +278,52 @@ def compare_to_reference(result: SweepResult, reference) -> DeviationReport:
             f"sweep and reference grids differ: missing from reference {missing}, "
             f"absent from result {extra}"
         )
-    scale = 1.0 / np.sqrt(result.run_count)
+    scale = 1.0 / math.sqrt(result.run_count)
     rows = []
     for cell in result.cells:
         ref = ref_by_key[_cell_key(cell.tau, cell.r0)]
-        peak_band = 3.0 * ref.peak_std * scale + ref.peak_std
-        final_band = 3.0 * ref.final_std * scale + ref.final_std
-        peak_delta = cell.peak_mean - ref.peak_mean
-        final_delta = cell.final_mean - ref.final_mean
-        peak_flag = abs(peak_delta) > peak_band
-        final_flag = abs(final_delta) > final_band
-        notes = []
-        if peak_flag:
-            notes.append(
-                f"peak mean off reference by {peak_delta:+.3g} (band {peak_band:.3g})"
-            )
-        if final_flag:
-            notes.append(
-                f"final-size mean off reference by {final_delta:+.3g} (band {final_band:.3g})"
-            )
+        stats, notes = {}, []
+        for stat, what in (("peak", "peak mean"), ("final", "final-size mean")):
+            mean = getattr(cell, f"{stat}_mean")
+            ref_mean, ref_std = getattr(ref, f"{stat}_mean"), getattr(ref, f"{stat}_std")
+            band = 3.0 * ref_std * scale + ref_std
+            delta = mean - ref_mean
+            with np.errstate(all="ignore"):  # inf, -inf or nan at a zero reference mean
+                dev_rel = np.float64(delta) / ref_mean
+            flag = abs(delta) > band
+            if flag:
+                notes.append(f"{what} off reference by {delta:+.3g} (band {band:.3g})")
+            stats |= {
+                f"{stat}_mean": mean, f"ref_{stat}_mean": ref_mean, f"ref_{stat}_std": ref_std,
+                f"{stat}_dev_rel": dev_rel, f"{stat}_flag": flag,
+            }
         if notes:
-            notes.append(
-                "reference noise/seeding/horizon are undocumented assumptions; advisory only"
-            )
-        rows.append(
-            DeviationRow(
-                tau=cell.tau,
-                r0=cell.r0,
-                beta=cell.beta,
-                peak_mean=cell.peak_mean,
-                final_mean=cell.final_mean,
-                ref_peak_mean=ref.peak_mean,
-                ref_peak_std=ref.peak_std,
-                ref_final_mean=ref.final_mean,
-                ref_final_std=ref.final_std,
-                peak_dev_rel=peak_delta / ref.peak_mean,
-                final_dev_rel=final_delta / ref.final_mean,
-                peak_flag=peak_flag,
-                final_flag=final_flag,
-                note="; ".join(notes),
-            )
-        )
+            notes.append("reference noise/seeding/horizon are undocumented assumptions; advisory only")
+        rows.append(DeviationRow(tau=cell.tau, r0=cell.r0, beta=cell.beta, note="; ".join(notes), **stats))
     return DeviationReport(rows=tuple(rows), run_count=result.run_count)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Mirror of the reference-table columns, one row per cell."""
-    fields = ("tau", "r0", "beta", "peak_mean", "peak_std", "final_mean", "final_std")
     write_table(
         path,
-        ["tau", "R0", *fields[2:]],
-        [[getattr(c, name) for c in result.cells] for name in fields],
+        _COLUMNS,
+        [[getattr(c, name) for c in result.cells] for name in _FIELDS],
         meta={"run_count": result.run_count, "base_seed": result.base_seed},
     )
 
 
 def read_sweep_csv(path) -> SweepResult:
     """Read a sweep result written by :func:`write_sweep_csv`."""
-    with open(path, "r") as fh:
-        meta, records = _read_table(fh.read())
+    meta, cells = _read_cells(Path(path), path)
     try:
         run_count, base_seed = int(meta["run_count"]), int(meta.get("base_seed", 0))
     except (KeyError, ValueError) as exc:
         raise RumorSimError(
             f"{path}: missing or malformed '# run_count=' or '# base_seed=' metadata line"
         ) from exc
-    cells = tuple(SweepCell(**_statistics_columns(record, path)) for record in records)
+    if not 1 <= run_count <= sys.float_info.max:
+        raise RumorSimError(f"{path}: '# run_count=' must be at least 1 and within the float range")
     return SweepResult(cells=cells, run_count=run_count, base_seed=base_seed)
 
 

@@ -92,39 +92,41 @@ def _resolve_config(args) -> RunConfig:
     )
 
 
-def _prepare_out(cfg: RunConfig) -> tuple[Path, list[Path]]:
+def _outputs(cfg: RunConfig):
+    """Echo the effective configuration into the output directory.  Returns
+    ``output(name)``, which gives the path of a file there and lists it, and
+    the list of every path it gave."""
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo = out_dir / "effective_config.json"
-    write_effective_config(cfg, echo)
-    return out_dir, [echo]
+    written = []
+
+    def output(name: str) -> Path:
+        written.append(out_dir / name)
+        return written[-1]
+
+    write_effective_config(cfg, output("effective_config.json"))
+    return output, written
 
 
 def _cmd_simulate(cfg: RunConfig) -> list[Path]:
-    out_dir, written = _prepare_out(cfg)
-    history = HistoryFunction.constant(cfg.initial)
-    trajectory = integrate(cfg.model, history, cfg.integrator, cfg.ensemble.seed)
+    output, written = _outputs(cfg)
+    trajectory = integrate(cfg.model, HistoryFunction.constant(cfg.initial), cfg.integrator, cfg.ensemble.seed)
     if cfg.output.wants_csv:
-        path = out_dir / "trajectory.csv"
-        write_trajectory_csv(trajectory, path)
-        written.append(path)
+        write_trajectory_csv(trajectory, output("trajectory.csv"))
     if cfg.output.wants_svg:
         series = [
             Series(label=name, times=trajectory.times, values=trajectory.states[:, idx])
             for idx, name in enumerate(CSV_COMPARTMENTS)
         ]
-        path = out_dir / "trajectory.svg"
-        write_svg(series, path, title="Compartment trajectories", y_label="density")
-        written.append(path)
+        write_svg(series, output("trajectory.svg"), title="Compartment trajectories", y_label="density")
     return written
 
 
 def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
-    out_dir, written = _prepare_out(cfg)
-    history = HistoryFunction.constant(cfg.initial)
+    output, written = _outputs(cfg)
     result = run_ensemble(
         cfg.model,
-        history,
+        HistoryFunction.constant(cfg.initial),
         cfg.integrator,
         cfg.ensemble.run_count,
         cfg.ensemble.seed,
@@ -133,17 +135,11 @@ def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
     )
     summary = result.summary
     if cfg.output.wants_csv:
-        for name, writer, payload in (
-            ("summary.csv", write_summary_csv, summary),
-            ("metrics.csv", write_metrics_csv, result.metrics),
-            ("aggregate.csv", write_aggregate_csv, result.metrics),
-        ):
-            path = out_dir / name
-            writer(payload, path)
-            written.append(path)
+        write_summary_csv(summary, output("summary.csv"))
+        write_metrics_csv(result.metrics, output("metrics.csv"))
+        write_aggregate_csv(result.metrics, output("aggregate.csv"))
     if cfg.output.wants_svg:
         i_col = CSV_COMPARTMENTS.index("I")
-        band_path = out_dir / "spreader_band.svg"
         write_svg(
             [
                 Series(
@@ -156,30 +152,27 @@ def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
                     else None,
                 )
             ],
-            band_path,
+            output("spreader_band.svg"),
             title=(
                 f"Spreader density, {summary.run_count} runs, "
                 f"{100 * summary.ci_level:g}% band"
             ),
             y_label="density",
         )
-        written.append(band_path)
-        means_path = out_dir / "compartment_means.svg"
         write_svg(
             [
                 Series(label=name, times=summary.times, values=summary.mean[:, idx])
                 for idx, name in enumerate(CSV_COMPARTMENTS)
             ],
-            means_path,
+            output("compartment_means.svg"),
             title=f"Compartment means, {summary.run_count} runs",
             y_label="density",
         )
-        written.append(means_path)
     return written
 
 
 def _cmd_stability(cfg: RunConfig) -> list[Path]:
-    out_dir, written = _prepare_out(cfg)
+    output, written = _outputs(cfg)
     report = simulate_linearized(
         cfg.model,
         cfg.stability.e0,
@@ -189,49 +182,40 @@ def _cmd_stability(cfg: RunConfig) -> list[Path]:
         cfg.ensemble.seed,
     )
     if cfg.output.wants_csv:
-        threshold_path = out_dir / "threshold.csv"
         margin = stochastic_margin(cfg.model)
         write_table(
-            threshold_path,
+            output("threshold.csv"),
             ["R0", "stochastic_margin", "ms_condition_holds"],
             [[reproduction_number(cfg.model)], [margin], [margin > 0]],
         )
-        written.append(threshold_path)
-        decay_path = out_dir / "decay.csv"
-        write_decay_csv(report, decay_path)
-        written.append(decay_path)
+        write_decay_csv(report, output("decay.csv"))
     if cfg.output.wants_svg:
-        path = out_dir / "decay.svg"
         write_svg(
             [Series(label="E[E^2+I^2]", times=report.times, values=report.ms_estimate)],
-            path,
+            output("decay.svg"),
             title=f"Second-moment estimate ({report.verdict.value})",
             y_label="second moment",
         )
-        written.append(path)
     return written
 
 
-def _sweep_spec(cfg: RunConfig) -> SweepSpec:
-    return SweepSpec(
-        taus=cfg.sweep.taus,
-        r0_values=cfg.sweep.r0_values,
-        run_count=cfg.sweep.run_count,
-        base_seed=cfg.sweep.seed,
-        template=cfg.model,
-        integrator=cfg.integrator,
-        initial_state=cfg.initial,
-    )
-
-
 def _cmd_ablate(cfg: RunConfig) -> list[Path]:
-    out_dir, written = _prepare_out(cfg)
-    result = run_sweep(_sweep_spec(cfg))
+    output, written = _outputs(cfg)
+    sweep = cfg.sweep
+    result = run_sweep(
+        SweepSpec(
+            taus=sweep.taus,
+            r0_values=sweep.r0_values,
+            run_count=sweep.run_count,
+            base_seed=sweep.seed,
+            template=cfg.model,
+            integrator=cfg.integrator,
+            initial_state=cfg.initial,
+        )
+    )
     if cfg.output.wants_csv:
-        sweep_path = out_dir / "sweep.csv"
-        write_sweep_csv(result, sweep_path)
-        written.append(sweep_path)
-        reference = filter_reference(load_reference(), cfg.sweep.taus, cfg.sweep.r0_values)
+        write_sweep_csv(result, output("sweep.csv"))
+        reference = filter_reference(load_reference(), sweep.taus, sweep.r0_values)
         try:
             report = compare_to_reference(result, reference)
         except GridMismatchError:
@@ -240,35 +224,30 @@ def _cmd_ablate(cfg: RunConfig) -> list[Path]:
                 file=sys.stderr,
             )
         else:
-            deviation_path = out_dir / "deviation.csv"
-            write_deviation_csv(report, deviation_path)
-            written.append(deviation_path)
+            write_deviation_csv(report, output("deviation.csv"))
     if cfg.output.wants_svg:
-        labels = [f"tau={tau:g}" for tau in cfg.sweep.taus]
+        labels = [f"tau={tau:g}" for tau in sweep.taus]
         if len(set(labels)) < len(labels):  # delays alike to 6 significant digits
-            labels = [f"tau={tau!r}" for tau in cfg.sweep.taus]
+            labels = [f"tau={tau!r}" for tau in sweep.taus]
+        n = len(sweep.r0_values)  # the cells run in grid order, R0 fastest
         for stat, fname, label in (
             ("final_mean", "sweep_final.svg", "mean final size R+F"),
             ("peak_mean", "sweep_peak.svg", "mean peak spreader density"),
         ):
-            series = []
-            for tau, tau_label in zip(cfg.sweep.taus, labels):
-                cells = [result.cell(tau, r0) for r0 in cfg.sweep.r0_values]
-                series.append(
-                    Series(
-                        label=tau_label,
-                        times=list(cfg.sweep.r0_values),
-                        values=[getattr(c, stat) for c in cells],
-                    )
+            series = [
+                Series(
+                    label=tau_label,
+                    times=list(sweep.r0_values),
+                    values=[getattr(c, stat) for c in result.cells[i * n : (i + 1) * n]],
                 )
-            path = out_dir / fname
-            write_svg(series, path, title=label, x_label="R0", y_label=label)
-            written.append(path)
+                for i, tau_label in enumerate(labels)
+            ]
+            write_svg(series, output(fname), title=label, x_label="R0", y_label=label)
     return written
 
 
 def _cmd_compare(cfg: RunConfig, result_path: str, reference_path: str | None) -> list[Path]:
-    out_dir, written = _prepare_out(cfg)
+    output, written = _outputs(cfg)
     result = read_sweep_csv(result_path)
     reference = load_reference(reference_path)
     if reference_path is None:
@@ -277,10 +256,7 @@ def _cmd_compare(cfg: RunConfig, result_path: str, reference_path: str | None) -
             {c.tau for c in result.cells},
             {c.r0 for c in result.cells},
         )
-    report = compare_to_reference(result, reference)
-    path = out_dir / "deviation.csv"
-    write_deviation_csv(report, path)
-    written.append(path)
+    write_deviation_csv(compare_to_reference(result, reference), output("deviation.csv"))
     return written
 
 

@@ -27,7 +27,6 @@ from scipy.special import ndtri
 from .errors import InsufficientDataError
 from .integrator import (
     IntegratorConfig,
-    Trajectory,
     block_recorder,
     block_rows,
     check_memory,
@@ -76,7 +75,7 @@ def confidence_band(values, level: float, method: str = "quantile"):
     quantile and the ddof=1 standard deviation, exactly zero where all
     values agree.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)  # a copy: the quantile band sorts it
     if values.ndim == 0:
         raise ValueError("values must be at least one-dimensional")
     if values.shape[0] < 2:
@@ -87,11 +86,7 @@ def confidence_band(values, level: float, method: str = "quantile"):
         raise ValueError(f"level must be in (0, 1), got {level}")
     if method not in CI_METHODS:
         raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
-    if method == "normal":
-        flat = values.max(axis=0) == values.min(axis=0)
-        lo, hi = _normal_band(values.mean(axis=0), np.where(flat, 0.0, _sample_std(values)), level)
-    else:
-        lo, hi = _quantile_band(np.sort(values, axis=0), level)
+    _, lo, hi = _spread_and_band(values, level, method)
     if values.ndim == 1:
         return float(lo), float(hi)
     return lo, hi
@@ -102,9 +97,7 @@ def _sample_std(values):
 
     A lane whose squared deviations overflow is recomputed on its values
     scaled by a power of two, which is exact, so huge but finite samples
-    keep a finite spread; every other lane keeps numpy's bits.  Callers
-    set it exactly to zero where all values agree, suppressing the
-    roundoff the two-pass mean would otherwise leave.
+    keep a finite spread; every other lane keeps numpy's bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         std = np.std(values, axis=0, ddof=1)
@@ -116,10 +109,21 @@ def _sample_std(values):
     return std
 
 
-def _normal_band(mean, std, level: float):
-    """``mean +/- z * std``, with ``z`` the standard-normal quantile."""
-    z = ndtri(0.5 + level / 2.0)
-    return mean - z * std, mean + z * std
+def _spread_and_band(values, level: float, method: str):
+    """The ddof=1 standard deviation and the band of a sample along its
+    first axis.  The std is exactly zero where all values agree,
+    suppressing the roundoff the two-pass mean would otherwise leave.
+    ``normal`` gives ``mean +/- z * std``, with ``z`` the standard-normal
+    quantile; ``quantile`` sorts ``values`` in place and reads the band
+    from the order statistics.
+    """
+    std = _sample_std(values)
+    if method == "normal":
+        std = np.where(values.max(axis=0) == values.min(axis=0), 0.0, std)
+        z, mean = ndtri(0.5 + level / 2.0), values.mean(axis=0)
+        return std, mean - z * std, mean + z * std
+    values.sort(axis=0)
+    return (np.where(values[0] == values[-1], 0.0, std), *_quantile_band(values, level))
 
 
 def _quantile_band(ordered, level: float):
@@ -209,7 +213,6 @@ def _run_spread(values) -> float:
 class EnsembleResult:
     summary: EnsembleSummary
     metrics: OutbreakMetrics
-    trajectories: tuple[Trajectory, ...] | None
 
 
 def _warn_if_unconverged(terminal_spreader: np.ndarray, population: float) -> None:
@@ -235,7 +238,6 @@ def run_ensemble(
     *,
     ci_level: float = 0.95,
     ci_method: str = "quantile",
-    retain_trajectories: bool = False,
 ) -> EnsembleResult:
     """Run ``run_count`` independent realizations and summarize them.
 
@@ -245,11 +247,9 @@ def run_ensemble(
     (see :func:`~rumorsim.integrator.block_rows`), so memory scales with
     ``run_count`` times one block plus the written rows; the per-run peak
     merges across blocks keeping its first occurrence, and the final size
-    comes from the terminal state.  Once its mean, spread, peaks and
-    retained rows are read, each block is sorted in place along the runs,
-    and its band read from the order statistics.  Only
-    ``retain_trajectories`` keeps every path, as :class:`Trajectory`
-    objects.
+    comes from the terminal state.  Once its mean, spread and peaks are
+    read, each block is sorted in place along the runs, and its band read
+    from the order statistics.
     """
     if run_count < 1:
         raise ValueError(f"run_count must be >= 1, got {run_count}")
@@ -261,13 +261,10 @@ def run_ensemble(
     rows = cfg.recorded_count
     block = block_rows(cfg, run_count * 6)
     held = run_count * block * 6 + rows * (4 * 6 + 1)  # a block, the outputs and times
-    if retain_trajectories:
-        held += run_count * rows * 6
     check_memory(cfg, p.tau, run_count, 6, held)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
     slab = np.empty((run_count, block, 6))
-    paths = np.empty((run_count, rows, 6)) if retain_trajectories else None
     mean = np.empty((rows, 6))
     std, lower, upper = (np.full((rows, 6), np.nan) for _ in range(3))
     peak_values = np.full(run_count, -np.inf)
@@ -284,20 +281,10 @@ def run_ensemble(
         higher = block_peak > peak_values  # strict: the first occurrence wins
         peak_values[higher] = block_peak[higher]
         peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
-        if paths is not None:
-            paths[:, span] = values
-        if run_count < 2:
-            return
-        raw_std = _sample_std(values)
-        if ci_method == "normal":
-            std[span] = np.where(values.max(axis=0) == values.min(axis=0), 0.0, raw_std)
-            lower[span], upper[span] = _normal_band(mean[span], std[span], ci_level)
-        else:
-            values.sort(axis=0)  # in place: the rest reads order statistics
-            std[span] = np.where(values[0] == values[-1], 0.0, raw_std)
-            lower[span], upper[span] = _quantile_band(values, ci_level)
+        if run_count >= 2:
+            std[span], lower[span], upper[span] = _spread_and_band(values, ci_level, ci_method)
 
-    terminal, projection_counts = stream_model(
+    terminal, _ = stream_model(
         p, history, cfg, seeds, block_recorder(cfg, block, fill, reduce)
     )
     times = recorded_times(cfg)
@@ -319,13 +306,7 @@ def run_ensemble(
         ci_level=ci_level,
         ci_method=ci_method,
     )
-    trajectories = None
-    if retain_trajectories:
-        trajectories = tuple(
-            Trajectory(times=times, states=paths[k], projection_event_count=int(projection_counts[k]))
-            for k in range(run_count)
-        )
-    return EnsembleResult(summary=summary, metrics=metrics, trajectories=trajectories)
+    return EnsembleResult(summary=summary, metrics=metrics)
 
 
 def write_summary_csv(summary: EnsembleSummary, path) -> None:

@@ -144,14 +144,6 @@ class Trajectory:
         if self.states.shape != (self.times.size, 6):
             raise ValueError("states must be (len(times), 6)")
 
-    def compartment(self, name: str) -> np.ndarray:
-        """Column for a compartment, by lower- or CSV-case name."""
-        key = name.lower()
-        names = [c.lower() for c in CSV_COMPARTMENTS]
-        if key not in names:
-            raise KeyError(f"unknown compartment {name!r}")
-        return self.states[:, names.index(key)]
-
 
 def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     """Steps that read the delayed value from the history: ``tau / h``,

@@ -320,6 +320,25 @@ def _sample_nonnegative_ball(rng: np.random.Generator, count: int, radius: float
     return direction / norms * radii[:, None]
 
 
+def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, ratio) -> BoundCheckReport:
+    """Compare ``constant(p, radius)`` with the largest ``ratio`` over
+    ``sample_count`` draws of ``points`` nonnegative points in the radius
+    ball, drawn in chunks in argument order."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    bound = constant(p, radius)
+    rng = np.random.default_rng(rng_seed)
+    max_ratio = 0.0
+    remaining = sample_count
+    while remaining > 0:
+        chunk = min(remaining, 1 << 17)
+        ratios = ratio(*[_sample_nonnegative_ball(rng, chunk, radius) for _ in range(points)])
+        if ratios.size:
+            max_ratio = max(max_ratio, float(np.max(ratios)))
+        remaining -= chunk
+    return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
+
+
 def verify_growth_bound(
     p: ModelParams, sample_count: int, radius: float, rng_seed: int
 ) -> BoundCheckReport:
@@ -327,23 +346,13 @@ def verify_growth_bound(
     over random nonnegative pairs in the radius ball and compare its
     maximum against :func:`growth_bound_constant`.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    bound = growth_bound_constant(p, radius)
-    rng = np.random.default_rng(rng_seed)
-    max_ratio = 0.0
-    remaining = sample_count
-    while remaining > 0:
-        chunk = min(remaining, 1 << 17)
-        x = _sample_nonnegative_ball(rng, chunk, radius)
-        y = _sample_nonnegative_ball(rng, chunk, radius)
-        b = drift(x, y, p)
-        g = p.noise.as_array() * x
+
+    def ratio(x, y):
+        b, g = drift(x, y, p), p.noise.as_array() * x
         num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
-        den = 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
-        max_ratio = max(max_ratio, float(np.max(num / den)))
-        remaining -= chunk
-    return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
+        return num / (1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1))
+
+    return _check_sampled_bound(growth_bound_constant, p, sample_count, radius, rng_seed, 2, ratio)
 
 
 def verify_lipschitz_bound(
@@ -353,28 +362,14 @@ def verify_lipschitz_bound(
     nonnegative pairs in the radius ball and compare its maximum against
     :func:`lipschitz_constant`.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    bound = lipschitz_constant(p, radius)
-    rng = np.random.default_rng(rng_seed)
-    max_ratio = 0.0
-    remaining = sample_count
-    while remaining > 0:
-        chunk = min(remaining, 1 << 17)
-        x = _sample_nonnegative_ball(rng, chunk, radius)
-        y = _sample_nonnegative_ball(rng, chunk, radius)
-        x2 = _sample_nonnegative_ball(rng, chunk, radius)
-        y2 = _sample_nonnegative_ball(rng, chunk, radius)
-        num = np.linalg.norm(
-            drift(x, y, p) - drift(x2, y2, p),
-            axis=1,
-        )
+
+    def ratio(x, y, x2, y2):
+        num = np.linalg.norm(drift(x, y, p) - drift(x2, y2, p), axis=1)
         den = np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)
         valid = den > 0.0
-        if np.any(valid):
-            max_ratio = max(max_ratio, float(np.max(num[valid] / den[valid])))
-        remaining -= chunk
-    return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
+        return num[valid] / den[valid]
+
+    return _check_sampled_bound(lipschitz_constant, p, sample_count, radius, rng_seed, 4, ratio)
 
 
 class HistoryFunction:

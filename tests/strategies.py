@@ -4,15 +4,7 @@ from hypothesis import strategies as st
 
 from rumorsim import config
 
-_BLOCK_FIELDS = {
-    "model": [*config._MODEL_DEFAULTS, "noise"],
-    "initial": list(config._INITIAL_DEFAULTS),
-    "integrator": list(config._INTEGRATOR_DEFAULTS),
-    "ensemble": list(config._ENSEMBLE_DEFAULTS),
-    "stability": list(config._STABILITY_DEFAULTS),
-    "sweep": list(config._SWEEP_DEFAULTS),
-    "output": list(config._OUTPUT_DEFAULTS),
-}
+_BLOCK_FIELDS = {block: list(rules) for block, rules in config._SCHEMA.items()}
 _NUMBERS = (
     st.integers()
     | st.integers(min_value=2**1024, max_value=2**1100)  # beyond the float range
@@ -29,7 +21,7 @@ _JSON = st.recursive(
     _SCALARS,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(
-        st.sampled_from(list(config._INITIAL_DEFAULTS)) | st.text(max_size=3), children, max_size=4
+        st.sampled_from(_BLOCK_FIELDS["initial"]) | st.text(max_size=3), children, max_size=4
     ),
     max_leaves=12,
 )
@@ -83,7 +75,7 @@ RUNNABLE_CONFIGS = st.fixed_dictionaries(
         "model": _block(
             beta=_VALUES, sigma_act=_POSITIVE, gamma=_POSITIVE, rho=_POSITIVE, theta=_POSITIVE,
             tau=st.sampled_from([0.0, 0.1, 0.5, 1e3]),
-            noise=st.dictionaries(st.sampled_from(list(config._INITIAL_DEFAULTS)), _VALUES),
+            noise=st.dictionaries(st.sampled_from(_BLOCK_FIELDS["initial"]), _VALUES),
         ),
         "ensemble": _block(
             run_count=_COUNTS,

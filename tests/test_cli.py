@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from strategies import CONFIGS, RUNNABLE_CONFIGS
 
@@ -433,6 +433,57 @@ class TestFuzz:
         if code == 0:
             assert all(Path(path).is_file() for path in out.split())
             assert all(line.startswith("note: ") for line in err.splitlines())
+        else:
+            assert out == ""
+            assert err and all(line.startswith("error: ") for line in err.splitlines())
+
+    # sweep tables, mostly well formed, with values that reach every branch
+    # of the comparison: zeros, infinities, NaN, overflow and bad counts
+    _NUMBER = st.sampled_from(["0", "-0.0", "0.5", "2", "1e-320", "1e308", "-1e308", "inf", "nan", "x", ""])
+    _ROW = st.tuples(
+        st.sampled_from(["0", "5", "10", "nan"]), st.sampled_from(["0.5", "2", "inf"]), *[_NUMBER] * 5
+    ).map(",".join)
+    _META = st.sampled_from(
+        ["# run_count=3", "# run_count=0", "# run_count=-2", "# run_count=1" + "0" * 400, "# base_seed=x"]
+    )
+    _TABLE = st.tuples(
+        st.lists(_META, max_size=2),
+        st.sampled_from(["tau,R0,beta,peak_mean,peak_std,final_mean,final_std", "tau,R0,beta"]),
+        st.lists(_ROW, max_size=3),
+    ).map(lambda parts: "\n".join([*parts[0], parts[1], *parts[2]]) + "\n")
+    _FILES = _TABLE | st.text(max_size=40) | st.binary(max_size=40)
+    _HEADER = "tau,R0,beta,peak_mean,peak_std,final_mean,final_std\n"
+
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    @given(result=_FILES, reference=st.none() | _FILES)
+    @example(result=b"\xff\xfe# run_count=3\n", reference=None)  # not UTF-8
+    @example(result="# run_count=3\n" + _HEADER, reference=b"\xff" + _HEADER.encode())
+    @example(result="# run_count=0\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n", reference=None)
+    @example(result="# run_count=-2\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n", reference=None)
+    @example(result="# run_count=1" + "0" * 400 + "\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n", reference=None)
+    @example(  # a zero reference mean
+        result="# run_count=3\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n5,0.5,0.075,0,0,-0.2,0\n",
+        reference=_HEADER + "0,0.5,0.075,0,0,0,0\n5,0.5,0.075,0,0,0,0\n",
+    )
+    def test_every_compare_input_ends(self, tmp_path, capsys, result, reference):
+        argv = ["compare", "--out", str(tmp_path / "out")]
+        for flag, content in (("--result", result), ("--reference", reference)):
+            if content is not None:
+                path = tmp_path / flag[2:]
+                path.write_bytes(content if isinstance(content, bytes) else content.encode())
+                argv += [flag, str(path)]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 0:
+            assert all(Path(path).is_file() for path in out.split())
+            assert err == ""
         else:
             assert out == ""
             assert err and all(line.startswith("error: ") for line in err.splitlines())

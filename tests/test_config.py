@@ -46,13 +46,13 @@ class TestDefaults:
         assert cfg.model.noise.s == 0.01
 
     def test_model_and_initial_defaults_are_the_model_module_ones(self):
-        # derived from default_params() and default_initial_state(), and
+        # taken from default_params() and default_initial_state(), and
         # bit-equal to the literals every echoed config has carried
-        assert config._MODEL_DEFAULTS == {
+        assert schema_defaults("model") == {
             "beta": 0.3, "sigma_act": 0.25, "gamma": 0.1, "rho": 0.05,
             "theta": 0.1, "tau": 0.0, "population": 1.0,
         }
-        assert config._INITIAL_DEFAULTS == {
+        assert schema_defaults("initial") == {
             "s": 0.995, "e": 0.0, "i": 0.005, "r": 0.0, "ig": 0.0, "f": 0.0,
         }
         cfg = default_config()
@@ -60,11 +60,17 @@ class TestDefaults:
         assert cfg.initial == default_initial_state(default_params())
 
     def test_integrator_defaults_are_the_integrator_config_ones(self):
-        assert config._INTEGRATOR_DEFAULTS == {
+        assert schema_defaults("integrator") == {
             "step_size": 0.1, "horizon": 200.0, "projection_enabled": True,
             "record_stride": 1,
         }
         assert default_config().integrator == IntegratorConfig()
+
+
+def schema_defaults(block):
+    """The default of every scalar field the config schema lists for ``block``."""
+    default = getattr(config._DEFAULTS, block)
+    return {name: getattr(default, name) for name in config._SCHEMA[block] if name != "noise"}
 
 
 class TestValidation:
@@ -139,6 +145,79 @@ class TestValidation:
         path.write_bytes(text)
         with pytest.raises(ConfigFileError, match="invalid JSON"):
             load_config(path)
+
+
+class TestViolationOrder:
+    """Every violation of a config, in the order the loader reports them."""
+
+    def test_every_field_rule(self):
+        data = {
+            "bogus": {},
+            "model": {
+                "betta": 0.3, "beta": "fast", "sigma_act": 10**400, "gamma": 0.0, "rho": -1,
+                "population": True, "noise": {"x": 0.1, "i": -0.5, "e": "y"},
+            },
+            "initial": {"s": 0.5, "q": 0.1, "e": -1},
+            "integrator": {
+                "step_size": 0.1, "horizon": 200.05, "projection_enabled": "yes", "record_stride": 0,
+            },
+            "ensemble": {"run_count": 0, "ci_level": 1.0, "ci_method": "median", "seed": 1.5},
+            "stability": {"e0": 0, "i0": 0.0, "run_count": 0},
+            "sweep": {"taus": [0.0, "x"], "r0_values": [], "run_count": 2.0, "seed": "7", "extra": 1},
+            "output": {"directory": "", "formats": ["pdf", "csv", "csv"], "other": None},
+        }
+        with pytest.raises(ConfigFileError) as excinfo:
+            from_dict(data)
+        assert excinfo.value.violations == [
+            "bogus: unknown block",
+            "model.betta: unknown field",
+            "model.beta: must be a number",
+            "model.sigma_act: must be finite",
+            "model.gamma: must be > 0, got 0",
+            "model.rho: must be > 0, got -1",
+            "model.population: must be a number",
+            "model.noise.x: unknown field",
+            "model.noise.e: must be a number",
+            "model.noise.i: must be >= 0, got -0.5",
+            "initial.q: unknown field",
+            "initial.e: must be >= 0, got -1",
+            "integrator.projection_enabled: must be true or false",
+            "integrator.record_stride: must be >= 1, got 0",
+            "ensemble.run_count: must be >= 1, got 0",
+            "ensemble.ci_level: must be in (0, 1), got 1",
+            "ensemble.ci_method: must be one of ['normal', 'quantile'], got 'median'",
+            "ensemble.seed: must be an integer",
+            "stability.e0/i0: must not both be zero",
+            "stability.run_count: must be >= 1, got 0",
+            "sweep.extra: unknown field",
+            "sweep.taus[1]: must be a number",
+            "sweep.r0_values: must be a non-empty list of numbers",
+            "sweep.run_count: must be an integer",
+            "sweep.seed: must be an integer",
+            "output.other: unknown field",
+            "output.directory: must be a non-empty string",
+            "output.formats: must contain only 'csv' or 'svg', got 'pdf'",
+            "initial: components must sum to the population (1), got 0.505",
+            "integrator: horizon (200.05) must be an integer multiple of the step size (0.1); "
+            "got ratio 2000.5",
+        ]
+
+    def test_blocks_and_lists_of_the_wrong_type(self):
+        data = {
+            "model": {"noise": [0.1], "tau": 0.25},
+            "initial": 5,
+            "integrator": {"record_stride": 3},
+            "output": {"formats": "csv"},
+        }
+        with pytest.raises(ConfigFileError) as excinfo:
+            from_dict(data)
+        assert excinfo.value.violations == [
+            "model.noise: must be an object with per-compartment intensities",
+            "initial: must be an object",
+            "output.formats: must be a non-empty list drawn from ['csv', 'svg']",
+            "integrator.record_stride: step count 2000 is not a multiple of 3",
+            "integrator: tau (0.25) must be an integer multiple of the step size (0.1); got ratio 2.5",
+        ]
 
 
 class TestFuzz:

@@ -77,13 +77,6 @@ class TestDeterministicCollapse:
         assert result.metrics.peak_std == 0.0
         assert result.metrics.final_size_std == 0.0
 
-    def test_retained_trajectories_match(self):
-        result = quiet_ensemble(run_count=3, noise=0.0, horizon=20.0, retain_trajectories=True)
-        assert len(result.trajectories) == 3
-        first = result.trajectories[0].states
-        for traj in result.trajectories[1:]:
-            assert np.array_equal(traj.states, first)
-
 
 class TestReproducibility:
     def test_identical_inputs_identical_summaries(self):
@@ -335,13 +328,8 @@ class TestBlockwiseStatistics:
             set_block(monkeypatch, block, run_count * 6)
         assert block_rows(cfg, run_count * 6) == (block or cfg.recorded_count)
         ref = whole_array_reference(p, hist, cfg, run_count, 9, 0.9, ci_method)
-        result = run_ensemble(
-            p, hist, cfg, run_count, 9, ci_level=0.9, ci_method=ci_method,
-            retain_trajectories=True,
-        )
+        result = run_ensemble(p, hist, cfg, run_count, 9, ci_level=0.9, ci_method=ci_method)
         assert_matches_reference(result, ref)
-        retained = np.stack([trajectory.states for trajectory in result.trajectories])
-        assert np.array_equal(retained, ref["paths"])
 
     def test_peak_tie_across_blocks_keeps_the_first_row(self, monkeypatch):
         # no transmission and a vanishing outflow: I rises until its
@@ -498,11 +486,8 @@ class TestExactBandOracle:
         set_block(monkeypatch, block, run_count * 6)
         assert block_rows(cfg, run_count * 6) == block
         _, paths, _ = simulate_paths(p, hist, cfg, [derive_seed(5, k) for k in range(run_count)])
-        result = run_ensemble(p, hist, cfg, run_count, 5, ci_level=0.9, retain_trajectories=True)
+        result = run_ensemble(p, hist, cfg, run_count, 5, ci_level=0.9)
         want = numpy_band(paths, 0.9)
         assert_same_band(result.summary.lower, want[0], paths)
         assert_same_band(result.summary.upper, want[1], paths)
         assert np.array_equal(result.summary.std, sample_std(paths))
-        # the in-place sort of each block comes after the paths are kept
-        retained = np.stack([trajectory.states for trajectory in result.trajectories])
-        assert np.array_equal(retained, paths)
