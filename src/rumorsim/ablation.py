@@ -31,7 +31,9 @@ import numpy as np
 from .ensemble import OutbreakMetrics, _warn_if_unconverged
 from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import IntegratorConfig, check_memory, delay_steps, stream_model, write_table
-from .model import HistoryFunction, ModelParams, StateVector, default_initial_state
+from .model import (
+    COUNT, NONNEGATIVE, POSITIVE, HistoryFunction, ModelParams, StateVector, check, default_initial_state,
+)
 from .rng import derive_seed
 
 __all__ = [
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 _KEY_DECIMALS = 9
+
+SWEEP_RULES = {"taus": [NONNEGATIVE], "r0_values": [POSITIVE], "run_count": COUNT}
 
 
 def _cell_key(tau: float, r0: float) -> tuple[float, float]:
@@ -78,14 +82,7 @@ class SweepSpec:
     initial_state: StateVector | None = None
 
     def __post_init__(self):
-        if not self.taus or not self.r0_values:
-            raise ValueError("sweep grid must be non-empty")
-        if any(t < 0 for t in self.taus):
-            raise ValueError("delays must be >= 0")
-        if any(r <= 0 for r in self.r0_values):
-            raise ValueError("R0 values must be > 0 (the derived beta must be positive)")
-        if self.run_count < 1:
-            raise ValueError(f"run_count must be >= 1, got {self.run_count}")
+        check("sweep", SWEEP_RULES, taus=self.taus, r0_values=self.r0_values, run_count=self.run_count)
         if len({_cell_key(t, r) for t in self.taus for r in self.r0_values}) < len(self.taus) * len(self.r0_values):
             raise ConfigurationError(
                 f"sweep grid repeats a cell: taus and R0 values must each be distinct to {_KEY_DECIMALS} decimals"
@@ -207,22 +204,21 @@ def _read_cells(source, name) -> tuple[dict, tuple[SweepCell, ...]]:
     meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
     try:
         records = list(csv.DictReader(line for line in lines if line and not line.startswith("#")))
-        return meta, tuple(SweepCell(*(float(r[column]) for column in _COLUMNS)) for r in records)
+        cells = tuple(SweepCell(*(float(r[column]) for column in _COLUMNS)) for r in records)
     except (KeyError, TypeError, ValueError, csv.Error) as exc:
         raise RumorSimError(f"{name}: expected columns {','.join(_COLUMNS)} ({exc!r})") from exc
+    if len({_cell_key(c.tau, c.r0) for c in cells}) < len(cells):
+        raise RumorSimError(f"{name}: lists a (tau, R0) cell more than once, to {_KEY_DECIMALS} decimals")
+    return meta, cells
 
 
-def filter_reference(
-    reference, taus, r0_values
-) -> tuple[SweepCell, ...]:
+def filter_reference(reference, taus, r0_values) -> tuple[SweepCell, ...]:
     """Subset a reference table to a grid."""
-    tau_keys = {round(float(t), _KEY_DECIMALS) for t in taus}
-    r0_keys = {round(float(r), _KEY_DECIMALS) for r in r0_values}
-    return tuple(
-        c
-        for c in reference
-        if round(c.tau, _KEY_DECIMALS) in tau_keys and round(c.r0, _KEY_DECIMALS) in r0_keys
-    )
+    # by axis: the product of a table's delays and R0 values can be huge
+    tau_keys = {_cell_key(tau, 0.0)[0] for tau in taus}
+    r0_keys = {_cell_key(0.0, r0)[1] for r0 in r0_values}
+    keyed = [(c, *_cell_key(c.tau, c.r0)) for c in reference]
+    return tuple(c for c, tau, r0 in keyed if tau in tau_keys and r0 in r0_keys)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,16 @@ determinism contract is exercised.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
-from .ensemble import CI_METHODS
+from .ablation import SWEEP_RULES
+from .ensemble import ENSEMBLE_RULES
 from .errors import ConfigFileError, ConfigurationError
-from .integrator import IntegratorConfig, steps_on_grid
+from .integrator import INTEGRATOR_RULES, IntegratorConfig, steps_on_grid
 from .model import (
-    COMPARTMENTS, ModelParams, NoiseIntensities, StateVector, default_initial_state, default_params,
+    COMPARTMENT_RULES, MODEL_RULES, ModelParams, StateVector, _Reader, default_initial_state, default_params,
 )
+from .stability import STABILITY_RULES
 
 __all__ = [
     "EnsembleSettings",
@@ -88,108 +89,16 @@ _DEFAULTS = RunConfig(
     EnsembleSettings(), StabilitySettings(), SweepSettings(), OutputSettings(),
 )
 
-_NONNEGATIVE = (float, ">= 0", lambda v: v >= 0.0)
-_POSITIVE = (float, "> 0", lambda v: v > 0.0)
-_COUNT = (int, ">= 1", lambda v: v >= 1)
-
-# Each block's fields, in the order their violations are reported, with the
-# rule a value must pass: a type, a ``(type, bound, test)`` triple, a
-# frozenset of the strings allowed, a one-rule list for a non-empty list of
-# values that pass it, or the rules of the noise object.
+# Each block's rules live beside the code they govern; a seed is any integer.
 _SCHEMA = {
-    "model": {
-        "beta": _NONNEGATIVE, "sigma_act": _POSITIVE, "gamma": _POSITIVE, "rho": _POSITIVE,
-        "theta": _POSITIVE, "tau": _NONNEGATIVE, "population": _POSITIVE,
-        "noise": dict.fromkeys(COMPARTMENTS, _NONNEGATIVE),
-    },
-    "initial": dict.fromkeys(COMPARTMENTS, _NONNEGATIVE),
-    "integrator": {
-        "step_size": _POSITIVE, "horizon": _POSITIVE, "projection_enabled": bool, "record_stride": _COUNT,
-    },
-    "ensemble": {
-        "run_count": _COUNT, "ci_level": (float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
-        "ci_method": frozenset(CI_METHODS), "seed": int,
-    },
-    "stability": {"e0": _NONNEGATIVE, "i0": _NONNEGATIVE, "run_count": _COUNT},
-    "sweep": {"taus": [_NONNEGATIVE], "r0_values": [_POSITIVE], "run_count": _COUNT, "seed": int},
+    "model": MODEL_RULES,
+    "initial": COMPARTMENT_RULES,
+    "integrator": INTEGRATOR_RULES,
+    "ensemble": {**ENSEMBLE_RULES, "seed": int},
+    "stability": STABILITY_RULES,
+    "sweep": {**SWEEP_RULES, "seed": int},
     "output": {"directory": str, "formats": [frozenset({"csv", "svg"})]},
 }
-
-_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a non-empty string"}
-
-
-class _Reader:
-    """Reads values by the rules of :data:`_SCHEMA`, recording every
-    violation; a value that breaks its rule reads as its default."""
-
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def reject(self, message: str, default):
-        self.errors.append(message)
-        return default
-
-    def block(self, raw, path: str, rules: dict, default, what: str = "") -> dict:
-        """The fields of the object ``raw``, a missing one at its value in ``default``."""
-        if not isinstance(raw, dict):
-            raw = self.reject(f"{path}: must be an object{what}", {})
-        self.errors += [f"{path}.{key}: unknown field" for key in raw if key not in rules]
-        values = {}
-        for name, rule in rules.items():
-            fallback = getattr(default, name)
-            values[name] = self.read(raw[name], f"{path}.{name}", rule, fallback) if name in raw else fallback
-            # the one rule on two fields, reported as soon as both are read
-            if path == "stability" and name == "i0" and values["e0"] == values["i0"] == 0.0:
-                self.errors.append("stability.e0/i0: must not both be zero")
-        return values
-
-    def read(self, value, path: str, rule, default):
-        """``value`` if it passes ``rule``, else ``default``."""
-        if isinstance(rule, dict):
-            noise = self.block(value, path, rule, default, " with per-compartment intensities")
-            return NoiseIntensities(**noise)
-        if isinstance(rule, frozenset):
-            if value not in sorted(rule):  # a list: a JSON value may be unhashable
-                return self.reject(f"{path}: must be one of {sorted(rule)}, got {value!r}", default)
-            return value
-        if isinstance(rule, list) and isinstance(rule[0], frozenset):
-            allowed = sorted(rule[0])
-            if not isinstance(value, (list, tuple)) or not value:
-                return self.reject(f"{path}: must be a non-empty list drawn from {allowed}", default)
-            picked = []
-            for item in value:
-                if item not in allowed:
-                    either = " or ".join(map(repr, allowed))
-                    self.errors.append(f"{path}: must contain only {either}, got {item!r}")
-                elif item not in picked:
-                    picked.append(item)
-            return tuple(picked) or default
-        if isinstance(rule, list):
-            if not isinstance(value, (list, tuple)) or not value:
-                return self.reject(f"{path}: must be a non-empty list of numbers", default)
-            items = []
-            for k, item in enumerate(value):
-                item = self.read(item, f"{path}[{k}]", rule[0], None)
-                if item is None:
-                    return default
-                items.append(item)
-            return tuple(items)
-        kind, bound, test = rule if isinstance(rule, tuple) else (rule, None, None)
-        types = (int, float) if kind is float else kind
-        # JSON's true and false are Python ints, but neither numbers nor integers here
-        if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool) or value == "":
-            return self.reject(f"{path}: must be {_KINDS[kind]}", default)
-        if kind is float:
-            try:
-                value = float(value)
-            except OverflowError:  # a JSON integer beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                return self.reject(f"{path}: must be finite", default)
-        if bound and not test(value):
-            shown = f"{value:g}" if kind is float else value
-            return self.reject(f"{path}: must be {bound}, got {shown}", default)
-        return value
 
 
 def from_dict(data: dict) -> RunConfig:

@@ -34,7 +34,7 @@ from .integrator import (
     stream_model,
     write_table,
 )
-from .model import CSV_COMPARTMENTS, HistoryFunction, ModelParams
+from .model import COUNT, CSV_COMPARTMENTS, HistoryFunction, ModelParams, check
 from .rng import derive_seed
 
 __all__ = [
@@ -52,6 +52,11 @@ __all__ = [
 ]
 
 CI_METHODS = ("quantile", "normal")
+
+ENSEMBLE_RULES = {
+    "run_count": COUNT, "ci_level": (float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "ci_method": frozenset(CI_METHODS),
+}
 
 # The terminal spreader mean must drop below this fraction of the
 # population for "final size" to mean what it says.
@@ -82,10 +87,7 @@ def confidence_band(values, level: float, method: str = "quantile"):
         raise InsufficientDataError(
             f"confidence band needs at least 2 values, got {values.shape[0]}"
         )
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if method not in CI_METHODS:
-        raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
+    check("ensemble", ENSEMBLE_RULES, ci_level=level, ci_method=method)
     _, lo, hi = _spread_and_band(values, level, method)
     if values.ndim == 1:
         return float(lo), float(hi)
@@ -251,13 +253,7 @@ def run_ensemble(
     read, each block is sorted in place along the runs, and its band read
     from the order statistics.
     """
-    if run_count < 1:
-        raise ValueError(f"run_count must be >= 1, got {run_count}")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
-    if ci_method not in CI_METHODS:
-        raise ValueError(f"unknown CI method {ci_method!r}; expected one of {CI_METHODS}")
-
+    check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
     rows = cfg.recorded_count
     block = block_rows(cfg, run_count * 6)
     held = run_count * block * 6 + rows * (4 * 6 + 1)  # a block, the outputs and times

@@ -30,10 +30,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError
 from .model import (
+    COUNT,
     CSV_COMPARTMENTS,
+    POSITIVE,
     HistoryFunction,
     ModelParams,
     _drift_with_delayed_i,
+    check,
 )
 from .rng import normal_block, seed_array
 
@@ -68,6 +71,10 @@ _STATS_BLOCK_VALUES = 131_072
 
 CSV_FLOAT_FORMAT = "%.9g"
 
+INTEGRATOR_RULES = {
+    "step_size": POSITIVE, "horizon": POSITIVE, "projection_enabled": bool, "record_stride": COUNT,
+}
+
 
 def steps_on_grid(value: float, step_size: float, what: str) -> int:
     """Number of steps covering ``value``, requiring an integral ratio."""
@@ -100,14 +107,7 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
-            raise ConfigurationError(f"step_size must be > 0, got {self.step_size!r}")
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise ConfigurationError(f"horizon must be > 0, got {self.horizon!r}")
-        if not isinstance(self.record_stride, int) or self.record_stride < 1:
-            raise ConfigurationError(
-                f"record_stride must be a positive integer, got {self.record_stride!r}"
-            )
+        check("integrator", INTEGRATOR_RULES, **vars(self))
         n = steps_on_grid(self.horizon, self.step_size, "horizon")
         if n < 1:
             raise ConfigurationError("horizon must cover at least one step")
@@ -154,13 +154,8 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
 def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, held_values: int) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory, or take more than
-    ``_MAX_PATH_STEPS`` path-steps.
-
-    The memory estimate counts the ``held_values`` values the caller keeps
-    (its recorded rows, or its statistics blocks and outputs), and the
-    delay ring, state buffers, per-run vectors and noise chunk (with its
-    ``uint64`` work array) of :func:`euler_maruyama`, 8 bytes per value.
-    Both checks run before any seed is derived or any array allocated.
+    ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
+    :func:`euler_maruyama` to the ``held_values`` values the caller keeps.
     """
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
     held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4) + noise_chunk)
@@ -196,10 +191,9 @@ def block_rows(cfg: IntegratorConfig, values_per_row: int) -> int:
 
 
 def block_recorder(cfg: IntegratorConfig, block: int, fill, reduce):
-    """A ``record`` callback for :func:`euler_maruyama` that reduces the
-    recorded rows in blocks of ``block`` rows: ``fill(j, x)`` stores a row
-    as row ``j`` of the block, and ``reduce(first, count)`` runs once the
-    block is full, and after the last row on the partial block left."""
+    """A ``record`` callback for :func:`euler_maruyama` that stores each
+    row with ``fill(j, x)`` as row ``j`` of a block of ``block`` rows, and
+    calls ``reduce(first, count)`` on every full block and the last one."""
     last = cfg.recorded_count - 1
 
     def record(row, x):
@@ -215,24 +209,20 @@ def euler_maruyama(
     drift, start, delays, delayed_column, noise, seeds, cfg, record, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
-    sqrt(h) Z(n)`` for one run per seed; the operation order fixes the
-    bits of every output.  The state is ``(components, runs)``, in two
-    buffers that swap roles each step; ``drift(x, d, out)`` writes the
-    drift at the component rows ``x`` into the rows ``out``.
+    sqrt(h) Z(n)`` for one run per seed, ``Z(n)`` its counter stream at
+    step ``n``, on a ``(components, runs)`` state; the operation order
+    fixes the bits of every output.  ``drift(x, d, out)`` writes the drift
+    at the component rows ``x`` into the rows ``out``.
 
-    ``delays`` splits the runs, in seed order, into groups: an item
-    ``(runs, early)`` gives the next ``runs`` runs ``D(n)`` = row
-    ``delayed_column`` of ``X(n - k)``, or ``early[n]`` for the first ``k
-    = len(early)`` steps.  A ring of ``K + 1`` rows, ``K`` the largest
-    ``k``, holds the delayed values still to be read: step ``n`` reads row
-    ``n mod (K + 1)``, and each group writes ``D(n + k + 1)`` to row ``(n +
-    k + 1) mod (K + 1)``.  ``Z(n)`` is each run's counter stream at step
-    ``n``, drawn in chunks of steps.  ``record(row, x)`` receives the start
-    as row 0 and every ``cfg.record_stride``-th state after it.  With
-    ``project``, negative components are clamped to zero after each step.
-    Returns the terminal state and the per-run count of clamped steps;
-    raises :class:`NumericsError` with ``step`` and ``run`` set for the
-    lowest run index at the earliest non-finite step.
+    ``delays`` splits the runs, in seed order, into groups ``(runs,
+    early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
+    ``early[n]`` for the first ``k = len(early)`` steps.  ``record(row,
+    x)`` receives the start as row 0 and every ``cfg.record_stride``-th
+    state after it.  With ``project``, negative components are clamped to
+    zero after each step.  Returns the terminal state and the per-run
+    count of clamped steps; raises :class:`NumericsError` with ``step``
+    and ``run`` set for the lowest run index at the earliest non-finite
+    step.
     """
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
@@ -402,25 +392,21 @@ def second_moment_envelope(
     p: ModelParams,
     initial_sq_norm: float,
     times: np.ndarray,
-    razumikhin_q: float = 1.0,
 ) -> np.ndarray:
-    """Gronwall envelope ``(V0 + C t) * exp(C (1 + q) t)`` dominating the
+    """Gronwall envelope ``(V0 + C t) * exp(2 C t)`` dominating the
     expected squared norm of non-exploding solutions.
 
-    ``C`` comes from :func:`generator_growth_constant`; ``q >= 0`` weights
-    the delayed term (the delayed squared norm is assumed bounded by ``q``
-    times the current one).  The envelope is deliberately crude - its role
+    ``C`` comes from :func:`generator_growth_constant`; the delayed squared
+    norm is assumed bounded by the current one.  The envelope is deliberately crude - its role
     is to certify the absence of blow-up, not to be tight.  Values whose
     logarithm exceeds the float range saturate at ~8e307 instead of
     overflowing to infinity.
     """
     if initial_sq_norm < 0:
         raise ValueError("initial_sq_norm must be >= 0")
-    if razumikhin_q < 0:
-        raise ValueError("razumikhin_q must be >= 0")
     t = np.asarray(times, dtype=float)
     c = generator_growth_constant(p)
-    log_env = np.log(initial_sq_norm + c * t) + c * (1.0 + razumikhin_q) * t
+    log_env = np.log(initial_sq_norm + c * t) + 2.0 * c * t
     return np.exp(np.minimum(log_env, 709.0))
 
 

@@ -24,9 +24,13 @@ Every diffusion coefficient is proportional to its own state component
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 __all__ = [
     "COMPARTMENTS",
@@ -64,12 +68,110 @@ DEFAULT_NOISE_INTENSITY = 0.01
 # Default initial spreader share of the population (rest susceptible).
 DEFAULT_SPREADER_FRACTION = 0.005
 
+NONNEGATIVE = (float, ">= 0", lambda v: v >= 0.0)
+POSITIVE = (float, "> 0", lambda v: v > 0.0)
+COUNT = (int, ">= 1", lambda v: v >= 1)
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+# The rules of each block of fields, in the order their violations are
+# reported; one table serves a config file (see :mod:`rumorsim.config`) and
+# the library's constructors and entry points (see :func:`check`).  A rule
+# is a type, a ``(type, bound, test)`` triple, a frozenset of the strings
+# allowed, a one-rule list for a non-empty list of values that pass it, or
+# the rules of the noise object.
+COMPARTMENT_RULES = dict.fromkeys(COMPARTMENTS, NONNEGATIVE)
+MODEL_RULES = {
+    "beta": NONNEGATIVE, "sigma_act": POSITIVE, "gamma": POSITIVE, "rho": POSITIVE,
+    "theta": POSITIVE, "tau": NONNEGATIVE, "population": POSITIVE, "noise": COMPARTMENT_RULES,
+}
+
+_KINDS = {
+    float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
+    bool: (bool, "true or false"), str: (str, "a non-empty string"),
+}
+
+
+class _Reader:
+    """Reads values by their rules, recording every violation; a value that
+    breaks its rule reads as its default."""
+
+    def __init__(self):
+        self.errors: list[str] = []
+
+    def reject(self, message: str, default):
+        self.errors.append(message)
+        return default
+
+    def block(self, raw, path: str, rules: dict, default, what: str = "") -> dict:
+        """The fields of the object ``raw``, a missing one at its value in ``default``."""
+        if not isinstance(raw, dict):
+            raw = self.reject(f"{path}: must be an object{what}", {})
+        self.errors += [f"{path}.{key}: unknown field" for key in raw if key not in rules]
+        values = {}
+        for name, rule in rules.items():
+            fallback = getattr(default, name)
+            values[name] = self.read(raw[name], f"{path}.{name}", rule, fallback) if name in raw else fallback
+            # the one rule on two fields, reported as soon as both are read
+            if path == "stability" and name == "i0" and values["e0"] == values["i0"] == 0.0:
+                self.errors.append("stability.e0/i0: must not both be zero")
+        return values
+
+    def read(self, value, path: str, rule, default):
+        """``value`` if it passes ``rule``, else ``default``."""
+        if isinstance(rule, dict):
+            noise = self.block(value, path, rule, default, " with per-compartment intensities")
+            return NoiseIntensities(**noise)
+        if isinstance(rule, frozenset):
+            if value not in sorted(rule):  # a list: a JSON value may be unhashable
+                return self.reject(f"{path}: must be one of {sorted(rule)}, got {value!r}", default)
+            return value
+        if isinstance(rule, list) and isinstance(rule[0], frozenset):
+            allowed = sorted(rule[0])
+            if not isinstance(value, (list, tuple)) or not value:
+                return self.reject(f"{path}: must be a non-empty list drawn from {allowed}", default)
+            picked = []
+            for item in value:
+                if item not in allowed:
+                    either = " or ".join(map(repr, allowed))
+                    self.errors.append(f"{path}: must contain only {either}, got {item!r}")
+                elif item not in picked:
+                    picked.append(item)
+            return tuple(picked) or default
+        if isinstance(rule, list):
+            if not isinstance(value, (list, tuple)) or not value:
+                return self.reject(f"{path}: must be a non-empty list of numbers", default)
+            items = []
+            for k, item in enumerate(value):
+                item = self.read(item, f"{path}[{k}]", rule[0], None)
+                if item is None:
+                    return default
+                items.append(item)
+            return tuple(items)
+        kind, bound, test = rule if isinstance(rule, tuple) else (rule, None, None)
+        types, noun = _KINDS[kind]
+        # JSON's true and false are Python ints, but neither numbers nor integers here
+        if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool) or value == "":
+            return self.reject(f"{path}: must be {noun}", default)
+        if kind is float:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                return self.reject(f"{path}: must be finite", default)
+        if bound and not test(value):
+            shown = f"{value:g}" if kind is float else value
+            return self.reject(f"{path}: must be {bound}, got {shown}", default)
+        return value
+
+
+def check(path: str, rules: dict, **values) -> None:
+    """Raise :class:`ConfigurationError` listing every one of ``values``
+    that breaks its rule in ``rules``, as ``path.name: must be ...``, the
+    words a config file's violations are reported in."""
+    reader = _Reader()
+    reader.block(values, path, {name: rules[name] for name in values}, SimpleNamespace(**values))
+    if reader.errors:
+        raise ConfigurationError("; ".join(reader.errors))
 
 
 @dataclass(frozen=True)
@@ -84,10 +186,7 @@ class NoiseIntensities:
     f: float = DEFAULT_NOISE_INTENSITY
 
     def __post_init__(self):
-        for name in COMPARTMENTS:
-            value = _require_finite(f"noise.{name}", getattr(self, name))
-            if value < 0:
-                raise ValueError(f"noise.{name} must be >= 0, got {value}")
+        check("model.noise", COMPARTMENT_RULES, **vars(self))
 
     @classmethod
     def uniform(cls, level: float) -> "NoiseIntensities":
@@ -129,21 +228,9 @@ class ModelParams:
     population: float = 1.0
 
     def __post_init__(self):
-        beta = _require_finite("beta", self.beta)
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
-        for name in ("sigma_act", "gamma", "rho", "theta"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        tau = _require_finite("tau", self.tau)
-        if tau < 0:
-            raise ValueError(f"tau must be >= 0, got {tau}")
         if not isinstance(self.noise, NoiseIntensities):
             raise TypeError("noise must be a NoiseIntensities instance")
-        population = _require_finite("population", self.population)
-        if population <= 0:
-            raise ValueError(f"population must be > 0, got {population}")
+        check("model", MODEL_RULES, **{name: value for name, value in vars(self).items() if name != "noise"})
 
     @property
     def removal_rate(self) -> float:
@@ -163,10 +250,7 @@ class StateVector:
     f: float
 
     def __post_init__(self):
-        for name in COMPARTMENTS:
-            value = _require_finite(name, getattr(self, name))
-            if value < 0:
-                raise ValueError(f"state component {name} must be >= 0, got {value}")
+        check("initial", COMPARTMENT_RULES, **vars(self))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i, self.r, self.ig, self.f])
@@ -424,10 +508,6 @@ class HistoryFunction:
     @property
     def span(self) -> float:
         return float(-self._xi[0])
-
-    def initial_state(self) -> np.ndarray:
-        """State at lag 0, the integration's starting point."""
-        return self._samples[-1].copy()
 
     def __call__(self, xi) -> np.ndarray:
         """Evaluate the history at lag(s) ``xi <= 0``."""

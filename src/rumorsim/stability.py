@@ -38,7 +38,7 @@ from .integrator import (
     recorded_times,
     write_table,
 )
-from .model import ModelParams, StateVector, drift, stochastic_margin
+from .model import COUNT, NONNEGATIVE, ModelParams, StateVector, check, drift, stochastic_margin
 from .rng import derive_seed
 
 __all__ = [
@@ -65,6 +65,8 @@ GROWTH_RATIO = 1e2
 # and stops before the estimate underflows the log scale.
 _FIT_START_FRACTION = 0.1
 _FIT_FLOOR = 1e-12
+
+STABILITY_RULES = {"e0": NONNEGATIVE, "i0": NONNEGATIVE, "run_count": COUNT}
 
 
 class EquilibriumClass(enum.Enum):
@@ -173,10 +175,7 @@ def simulate_linearized(
     ``DECAY_RATIO`` times the initial one, growth if it rose above
     ``GROWTH_RATIO`` times, inconclusive in between.
     """
-    if e0 < 0 or i0 < 0 or (e0 == 0 and i0 == 0):
-        raise ValueError("initial perturbation must be nonnegative and not identically zero")
-    if run_count < 1:
-        raise ValueError(f"run_count must be >= 1, got {run_count}")
+    check("stability", STABILITY_RULES, e0=e0, i0=i0, run_count=run_count)
     rows = cfg.recorded_count
     block = block_rows(cfg, 2 * run_count)
     # one block of (E, I) rows, and the estimate with its times

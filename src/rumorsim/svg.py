@@ -25,6 +25,8 @@ PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 720
+_HEIGHT = 460
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 14.0
 _MARGIN_TOP = 30.0
@@ -82,8 +84,6 @@ def render_svg(
     title: str = "",
     x_label: str = "t",
     y_label: str = "value",
-    width: int = 720,
-    height: int = 460,
 ) -> str:
     """Render labeled series into a standalone SVG document.
 
@@ -113,25 +113,25 @@ def render_svg(
     x_lo, x_hi = _padded(x_min, x_max)
     y_lo, y_hi = _padded(y_min, y_max)
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     # elementwise, so pixels are the same for scalars and for arrays
     def sx(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return height - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return _HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n')
     if title:
         out.append(
-            f'<text x="{_coord(width / 2)}" y="18" text-anchor="middle" '
+            f'<text x="{_coord(_WIDTH / 2)}" y="18" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
         )
 
@@ -139,8 +139,8 @@ def render_svg(
     frame = (
         _MARGIN_LEFT,
         _MARGIN_TOP,
-        width - _MARGIN_RIGHT,
-        height - _MARGIN_BOTTOM,
+        _WIDTH - _MARGIN_RIGHT,
+        _HEIGHT - _MARGIN_BOTTOM,
     )
     out.append(
         f'<rect x="{_coord(frame[0])}" y="{_coord(frame[1])}" '
@@ -168,7 +168,7 @@ def render_svg(
             f'font-family="sans-serif" font-size="11">{tick:.6g}</text>\n'
         )
     out.append(
-        f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" y="{_coord(height - 8)}" '
+        f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" y="{_coord(_HEIGHT - 8)}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
     )
     out.append(

@@ -374,6 +374,19 @@ class TestCompare:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("repeated", ["--result", "--reference"])
+    def test_repeated_cell_is_rejected(self, tmp_path, capsys, repeated):
+        table = "tau,R0,beta,peak_mean,peak_std,final_mean,final_std\n0,0.5,0.075,0.1,0,0.2,0\n"
+        tables = {"--result": "# run_count=3\n" + table, "--reference": table}
+        tables[repeated] += "0.0,0.5000000001,0.075,9,0,0.2,0\n"
+        argv = ["compare", "--out", str(tmp_path / "out")]
+        for flag, content in tables.items():
+            (tmp_path / flag[2:]).write_text(content)
+            argv += [flag, str(tmp_path / flag[2:])]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / repeated[2:]}: lists a (tau, R0) cell more than once, to 9 decimals\n"
+
 
 class TestDeterminism:
     def test_rerun_from_echo_is_byte_identical(self, tmp_path, capsys):
@@ -470,6 +483,14 @@ class TestFuzz:
     @example(  # a zero reference mean
         result="# run_count=3\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n5,0.5,0.075,0,0,-0.2,0\n",
         reference=_HEADER + "0,0.5,0.075,0,0,0,0\n5,0.5,0.075,0,0,0,0\n",
+    )
+    @example(  # a reference that lists a cell twice
+        result="# run_count=3\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n",
+        reference=_HEADER + "0,0.5,0.075,0.1,0,0.2,0\n0,0.5,0.075,9,0,0.2,0\n",
+    )
+    @example(  # a result that lists a cell twice, alike to 9 decimals
+        result="# run_count=3\n" + _HEADER + "0,0.5,0.075,0.1,0,0.2,0\n1e-10,0.5,0.075,0.1,0,0.2,0\n",
+        reference=None,
     )
     def test_every_compare_input_ends(self, tmp_path, capsys, result, reference):
         argv = ["compare", "--out", str(tmp_path / "out")]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,11 +7,20 @@ from strategies import CONFIGS
 
 from rumorsim import (
     ConfigFileError,
+    ConfigurationError,
+    HistoryFunction,
     IntegratorConfig,
+    ModelParams,
+    NoiseIntensities,
     RumorSimError,
+    StateVector,
+    SweepSpec,
+    confidence_band,
     config,
     default_initial_state,
     default_params,
+    run_ensemble,
+    simulate_linearized,
 )
 from rumorsim.config import (
     apply_overrides,
@@ -218,6 +228,94 @@ class TestViolationOrder:
             "integrator.record_stride: step count 2000 is not a multiple of 3",
             "integrator: tau (0.25) must be an integer multiple of the step size (0.1); got ratio 2.5",
         ]
+
+
+_P = default_params()
+_CFG = IntegratorConfig(0.1, 1.0)
+
+# the library constructor or entry point that takes each block's fields
+_LIBRARY = {
+    "model": lambda **kw: ModelParams(**vars(_P) | kw),
+    "model.noise": NoiseIntensities,
+    "initial": lambda **kw: StateVector(**vars(default_initial_state(_P)) | kw),
+    "integrator": IntegratorConfig,
+    "ensemble": lambda run_count=2, **kw: run_ensemble(
+        _P, HistoryFunction.constant(default_initial_state(_P)), _CFG, run_count, 1, **kw
+    ),
+    "stability": lambda e0=0.005, i0=0.005, run_count=2: simulate_linearized(_P, e0, i0, _CFG, run_count, 1),
+    "sweep": lambda taus=(0.0,), r0_values=(1.0,), run_count=2: SweepSpec(taus, r0_values, run_count, 1, _P),
+}
+
+# a value that breaks each field's rule: a wrong type, a bound, a non-finite
+# number, a list item or an empty list
+_BROKEN = [
+    ("model.beta", "0.3"),
+    ("integrator.projection_enabled", "no"),
+    ("initial.s", True),
+    ("ensemble.run_count", 2.5),
+    ("sweep.r0_values", [math.inf]),
+    ("stability.run_count", 2.5),
+    ("sweep.run_count", 2.5),
+    ("model.sigma_act", 0.0),
+    ("model.gamma", -1.0),
+    ("model.rho", math.nan),
+    ("model.theta", True),
+    ("model.tau", -0.5),
+    ("model.population", 10**400),
+    ("model.noise.s", -0.1),
+    ("model.noise.e", "x"),
+    ("model.noise.i", math.inf),
+    ("model.noise.r", None),
+    ("model.noise.ig", [0.1]),
+    ("model.noise.f", -1),
+    ("initial.e", -0.1),
+    ("initial.i", "0"),
+    ("initial.r", -math.inf),
+    ("initial.ig", None),
+    ("initial.f", -1e-9),
+    ("integrator.step_size", 0.0),
+    ("integrator.horizon", -1.0),
+    ("integrator.record_stride", 1.5),
+    ("ensemble.ci_level", 1.0),
+    ("ensemble.ci_method", "median"),
+    ("stability.e0", -1.0),
+    ("stability.i0", "x"),
+    ("sweep.taus", [-1.0]),
+    ("sweep.taus", []),
+]
+
+
+class TestLibraryAgreement:
+    """The config file and the library reject a value by the same rule, in
+    the same words."""
+
+    def test_every_rule_table_field_is_broken(self):
+        schema = {**config._SCHEMA, "model.noise": config._SCHEMA["model"]["noise"]}
+        fields = {
+            f"{block}.{name}" for block, rules in schema.items() for name in rules
+            if block != "output" and name not in ("seed", "noise")
+        }
+        assert fields == {path for path, _ in _BROKEN}
+
+    @pytest.mark.parametrize("path,value", _BROKEN, ids=[f"{p}={v!r:.12}" for p, v in _BROKEN])
+    def test_config_and_library_report_the_same_violation(self, path, value):
+        *blocks, name = path.split(".")
+        data = {name: value}
+        for block in reversed(blocks):
+            data = {block: data}
+        with pytest.raises(ConfigFileError) as from_file:
+            from_dict(data)
+        with pytest.raises(ConfigurationError) as from_library:
+            _LIBRARY[".".join(blocks)](**{name: value})
+        assert [v.split(":")[0].split("[")[0] for v in from_file.value.violations] == [path]
+        assert str(from_library.value) == from_file.value.violations[0]
+
+    @pytest.mark.parametrize(
+        "path,level,method", [("ensemble.ci_level", 0.0, "normal"), ("ensemble.ci_method", 0.9, "")]
+    )
+    def test_confidence_band_reports_the_ensemble_violation(self, path, level, method):
+        with pytest.raises(ConfigurationError, match=rf"^{path}: must be"):
+            confidence_band([1.0, 2.0], level, method)
 
 
 class TestFuzz:
