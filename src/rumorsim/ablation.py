@@ -168,7 +168,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cells = []
     for c, (tau, (r0, beta)) in enumerate(itertools.product(taus, zip(r0s, betas))):
         rows = slice(c * n, (c + 1) * n)
-        _warn_if_unconverged(terminal[2, rows], spec.template.population)
+        cell = f"sweep cell (tau={tau:g}, R0={r0:g}): "
+        _warn_if_unconverged(terminal[2, rows], spec.template.population, cell)
         m = OutbreakMetrics(
             peak_values=peak[rows],
             peak_times=np.full(n, np.nan),  # not tracked by the sweep

@@ -54,14 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic delayed rumor-propagation simulations and analyses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "integrate one realization and export the trajectory"),
-        ("ensemble", "run a Monte Carlo ensemble and export summary and metrics"),
-        ("stability", "threshold margin and empirical mean-square decay report"),
-        ("ablate", "sweep the delay x reproduction-number grid"),
-        ("compare", "compare a sweep result CSV against a reference table"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument("--config", metavar="PATH", help="JSON configuration file")
         cmd.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, metavar="INT", help="base seed (overrides config)")
@@ -108,22 +102,24 @@ def _outputs(cfg: RunConfig):
     return output, written
 
 
-def _cmd_simulate(cfg: RunConfig) -> list[Path]:
-    output, written = _outputs(cfg)
+def _write_compartments(times, table, path, title: str) -> None:
+    """Chart each compartment column of ``table`` against ``times``."""
+    series = [Series(name, times, table[:, idx]) for idx, name in enumerate(CSV_COMPARTMENTS)]
+    write_svg(series, path, title=title, y_label="density")
+
+
+def _cmd_simulate(cfg: RunConfig, output, args) -> None:
+    """integrate one realization and export the trajectory"""
     trajectory = integrate(cfg.model, HistoryFunction.constant(cfg.initial), cfg.integrator, cfg.ensemble.seed)
     if cfg.output.wants_csv:
         write_trajectory_csv(trajectory, output("trajectory.csv"))
     if cfg.output.wants_svg:
-        series = [
-            Series(label=name, times=trajectory.times, values=trajectory.states[:, idx])
-            for idx, name in enumerate(CSV_COMPARTMENTS)
-        ]
-        write_svg(series, output("trajectory.svg"), title="Compartment trajectories", y_label="density")
-    return written
+        path, title = output("trajectory.svg"), "Compartment trajectories"
+        _write_compartments(trajectory.times, trajectory.states, path, title)
 
 
-def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
-    output, written = _outputs(cfg)
+def _cmd_ensemble(cfg: RunConfig, output, args) -> None:
+    """run a Monte Carlo ensemble and export summary and metrics"""
     result = run_ensemble(
         cfg.model,
         HistoryFunction.constant(cfg.initial),
@@ -159,20 +155,12 @@ def _cmd_ensemble(cfg: RunConfig) -> list[Path]:
             ),
             y_label="density",
         )
-        write_svg(
-            [
-                Series(label=name, times=summary.times, values=summary.mean[:, idx])
-                for idx, name in enumerate(CSV_COMPARTMENTS)
-            ],
-            output("compartment_means.svg"),
-            title=f"Compartment means, {summary.run_count} runs",
-            y_label="density",
-        )
-    return written
+        title = f"Compartment means, {summary.run_count} runs"
+        _write_compartments(summary.times, summary.mean, output("compartment_means.svg"), title)
 
 
-def _cmd_stability(cfg: RunConfig) -> list[Path]:
-    output, written = _outputs(cfg)
+def _cmd_stability(cfg: RunConfig, output, args) -> None:
+    """threshold margin and empirical mean-square decay report"""
     report = simulate_linearized(
         cfg.model,
         cfg.stability.e0,
@@ -196,11 +184,10 @@ def _cmd_stability(cfg: RunConfig) -> list[Path]:
             title=f"Second-moment estimate ({report.verdict.value})",
             y_label="second moment",
         )
-    return written
 
 
-def _cmd_ablate(cfg: RunConfig) -> list[Path]:
-    output, written = _outputs(cfg)
+def _cmd_ablate(cfg: RunConfig, output, args) -> None:
+    """sweep the delay x reproduction-number grid"""
     sweep = cfg.sweep
     result = run_sweep(
         SweepSpec(
@@ -243,21 +230,30 @@ def _cmd_ablate(cfg: RunConfig) -> list[Path]:
                 for i, tau_label in enumerate(labels)
             ]
             write_svg(series, output(fname), title=label, x_label="R0", y_label=label)
-    return written
 
 
-def _cmd_compare(cfg: RunConfig, result_path: str, reference_path: str | None) -> list[Path]:
-    output, written = _outputs(cfg)
-    result = read_sweep_csv(result_path)
-    reference = load_reference(reference_path)
-    if reference_path is None:
+def _cmd_compare(cfg: RunConfig, output, args) -> None:
+    """compare a sweep result CSV against a reference table"""
+    result = read_sweep_csv(args.result)
+    reference = load_reference(args.reference)
+    if args.reference is None:
         reference = filter_reference(
             reference,
             {c.tau for c in result.cells},
             {c.r0 for c in result.cells},
         )
     write_deviation_csv(compare_to_reference(result, reference), output("deviation.csv"))
-    return written
+
+
+# Every subcommand takes ``(cfg, output, args)`` and writes its files through
+# ``output``; its docstring is its help line.
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "ensemble": _cmd_ensemble,
+    "stability": _cmd_stability,
+    "ablate": _cmd_ablate,
+    "compare": _cmd_compare,
+}
 
 
 def _one_line(message) -> str:
@@ -270,16 +266,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "simulate":
-            written = _cmd_simulate(cfg)
-        elif args.command == "ensemble":
-            written = _cmd_ensemble(cfg)
-        elif args.command == "stability":
-            written = _cmd_stability(cfg)
-        elif args.command == "ablate":
-            written = _cmd_ablate(cfg)
-        else:
-            written = _cmd_compare(cfg, args.result, args.reference)
+        output, written = _outputs(cfg)
+        _COMMANDS[args.command](cfg, output, args)
     except ConfigFileError as exc:
         for violation in exc.violations:
             print(f"error: {_one_line(violation)}", file=sys.stderr)

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 from .ablation import SWEEP_RULES
 from .ensemble import ENSEMBLE_RULES
-from .errors import ConfigFileError, ConfigurationError
-from .integrator import INTEGRATOR_RULES, IntegratorConfig, steps_on_grid
+from .errors import ConfigFileError
+from .integrator import INTEGRATOR_RULES, IntegratorConfig, grid_violations
 from .model import (
     COMPARTMENT_RULES, MODEL_RULES, ModelParams, StateVector, _Reader, default_initial_state, default_params,
 )
@@ -121,15 +121,7 @@ def from_dict(data: dict) -> RunConfig:
         reader.errors.append(
             f"initial: components must sum to the population ({population:g}), got {initial_sum:g}"
         )
-    try:
-        n_steps = steps_on_grid(integ["horizon"], integ["step_size"], "horizon")
-        if n_steps % integ["record_stride"] != 0:
-            reader.errors.append(
-                f"integrator.record_stride: step count {n_steps} is not a multiple of {integ['record_stride']}"
-            )
-        steps_on_grid(model["tau"], integ["step_size"], "tau")
-    except ConfigurationError as exc:
-        reader.errors.append(f"integrator: {exc}")
+    reader.errors += grid_violations(integ["step_size"], integ["horizon"], integ["record_stride"], model["tau"])
 
     if reader.errors:
         raise ConfigFileError(reader.errors)

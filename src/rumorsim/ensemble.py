@@ -217,18 +217,20 @@ class EnsembleResult:
     metrics: OutbreakMetrics
 
 
-def _warn_if_unconverged(terminal_spreader: np.ndarray, population: float) -> None:
-    """Warn the caller's caller when the mean terminal spreader mass is not
-    below the extinction fraction."""
-    terminal_spreader_mean = float(terminal_spreader.mean())
-    if terminal_spreader_mean >= EXTINCTION_FRACTION * population:
+def _warn_if_unconverged(terminal_spreader, population: float, prefix: str = "") -> bool:
+    """Whether the mean terminal spreader mass is below the extinction
+    fraction; warns the caller's caller, after ``prefix``, when it is not."""
+    terminal_spreader_mean = float(np.mean(terminal_spreader))
+    converged = terminal_spreader_mean < EXTINCTION_FRACTION * population
+    if not converged:
         warnings.warn(
-            f"ensemble-mean spreader mass at the horizon is "
+            f"{prefix}mean spreader mass at the horizon is "
             f"{terminal_spreader_mean:.3g} >= {EXTINCTION_FRACTION:g} * N; "
             f"final-size statistics are not converged, extend the horizon",
             FinalSizeHorizonWarning,
             stacklevel=3,
         )
+    return converged
 
 
 def run_ensemble(

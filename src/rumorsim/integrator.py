@@ -92,13 +92,32 @@ def steps_on_grid(value: float, step_size: float, what: str) -> int:
     return int(n)
 
 
+def grid_violations(step_size: float, horizon: float, record_stride: int, tau: float = 0.0) -> list[str]:
+    """Every breach of the grid contract, in a config file's words: the
+    horizon is a whole number of at least one step, the step count a whole
+    number of recording strides, and the delay on the step grid."""
+    errors = []
+    try:
+        n = steps_on_grid(horizon, step_size, "horizon")
+        if n < 1:
+            errors.append(
+                f"integrator.horizon: must cover at least one step of size {step_size:g}, got {horizon:g}"
+            )
+        elif n % record_stride != 0:
+            errors.append(f"integrator.record_stride: step count {n} is not a multiple of {record_stride}")
+        steps_on_grid(tau, step_size, "tau")
+    except ConfigurationError as exc:
+        errors.append(f"integrator: {exc}")
+    return errors
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, horizon, projection switch, and recording stride.
 
-    The horizon must be a whole number of steps and the step count a whole
-    number of recording strides so the recorded grid always contains both
-    ``t = 0`` and ``t = horizon``.
+    The horizon must be a whole number of at least one step and the step
+    count a whole number of recording strides so the recorded grid always
+    contains both ``t = 0`` and ``t = horizon``.
     """
 
     step_size: float = 0.1
@@ -108,13 +127,9 @@ class IntegratorConfig:
 
     def __post_init__(self):
         check("integrator", INTEGRATOR_RULES, **vars(self))
-        n = steps_on_grid(self.horizon, self.step_size, "horizon")
-        if n < 1:
-            raise ConfigurationError("horizon must cover at least one step")
-        if n % self.record_stride != 0:
-            raise ConfigurationError(
-                f"step count {n} is not a multiple of record_stride {self.record_stride}"
-            )
+        errors = grid_violations(self.step_size, self.horizon, self.record_stride)
+        if errors:
+            raise ConfigurationError("; ".join(errors))
 
     @property
     def step_count(self) -> int:

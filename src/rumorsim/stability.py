@@ -20,12 +20,11 @@ verdict instead of re-deriving the analysis.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EXTINCTION_FRACTION, EnsembleSummary, FinalSizeHorizonWarning
+from .ensemble import EnsembleSummary, _warn_if_unconverged
 from .errors import NumericsError
 from .integrator import (
     IntegratorConfig,
@@ -266,9 +265,9 @@ def final_size(source, p: ModelParams) -> FinalSizeReport:
     """Read the terminal (S, R, F) split from a trajectory or an ensemble
     summary (which uses the terminal mean state).
 
-    Warns with :class:`FinalSizeHorizonWarning` when the terminal spreader
-    mass shows the outbreak had not died out by the horizon; the
-    conservation residual ``|S + R + F - N|`` quantifies how far the
+    Warns with :class:`~rumorsim.ensemble.FinalSizeHorizonWarning` when
+    the terminal spreader mass shows the outbreak had not died out by the
+    horizon; the conservation residual ``|S + R + F - N|`` quantifies how far the
     terminal state is from a true limiting equilibrium.
     """
     if isinstance(source, Trajectory):
@@ -278,22 +277,13 @@ def final_size(source, p: ModelParams) -> FinalSizeReport:
     else:
         raise TypeError(f"expected Trajectory or EnsembleSummary, got {type(source).__name__}")
     s_inf, r_inf, f_inf = float(terminal[0]), float(terminal[3]), float(terminal[5])
-    spreader = float(terminal[2])
-    extinguished = spreader < EXTINCTION_FRACTION * p.population
-    if not extinguished:
-        warnings.warn(
-            f"terminal spreader mass {spreader:.3g} >= {EXTINCTION_FRACTION:g} * N; "
-            f"final-size values are not converged",
-            FinalSizeHorizonWarning,
-            stacklevel=2,
-        )
     return FinalSizeReport(
         s_inf=s_inf,
         r_inf=r_inf,
         f_inf=f_inf,
-        terminal_spreader=spreader,
+        terminal_spreader=float(terminal[2]),
         conservation_residual=abs(s_inf + r_inf + f_inf - p.population),
-        extinguished=extinguished,
+        extinguished=_warn_if_unconverged(terminal[2], p.population),
     )
 
 

@@ -1,9 +1,9 @@
 """Minimal, dependency-free SVG line charts for time series with optional
 shaded confidence bands.
 
-The output is a standalone SVG document built by plain string formatting,
-so identical input always yields identical bytes; that property carries
-the determinism contract of the CLI all the way into the figures.
+The output is a standalone SVG document whose every element one writer,
+``_tag``, formats as plain text, so identical input always yields identical
+bytes; that carries the determinism contract of the CLI into the figures.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _MARGIN_RIGHT = 14.0
 _MARGIN_TOP = 30.0
 _MARGIN_BOTTOM = 46.0
 _TICK_COUNT = 5
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,25 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(map("%.3f,%.3f".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
+def _escape(text: str) -> str:
+    return text.translate(_ESCAPES)
+
+
+def _tag(name: str, body=None, **attrs) -> str:
+    """One element on its own line.  Attributes print in the order given,
+    ``_`` in a name as ``-`` (``class_`` as ``class``), floats through
+    :func:`_coord` and other values as given.  A text ``body`` is escaped;
+    a list body holds child elements."""
+    fields = "".join(
+        f' {key.rstrip("_").replace("_", "-")}="{_coord(v) if isinstance(v, float) else v}"'
+        for key, v in attrs.items()
+    )
+    if body is None:
+        return f"<{name}{fields}/>\n"
+    inner = "\n" + "".join(body) if isinstance(body, list) else _escape(body)
+    return f"<{name}{fields}>{inner}</{name}>\n"
+
+
 def render_svg(
     series,
     *,
@@ -113,115 +133,59 @@ def render_svg(
     x_lo, x_hi = _padded(x_min, x_max)
     y_lo, y_hi = _padded(y_min, y_max)
 
-    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    left, top, right, bottom = _MARGIN_LEFT, _MARGIN_TOP, _WIDTH - _MARGIN_RIGHT, _HEIGHT - _MARGIN_BOTTOM
+    plot_w, plot_h = right - left, bottom - top
 
     # elementwise, so pixels are the same for scalars and for arrays
     def sx(x):
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return _HEIGHT - _MARGIN_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
-    )
-    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n')
+    def text(body, x, y, size, anchor=None, **extra):
+        anchored = {"text_anchor": anchor} if anchor else {}
+        return _tag("text", body, x=x, y=y, **anchored, font_family="sans-serif", font_size=size, **extra)
+
+    colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(series))]
+    out = [_tag("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="#ffffff")]
     if title:
-        out.append(
-            f'<text x="{_coord(_WIDTH / 2)}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
-        )
-
-    # frame and ticks
-    frame = (
-        _MARGIN_LEFT,
-        _MARGIN_TOP,
-        _WIDTH - _MARGIN_RIGHT,
-        _HEIGHT - _MARGIN_BOTTOM,
-    )
+        out.append(text(title, _WIDTH / 2, 18, 14, "middle"))
     out.append(
-        f'<rect x="{_coord(frame[0])}" y="{_coord(frame[1])}" '
-        f'width="{_coord(plot_w)}" height="{_coord(plot_h)}" '
-        f'fill="none" stroke="#444444" stroke-width="1"/>\n'
+        _tag("rect", x=left, y=top, width=plot_w, height=plot_h, fill="none", stroke="#444444", stroke_width=1)
     )
     for tick in np.linspace(x_lo, x_hi, _TICK_COUNT):
-        px = sx(tick)
-        out.append(
-            f'<line x1="{_coord(px)}" y1="{_coord(frame[3])}" '
-            f'x2="{_coord(px)}" y2="{_coord(frame[3] + 5)}" stroke="#444444"/>\n'
-        )
-        out.append(
-            f'<text x="{_coord(px)}" y="{_coord(frame[3] + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>\n'
-        )
+        out.append(_tag("line", x1=sx(tick), y1=bottom, x2=sx(tick), y2=bottom + 5, stroke="#444444"))
+        out.append(text(f"{tick:.6g}", sx(tick), bottom + 18, 11, "middle"))
     for tick in np.linspace(y_lo, y_hi, _TICK_COUNT):
-        py = sy(tick)
-        out.append(
-            f'<line x1="{_coord(frame[0] - 5)}" y1="{_coord(py)}" '
-            f'x2="{_coord(frame[0])}" y2="{_coord(py)}" stroke="#444444"/>\n'
-        )
-        out.append(
-            f'<text x="{_coord(frame[0] - 8)}" y="{_coord(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.6g}</text>\n'
-        )
-    out.append(
-        f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" y="{_coord(_HEIGHT - 8)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
-    )
-    out.append(
-        f'<text x="14" y="{_coord(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_coord(_MARGIN_TOP + plot_h / 2)})">{_escape(y_label)}</text>\n'
-    )
+        out.append(_tag("line", x1=left - 5, y1=sy(tick), x2=left, y2=sy(tick), stroke="#444444"))
+        out.append(text(f"{tick:.6g}", left - 8, sy(tick) + 4, 11, "end"))
+    out.append(text(x_label, left + plot_w / 2, _HEIGHT - 8.0, 12, "middle"))
+    mid = top + plot_h / 2
+    out.append(text(y_label, 14, mid, 12, "middle", transform=f"rotate(-90 14 {_coord(mid)})"))
 
     # bands first so every line stays visible on top of every band
-    for idx, s in enumerate(series):
-        if s.band is None:
-            continue
-        color = PALETTE[idx % len(PALETTE)]
-        lo, hi = s.band
-        px = sx(s.times)
-        forward, backward = _points(px, sy(hi)), _points(px[::-1], sy(lo[::-1]))
-        out.append(
-            f'<polygon class="band" points="{forward} {backward}" '
-            f'fill="{color}" fill-opacity="0.25" stroke="none"/>\n'
-        )
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
+    for s, color in zip(series, colors):
+        if s.band is not None:
+            (lo, hi), px = s.band, sx(s.times)
+            points = f"{_points(px, sy(hi))} {_points(px[::-1], sy(lo[::-1]))}"
+            out.append(
+                _tag("polygon", class_="band", points=points, fill=color, fill_opacity="0.25", stroke="none")
+            )
+    for s, color in zip(series, colors):
         points = _points(sx(s.times), sy(s.values))
         out.append(
-            f'<polyline class="line" points="{points}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5"/>\n'
+            _tag("polyline", class_="line", points=points, fill="none", stroke=color, stroke_width="1.5")
         )
 
     # legend, top-right inside the frame
-    legend_x = frame[2] - 150.0
-    for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        ly = frame[1] + 14 + 16 * idx
-        out.append(
-            f'<line x1="{_coord(legend_x)}" y1="{_coord(ly)}" '
-            f'x2="{_coord(legend_x + 22)}" y2="{_coord(ly)}" '
-            f'stroke="{color}" stroke-width="2"/>\n'
-        )
-        out.append(
-            f'<text x="{_coord(legend_x + 28)}" y="{_coord(ly + 4)}" '
-            f'font-family="sans-serif" font-size="11">{_escape(s.label)}</text>\n'
-        )
-    out.append("</svg>\n")
-    return "".join(out)
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    legend_x = right - 150.0
+    for idx, (s, color) in enumerate(zip(series, colors)):
+        ly = top + 14 + 16 * idx
+        out.append(_tag("line", x1=legend_x, y1=ly, x2=legend_x + 22, y2=ly, stroke=color, stroke_width=2))
+        out.append(text(s.label, legend_x + 28, ly + 4, 11))
+    viewbox = f"0 0 {_WIDTH} {_HEIGHT}"
+    return _tag("svg", out, xmlns="http://www.w3.org/2000/svg", width=_WIDTH, height=_HEIGHT, viewBox=viewbox)
 
 
 def write_svg(series, path, **kwargs) -> None:

@@ -147,6 +147,32 @@ class TestBatchedSweep:
         assert 0 < expected_warnings < len(result.cells)
         assert len(horizon) == expected_warnings
 
+    def test_horizon_warnings_name_their_cells(self):
+        spec = dataclasses.replace(
+            small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3),
+            integrator=IntegratorConfig(0.1, 150.0),
+        )
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        named = [
+            str(w.message).split(": ")[0] for w in swept if issubclass(w.category, FinalSizeHorizonWarning)
+        ]
+        unconverged = []
+        for i, tau in enumerate(spec.taus):
+            for j, r0 in enumerate(spec.r0_values):
+                params = dataclasses.replace(spec.template, tau=tau, beta=spec.beta_for(r0))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    run_ensemble(
+                        params, HistoryFunction.constant(default_initial_state(params)),
+                        spec.integrator, spec.run_count, derive_seed(spec.base_seed, i, j),
+                    )
+                if any(issubclass(w.category, FinalSizeHorizonWarning) for w in caught):
+                    unconverged.append(f"sweep cell (tau={tau:g}, R0={r0:g})")
+        assert 0 < len(unconverged) < len(spec.taus) * len(spec.r0_values)
+        assert named == unconverged
+
     def test_nonfinite_state_names_cell_run_and_seed(self):
         cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
         spec = dataclasses.replace(

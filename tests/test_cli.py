@@ -97,6 +97,16 @@ class TestSimulate:
         assert "error: model.beta" in err
         assert out == ""
 
+    def test_horizon_shorter_than_one_step_is_one_more_error_line(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"model": {"beta": "x"}, "integrator": {"step_size": 1.0, "horizon": 1e-12}}
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: model.beta: must be a number",
+            "error: integrator.horizon: must cover at least one step of size 1, got 1e-12",
+        ]
 
     def test_control_characters_stay_on_the_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": {"be\nta\r": 0.3}})

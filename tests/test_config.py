@@ -229,6 +229,15 @@ class TestViolationOrder:
             "integrator: tau (0.25) must be an integer multiple of the step size (0.1); got ratio 2.5",
         ]
 
+    def test_horizon_shorter_than_one_step(self):
+        data = {"model": {"beta": "x"}, "integrator": {"step_size": 1.0, "horizon": 1e-12}}
+        with pytest.raises(ConfigFileError) as excinfo:
+            from_dict(data)
+        assert excinfo.value.violations == [
+            "model.beta: must be a number",
+            "integrator.horizon: must cover at least one step of size 1, got 1e-12",
+        ]
+
 
 _P = default_params()
 _CFG = IntegratorConfig(0.1, 1.0)
@@ -309,6 +318,19 @@ class TestLibraryAgreement:
             _LIBRARY[".".join(blocks)](**{name: value})
         assert [v.split(":")[0].split("[")[0] for v in from_file.value.violations] == [path]
         assert str(from_library.value) == from_file.value.violations[0]
+
+    @pytest.mark.parametrize(
+        "step_size,horizon,record_stride",
+        [(1.0, 1e-12, 1), (0.1, 1.0, 3), (0.1, 1.05, 1)],
+        ids=["below-one-step", "stride", "off-grid"],
+    )
+    def test_grid_contract_in_the_same_words(self, step_size, horizon, record_stride):
+        data = {"integrator": {"step_size": step_size, "horizon": horizon, "record_stride": record_stride}}
+        with pytest.raises(ConfigFileError) as from_file:
+            from_dict(data)
+        with pytest.raises(ConfigurationError) as from_library:
+            IntegratorConfig(step_size, horizon, record_stride=record_stride)
+        assert [str(from_library.value)] == from_file.value.violations
 
     @pytest.mark.parametrize(
         "path,level,method", [("ensemble.ci_level", 0.0, "normal"), ("ensemble.ci_method", 0.9, "")]

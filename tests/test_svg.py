@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -102,3 +103,38 @@ class TestBandGeometry:
             # screen y grows downward: upper band edge sits above the line
             assert yu <= ym + 1e-9
             assert yl >= ym - 1e-9
+
+
+_T = np.arange(11.0)
+_MARKUP = '& < > "'
+
+# name -> (series, render_svg keywords)
+PINNED = {
+    "untitled": ([Series("a", _T, _T * _T / 7.0)], {}),
+    "markup_text": (
+        [Series(f"label {_MARKUP}", _T, 1.0 - _T / 13.0)],
+        {"title": f"title {_MARKUP}", "x_label": f"x {_MARKUP}", "y_label": f"y {_MARKUP}"},
+    ),
+    "band": ([Series("mean", _T, _T / 3.0, band=(_T / 3.0 - 0.25, _T / 3.0 + _T / 9.0))], {"title": "band"}),
+    "constant": ([Series("flat", _T, np.full(11, -2.5))], {"title": "constant"}),
+    "nine_series": ([Series(f"s{k}", _T, k + _T / (k + 1.0)) for k in range(9)], {"title": "palette"}),
+}
+
+# recorded before every element came to be written by one helper
+PINNED_SHA256 = {
+    "untitled": "a73635de4908ee13684370f7d53b1c2dd34484b4dfcdf98676a1f234d49d6133",
+    "markup_text": "7d352030554651a579673e64b187524003159bdaae989cd8369970dd304438d5",
+    "band": "38636d671f5a9456adc599ba341c17ec2645c8c548d9103b081a2bb7119dd6d9",
+    "constant": "f49f74f90c1293c0296833b7586f1fc5cf86ae23844df31a74cc4c86f895a8f6",
+    "nine_series": "f2b7b0ed5867cf5334d0cddf8a0cab40e4c3885599138a2235f4a888514c5046",
+}
+
+
+class TestPinnedBytes:
+    """Chart bytes the CLI's golden outputs do not reach: no title, markup
+    characters in every text, and a palette that wraps."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes(self, name):
+        series, kwargs = PINNED[name]
+        assert hashlib.sha256(render_svg(series, **kwargs).encode()).hexdigest() == PINNED_SHA256[name]
