@@ -7,6 +7,8 @@ empirical mean-square decay report), ``ablate`` (delay x R0 sweep), and
 listed on standard output, one path per line; configuration and numeric
 failures print machine-parsable ``error: ...`` lines on standard error
 and exit nonzero (2 for configuration problems, 3 for numeric ones).
+Each warning that the active filters let through prints as one
+``warning: ...`` line.
 
 The effective configuration, with every default resolved, is echoed into
 the output directory before anything is computed; re-running any
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .ablation import (
@@ -262,12 +265,19 @@ def _one_line(message) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {_one_line(message)}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        output, written = _outputs(cfg)
-        _COMMANDS[args.command](cfg, output, args)
+        # each warning the filters let through prints as one line
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            cfg = _resolve_config(args)
+            output, written = _outputs(cfg)
+            _COMMANDS[args.command](cfg, output, args)
     except ConfigFileError as exc:
         for violation in exc.violations:
             print(f"error: {_one_line(violation)}", file=sys.stderr)

@@ -5,7 +5,9 @@ noise.
 One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
 of the full model and of the linearized stability subsystem, updating a
 component-major ``(components, runs)`` state in place; groups of runs in
-a batch may have different delays.  Memory scales with what is recorded.
+a batch may have different delays.  A single run of the model is stepped
+in Python floats by the same operations in the same order, so it has the
+bits of a batch row.  Memory scales with what is recorded.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 import os
+import struct
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,6 +224,14 @@ def block_recorder(cfg: IntegratorConfig, block: int, fill, reduce):
     return record
 
 
+def _non_finite(step: int, h: float, run: int, seed) -> NumericsError:
+    return NumericsError(
+        f"non-finite state at step {step} (t={step * h:g}) in run index {run} (seed {seed})",
+        step=step,
+        run=run,
+    )
+
+
 def euler_maruyama(
     drift, start, delays, delayed_column, noise, seeds, cfg, record, project
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -287,17 +299,23 @@ def euler_maruyama(
             if not math.isfinite(np.add.reduce(flat)):
                 bad = np.flatnonzero(~np.isfinite(x_next).all(axis=0))
                 if bad.size:
-                    raise NumericsError(
-                        f"non-finite state at step {step + 1} (t={(step + 1) * h:g}) "
-                        f"in run index {bad[0]} (seed {seeds[bad[0]]})",
-                        step=step + 1,
-                        run=int(bad[0]),
-                    )
+                    raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
             for offset, rows, source in writes:
                 rows[(step + offset) % ring_rows] = source[new]  # D(step + k + 1)
             if (step + 1) % stride == 0:
                 record((step + 1) // stride, x_next)
     return x_next, projection_counts
+
+
+def _early_delayed(p: ModelParams, history: HistoryFunction, tau: float, cfg: IntegratorConfig) -> np.ndarray:
+    """The delayed spreader values that the first ``k = tau / h`` steps
+    read from ``history``, once it is checked to cover ``tau``."""
+    history.validate_for(replace(p, tau=tau))
+    lags = np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau
+    if not history.is_constant:
+        # guard against rounding a hair past the sampled span
+        lags = np.clip(lags, -history.span, 0.0)
+    return history(lags)[:, 2]
 
 
 def stream_model(
@@ -308,21 +326,68 @@ def stream_model(
     given, is a per-run transmission rate replacing ``p.beta``; ``delays``,
     if given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
     groups of runs their own delay in place of ``p.tau``."""
-    h = cfg.step_size
-    groups = []
-    for tau, runs in delays or [(p.tau, len(seeds))]:
-        history.validate_for(replace(p, tau=tau))
-        # the first k = tau / h steps read the delayed spreader from the history
-        lags = np.arange(delay_steps(tau, cfg)) * h - tau
-        if not history.is_constant:
-            # guard against rounding a hair past the sampled span
-            lags = np.clip(lags, -history.span, 0.0)
-        groups.append((runs, history(lags)[:, 2]))
+    groups = [
+        (runs, _early_delayed(p, history, tau, cfg)) for tau, runs in delays or [(p.tau, len(seeds))]
+    ]
     return euler_maruyama(
         lambda x, i_delayed, out: _drift_with_delayed_i(x, i_delayed, p, out, beta),
         history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, record,
         cfg.projection_enabled,
     )
+
+
+def _clamped(v: float) -> float:
+    # ``np.maximum(v, 0.0)``: -0.0 becomes +0.0 and NaN is kept
+    return v if v > 0.0 or v != v else 0.0
+
+
+def _scaled_noise(seed: int, n_steps: int, h: float):
+    """The six increments ``sqrt(h) Z(n)`` of one run for each step ``n``,
+    as the kernel draws them: in chunks of ``_NOISE_CHUNK_DRAWS // 6``
+    steps, one held at a time."""
+    chunk = _NOISE_CHUNK_DRAWS // 6
+    for step in range(0, n_steps, chunk):
+        dw = normal_block(seed, min(chunk, n_steps - step), 6, step_offset=step)
+        dw *= np.sqrt(h)
+        yield from struct.iter_unpack("6d", dw)
+        del dw  # before the next chunk is drawn
+
+
+def _stream_one(p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seed, out) -> int:
+    """:func:`stream_model` for one run in Python floats, with the kernel's
+    operations in its order, so the bits are those of a batch row.  Writes
+    the recorded rows into ``out`` and returns the count of clamped steps."""
+    seed = int(seed_array([seed])[0])
+    h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
+    beta, gamma, rho, sigma, theta = p.beta, p.gamma, p.rho, p.sigma_act, p.theta
+    ns, ne, ni, nr, nig, nf = noise = p.noise.as_array().tolist()
+    noisy, project = any(n > 0.0 for n in noise), cfg.projection_enabled
+    draws = _scaled_noise(seed, n_steps, h) if noisy else None
+    ring = array("d", _early_delayed(p, history, p.tau, cfg).tobytes())
+    s, e, i, r, ig, f = out[0] = history(0.0).tolist()
+    ring.append(i)
+    slots, clamps = len(ring), 0
+    for step in range(n_steps):
+        slot = step % slots
+        t = beta * s * ring[slot]  # transmission
+        rr, q = gamma * i, rho * i  # removal, skepticism
+        a, v = sigma * e, theta * ig  # activation, verification
+        s2, e2, i2 = -t * h + s, (t - a) * h + e, (a - (rr + q)) * h + i
+        r2, ig2, f2 = rr * h + r, (q - v) * h + ig, v * h + f
+        if noisy:
+            w0, w1, w2, w3, w4, w5 = next(draws)
+            s2, e2, i2 = s2 + ns * s * w0, e2 + ne * e * w1, i2 + ni * i * w2
+            r2, ig2, f2 = r2 + nr * r * w3, ig2 + nig * ig * w4, f2 + nf * f * w5
+        s, e, i, r, ig, f = s2, e2, i2, r2, ig2, f2
+        if project and (s < 0.0 or e < 0.0 or i < 0.0 or r < 0.0 or ig < 0.0 or f < 0.0):
+            clamps += 1
+            s, e, i, r, ig, f = map(_clamped, (s, e, i, r, ig, f))
+        if not math.isfinite(s + e + i + r + ig + f) and not all(map(math.isfinite, (s, e, i, r, ig, f))):
+            raise _non_finite(step + 1, h, 0, seed)
+        ring[slot] = i  # D(step + k + 1)
+        if (step + 1) % stride == 0:
+            out[(step + 1) // stride] = s, e, i, r, ig, f
+    return clamps
 
 
 def simulate_paths(
@@ -336,8 +401,10 @@ def simulate_paths(
     Returns ``(times, paths, projection_counts)`` where ``paths`` has shape
     ``(len(seeds), recorded_count, 6)``.  Row ``j`` is bit-identical to the
     single-path result for ``seeds[j]``: the noise is a pure function of
-    ``(seed, step)`` and all state updates are elementwise.  Memory scales
-    with the recorded rows, not with the step count.
+    ``(seed, step)`` and all state updates are elementwise.  One seed is
+    stepped in Python floats, where numpy's per-call cost would dominate
+    six-element steps; two or more run in :func:`euler_maruyama`.  Memory
+    scales with the recorded rows, not with the step count.
     """
     seeds = list(seeds)
     if not seeds:
@@ -348,7 +415,10 @@ def simulate_paths(
     def record(row, x):
         paths[:, row] = x.T
 
-    _, projection_counts = stream_model(p, history, cfg, seeds, record)
+    if len(seeds) == 1:
+        projection_counts = np.array([_stream_one(p, history, cfg, seeds[0], paths[0])])
+    else:
+        _, projection_counts = stream_model(p, history, cfg, seeds, record)
     return recorded_times(cfg), paths, projection_counts
 
 

@@ -128,11 +128,16 @@ def normal_block(
         raise ValueError("n_steps and step_offset must be nonnegative")
     keys = seed_array([seed] if np.ndim(seed) == 0 else seed) ^ _U_KEY_SALT
     _mix64_inplace(keys, np.empty_like(keys))
-    steps = np.arange(step_offset, step_offset + n_steps, dtype=np.uint64)
-    comps = np.arange(n_components, dtype=np.uint64)
-    positions = steps[:, None] * np.uint64(_STREAM_STRIDE) + comps[None, :] + np.uint64(1)
+    positions = np.add.outer(
+        np.arange(step_offset, step_offset + n_steps, dtype=np.uint64) * np.uint64(_STREAM_STRIDE),
+        np.arange(1, n_components + 1, dtype=np.uint64),
+    )
+    positions *= _U_GOLDEN
     words = np.empty((n_steps, n_components, keys.size), dtype=np.uint64)
-    np.add((positions * _U_GOLDEN)[:, :, None], keys, out=words)
+    np.add(positions[:, :, None], keys, out=words)
+    # a block of one seed is as large as its positions: at most two such
+    # arrays are held at once
+    del positions
     work = np.empty_like(words)
     _mix64_inplace(words, work)
     np.right_shift(words, _U_S11, out=words)

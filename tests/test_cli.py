@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from strategies import CONFIGS, RUNNABLE_CONFIGS
 
 import rumorsim
+from rumorsim import FinalSizeHorizonWarning, SweepSpec, run_sweep
 from rumorsim.cli import main
+from rumorsim.config import load_config
 from rumorsim.integrator import IntegratorConfig
 
 
@@ -275,6 +278,33 @@ class TestHugeStates:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "inf" not in summary and "nan" not in summary
         assert "inf" not in (tmp_path / "out" / "aggregate.csv").read_text()
+
+
+class TestWarnings:
+    @pytest.mark.filterwarnings("always::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_each_horizon_warning_is_one_line(self, tmp_path, capsys):
+        showwarning = warnings.showwarning
+        code, out, err = run_cli(capsys, "ablate", "--runs", "10", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert warnings.showwarning is showwarning
+        # the library warns once per unconverged cell, with the class
+        cfg = load_config(tmp_path / "out" / "effective_config.json")
+        spec = SweepSpec(
+            taus=cfg.sweep.taus, r0_values=cfg.sweep.r0_values, run_count=cfg.sweep.run_count,
+            base_seed=cfg.sweep.seed, template=cfg.model, integrator=cfg.integrator,
+            initial_state=cfg.initial,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        assert caught and all(issubclass(w.category, FinalSizeHorizonWarning) for w in caught)
+        assert err.splitlines() == [f"warning: {w.message}" for w in caught]
+        assert all(line.startswith("warning: sweep cell (tau=") for line in err.splitlines())
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_filters_still_silence_them(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "ablate", "--runs", "10", "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
 
 
 class TestStability:

@@ -6,9 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import compartment_rhs, rk4_path
+from strategies import RUNNABLE_CONFIGS
 from rumorsim import (
+    ConfigFileError,
     ConfigurationError,
     HistoryFunction,
     IntegratorConfig,
@@ -24,6 +28,7 @@ from rumorsim import (
     simulate_linearized,
     simulate_paths,
 )
+from rumorsim.config import from_dict
 from rumorsim.integrator import (
     _NOISE_CHUNK_DRAWS,
     block_rows,
@@ -120,6 +125,122 @@ class TestDeterminismContract:
         a = integrate(params, initial_history, short_cfg, 1)
         b = integrate(params, initial_history, short_cfg, 2)
         assert not np.array_equal(a.states, b.states)
+
+
+def one_run_and_batch_row(p, history, cfg, seed):
+    """``integrate(seed)`` and row 0 of the batch ``[seed, seed]``, each as
+    the bytes of its states and its clamp count, or as the text, step and
+    run of the :class:`NumericsError` it raised."""
+
+    def outcome(call):
+        try:
+            states, count = call()
+        except NumericsError as exc:
+            return str(exc), exc.step, exc.run
+        return states.tobytes(), int(count)
+
+    def one():
+        traj = integrate(p, history, cfg, seed)
+        return traj.states, traj.projection_event_count
+
+    def row():
+        _, paths, counts = simulate_paths(p, history, cfg, [seed, seed])
+        return paths[0], counts[0]
+
+    return outcome(one), outcome(row)
+
+
+def _rough(tau=0.0, **noise):
+    # strong noise; beta = 0 keeps it linear and finite while it clamps
+    return ModelParams(
+        beta=0.0, sigma_act=0.25, gamma=0.1, rho=0.05, theta=0.1, tau=tau,
+        noise=dataclasses.replace(NoiseIntensities.uniform(2.0), **noise),
+    )
+
+
+_SPREAD = StateVector(0.4, 0.2, 0.1, 0.1, 0.1, 0.1)
+_RAMP = [StateVector(1.0 - i, 0.0, i, 0.0, 0.0, 0.0) for i in (0.002, 0.01, 0.02)]
+_ONE_RUN_CASES = {
+    # name: (params, history, integrator config, clamps expected)
+    "tau_zero": (default_params(tau=0.0, noise_level=0.5), None, IntegratorConfig(0.1, 20.0), None),
+    "tau_on_grid": (default_params(tau=2.5, noise_level=0.5), None, IntegratorConfig(0.1, 20.0), None),
+    "tau_beyond_horizon": (default_params(tau=50.0, noise_level=0.5), None, IntegratorConfig(0.1, 20.0), None),
+    "sampled_history": (
+        default_params(tau=1.5, noise_level=0.5), HistoryFunction.sampled(_RAMP, span=2.0),
+        IntegratorConfig(0.1, 20.0), None,
+    ),
+    "record_stride_5": (default_params(tau=2.0), None, IntegratorConfig(0.1, 20.0, record_stride=5), None),
+    "zero_noise": (default_params(tau=2.0, noise_level=0.0), None, IntegratorConfig(0.1, 20.0), False),
+    # the noise term reaches F, of intensity 0: at -0.0, with seed 8's
+    # negative draw in step 1 and no clamp, it makes F +0.0
+    "one_zero_intensity": (
+        _rough(tau=1.0, f=0.0), HistoryFunction.constant(StateVector(0.5, 0.2, 0.1, 0.2, -0.0, -0.0)),
+        IntegratorConfig(0.1, 20.0), True,
+    ),
+    "projection_off": (
+        _rough(), HistoryFunction.constant(_SPREAD), IntegratorConfig(0.1, 20.0, projection_enabled=False), False,
+    ),
+    "clamped_strong_noise": (_rough(tau=0.5), HistoryFunction.constant(_SPREAD), IntegratorConfig(0.1, 20.0), True),
+    # with seed 8, R stays -0.0 in step 1, which clamps F: the clamp
+    # makes R +0.0
+    "negative_zero_clamped": (
+        _rough(), HistoryFunction.constant(StateVector(0.5, 0.2, -0.0, -0.0, 0.2, 0.1)),
+        IntegratorConfig(0.1, 20.0), True,
+    ),
+    "non_finite": (
+        ModelParams(beta=1e155, sigma_act=0.25, gamma=0.1, rho=0.05, theta=0.1, noise=NoiseIntensities.uniform(0.1),
+                    population=1.005),
+        HistoryFunction.constant(StateVector(1.0, 0, 0.005, 0, 0, 0)),
+        IntegratorConfig(0.1, 10.0, projection_enabled=False), None,
+    ),
+}
+
+
+class TestOneRunPath:
+    """One seed is stepped in Python floats and a batch in the numpy
+    kernel; both give the same bits, clamp counts and errors."""
+
+    @pytest.mark.parametrize("case", list(_ONE_RUN_CASES))
+    def test_one_run_is_a_batch_row(self, case):
+        p, history, cfg, clamps = _ONE_RUN_CASES[case]
+        history = history or HistoryFunction.constant(default_initial_state(p))
+        one, row = one_run_and_batch_row(p, history, cfg, 8)
+        assert one == row
+        if clamps is not None:
+            assert (one[1] > 0) == clamps
+        if case == "non_finite":
+            assert one[0].startswith("non-finite state at step")
+        else:
+            assert len(one[0]) == cfg.recorded_count * 6 * 8
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=RUNNABLE_CONFIGS, seed=st.integers(-(2**64), 2**65))
+    def test_any_runnable_config(self, data, seed):
+        try:
+            cfg = from_dict({block: data[block] for block in ("model", "integrator") if block in data})
+        except ConfigFileError:
+            assume(False)
+        history = HistoryFunction.constant(cfg.initial)
+        one, row = one_run_and_batch_row(cfg.model, history, cfg.integrator, seed)
+        assert one == row
+
+    def test_memory_is_rows_ring_and_one_chunk(self):
+        # 20,000 steps: no per-step state or increment is held
+        p = default_params(tau=5.0, r0=2.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 2000.0, record_stride=10)
+        k = 50
+        recorded = cfg.recorded_count * 6 * 8
+        ring = (k + 1) * 8
+        chunk = _NOISE_CHUNK_DRAWS * 8
+        tracemalloc.start()
+        try:
+            traj = integrate(p, hist, cfg, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.step_count == 20_000 and traj.states.nbytes == recorded
+        assert peak < 2 * (recorded + ring + chunk)
 
 
 class TestDelayHandling:
