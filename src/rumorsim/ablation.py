@@ -161,7 +161,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise NumericsError(
             f"sweep cell (tau={taus[i]:g}, R0={r0s[j]:g}): non-finite state at "
             f"step {exc.step} (t={exc.step * cfg.step_size:g}) in run {r} "
-            f"(seed {derive_seed(cell_seeds[c], r)})",
+            f"(seed {seeds[exc.run]})",
             step=exc.step,
             run=r,
         ) from exc

@@ -5,9 +5,9 @@ noise.
 One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
 of the full model and of the linearized stability subsystem, updating a
 component-major ``(components, runs)`` state in place; groups of runs in
-a batch may have different delays.  A single run of the model is stepped
-in Python floats by the same operations in the same order, so it has the
-bits of a batch row.  Memory scales with what is recorded.
+a batch may have different delays.  The model's one entry,
+:func:`stream_model`, picks its stepper by run count.  Memory scales with
+what is recorded.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
@@ -24,6 +24,7 @@ the population; nothing is renormalized.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -232,6 +233,18 @@ def _non_finite(step: int, h: float, run: int, seed) -> NumericsError:
     )
 
 
+def _noise_chunks(seeds: np.ndarray, n_comp: int, n_steps: int, h: float):
+    """The increments ``sqrt(h) Z(n)`` of every run, drawn lazily in contiguous
+    ``(steps, components, runs)`` chunks of about ``_NOISE_CHUNK_DRAWS`` draws."""
+    chunk = max(1, _NOISE_CHUNK_DRAWS // (n_comp * seeds.size))
+    for step in range(0, n_steps, chunk):
+        dw = normal_block(seeds, min(chunk, n_steps - step), n_comp, step_offset=step)
+        dw = dw.transpose(0, 2, 1)  # contiguous (steps, components, runs)
+        dw *= np.sqrt(h)
+        yield dw
+        del dw  # before the next chunk is drawn
+
+
 def euler_maruyama(
     drift, start, delays, delayed_column, noise, seeds, cfg, record, project
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -271,15 +284,11 @@ def euler_maruyama(
     projection_counts = np.zeros(n_runs, dtype=np.int64)
     noise = np.reshape(noise, (n_comp, 1))
     noisy = bool(np.any(noise > 0.0))
-    chunk = max(1, _NOISE_CHUNK_DRAWS // (n_comp * n_runs))
+    planes = itertools.chain.from_iterable(_noise_chunks(seeds, n_comp, n_steps, h))  # drawn only when read
 
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            if noisy and step % chunk == 0:
-                dw = normal_block(seeds, min(chunk, n_steps - step), n_comp, step_offset=step)
-                dw = dw.transpose(0, 2, 1)  # contiguous (steps, components, runs)
-                dw *= np.sqrt(h)
             new = (step + 1) & 1
             x, x_rows, _ = buffers[step & 1]
             x_next, next_rows, flat = buffers[new]
@@ -288,7 +297,7 @@ def euler_maruyama(
             x_next += x  # x + drift * h
             if noisy:
                 np.multiply(noise, x, out=scratch)
-                scratch *= dw[step % chunk]
+                scratch *= next(planes)
                 x_next += scratch  # + (noise * x) * dw
             if project and not np.minimum.reduce(flat) >= 0.0:
                 clamped = x_next < 0.0
@@ -307,17 +316,6 @@ def euler_maruyama(
     return x_next, projection_counts
 
 
-def _early_delayed(p: ModelParams, history: HistoryFunction, tau: float, cfg: IntegratorConfig) -> np.ndarray:
-    """The delayed spreader values that the first ``k = tau / h`` steps
-    read from ``history``, once it is checked to cover ``tau``."""
-    history.validate_for(replace(p, tau=tau))
-    lags = np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau
-    if not history.is_constant:
-        # guard against rounding a hair past the sampled span
-        lags = np.clip(lags, -history.span, 0.0)
-    return history(lags)[:, 2]
-
-
 def stream_model(
     p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, record,
     beta=None, delays=None,
@@ -325,10 +323,24 @@ def stream_model(
     """:func:`euler_maruyama` for the model, one run per seed.  ``beta``, if
     given, is a per-run transmission rate replacing ``p.beta``; ``delays``,
     if given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
-    groups of runs their own delay in place of ``p.tau``."""
-    groups = [
-        (runs, _early_delayed(p, history, tau, cfg)) for tau, runs in delays or [(p.tau, len(seeds))]
-    ]
+    groups of runs their own delay in place of ``p.tau``.
+
+    One seed is stepped in Python floats by :func:`_stream_one`, where
+    numpy's per-call cost would dominate six-element steps, and two or more
+    by :func:`euler_maruyama`; both take the same operations in the same
+    order, so a run has the same bits, clamp count and error either way.
+    """
+    groups = []
+    for tau, runs in delays or [(p.tau, len(seeds))]:
+        history.validate_for(replace(p, tau=tau))
+        lags = np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau
+        if not history.is_constant:
+            # guard against rounding a hair past the sampled span
+            lags = np.clip(lags, -history.span, 0.0)
+        groups.append((runs, history(lags)[:, 2]))
+    if len(seeds) == 1:
+        one = p if beta is None else replace(p, beta=float(beta[0]))
+        return _stream_one(one, history(0.0), groups[0][1], cfg, seeds, record)
     return euler_maruyama(
         lambda x, i_delayed, out: _drift_with_delayed_i(x, i_delayed, p, out, beta),
         history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, record,
@@ -341,31 +353,21 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _scaled_noise(seed: int, n_steps: int, h: float):
-    """The six increments ``sqrt(h) Z(n)`` of one run for each step ``n``,
-    as the kernel draws them: in chunks of ``_NOISE_CHUNK_DRAWS // 6``
-    steps, one held at a time."""
-    chunk = _NOISE_CHUNK_DRAWS // 6
-    for step in range(0, n_steps, chunk):
-        dw = normal_block(seed, min(chunk, n_steps - step), 6, step_offset=step)
-        dw *= np.sqrt(h)
-        yield from struct.iter_unpack("6d", dw)
-        del dw  # before the next chunk is drawn
-
-
-def _stream_one(p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seed, out) -> int:
-    """:func:`stream_model` for one run in Python floats, with the kernel's
-    operations in its order, so the bits are those of a batch row.  Writes
-    the recorded rows into ``out`` and returns the count of clamped steps."""
-    seed = int(seed_array([seed])[0])
+def _stream_one(p, start, early, cfg, seeds, record) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`euler_maruyama` for the model and one seed, in Python floats,
+    with the kernel's operations in its order; ``early`` holds the delayed
+    spreader values of the first ``len(early)`` steps."""
+    seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
     beta, gamma, rho, sigma, theta = p.beta, p.gamma, p.rho, p.sigma_act, p.theta
     ns, ne, ni, nr, nig, nf = noise = p.noise.as_array().tolist()
     noisy, project = any(n > 0.0 for n in noise), cfg.projection_enabled
-    draws = _scaled_noise(seed, n_steps, h) if noisy else None
-    ring = array("d", _early_delayed(p, history, p.tau, cfg).tobytes())
-    s, e, i, r, ig, f = out[0] = history(0.0).tolist()
-    ring.append(i)
+    six = struct.Struct("6d")
+    draws = itertools.chain.from_iterable(map(six.iter_unpack, _noise_chunks(seeds, 6, n_steps, h)))
+    x = np.array(start, dtype=float).reshape(6, 1)  # each recorded row is packed into it
+    record(0, x)
+    s, e, i, r, ig, f = start.tolist()
+    ring = array("d", [*early.tolist(), i])  # D(0 .. k)
     slots, clamps = len(ring), 0
     for step in range(n_steps):
         slot = step % slots
@@ -383,11 +385,12 @@ def _stream_one(p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig,
             clamps += 1
             s, e, i, r, ig, f = map(_clamped, (s, e, i, r, ig, f))
         if not math.isfinite(s + e + i + r + ig + f) and not all(map(math.isfinite, (s, e, i, r, ig, f))):
-            raise _non_finite(step + 1, h, 0, seed)
+            raise _non_finite(step + 1, h, 0, seeds[0])
         ring[slot] = i  # D(step + k + 1)
         if (step + 1) % stride == 0:
-            out[(step + 1) // stride] = s, e, i, r, ig, f
-    return clamps
+            six.pack_into(x, 0, s, e, i, r, ig, f)
+            record((step + 1) // stride, x)
+    return x, np.array([clamps], dtype=np.int64)
 
 
 def simulate_paths(
@@ -401,24 +404,16 @@ def simulate_paths(
     Returns ``(times, paths, projection_counts)`` where ``paths`` has shape
     ``(len(seeds), recorded_count, 6)``.  Row ``j`` is bit-identical to the
     single-path result for ``seeds[j]``: the noise is a pure function of
-    ``(seed, step)`` and all state updates are elementwise.  One seed is
-    stepped in Python floats, where numpy's per-call cost would dominate
-    six-element steps; two or more run in :func:`euler_maruyama`.  Memory
-    scales with the recorded rows, not with the step count.
+    ``(seed, step)`` and all state updates are elementwise.  Memory scales
+    with the recorded rows, not with the step count.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
     check_memory(cfg, p.tau, len(seeds), 6, len(seeds) * cfg.recorded_count * 6)
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
-
-    def record(row, x):
-        paths[:, row] = x.T
-
-    if len(seeds) == 1:
-        projection_counts = np.array([_stream_one(p, history, cfg, seeds[0], paths[0])])
-    else:
-        _, projection_counts = stream_model(p, history, cfg, seeds, record)
+    record = paths.transpose(1, 2, 0).__setitem__  # row j of every path from a (6, runs) state
+    _, projection_counts = stream_model(p, history, cfg, seeds, record)
     return recorded_times(cfg), paths, projection_counts
 
 

@@ -173,10 +173,18 @@ class TestBatchedSweep:
         assert 0 < len(unconverged) < len(spec.taus) * len(spec.r0_values)
         assert named == unconverged
 
-    def test_nonfinite_state_names_cell_run_and_seed(self):
+    @pytest.mark.parametrize(
+        "taus, r0s, runs, cell",
+        [
+            ((0.0, 1.0), (1.0, 1e155), 3, (0, 1)),
+            # one run: the float stepper's error is renamed as the batch's is
+            ((0.0,), (1e155,), 1, (0, 0)),
+        ],
+    )
+    def test_nonfinite_state_names_cell_run_and_seed(self, taus, r0s, runs, cell):
         cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
         spec = dataclasses.replace(
-            small_spec(taus=(0.0, 1.0), r0s=(1.0, 1e155), runs=3, seed=11), integrator=cfg
+            small_spec(taus=taus, r0s=r0s, runs=runs, seed=11), integrator=cfg
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError) as failed:
@@ -184,7 +192,7 @@ class TestBatchedSweep:
             message = str(failed.value)
             assert message.startswith("sweep cell (tau=0, R0=1e+155): non-finite state at step ")
             run = int(message.split(" in run ")[1].split()[0])
-            seed = derive_seed(derive_seed(spec.base_seed, 0, 1), run)
+            seed = derive_seed(derive_seed(spec.base_seed, *cell), run)
             assert message.endswith(f" in run {run} (seed {seed})")
             # the named seed reproduces the failure at the same step on its own
             params = dataclasses.replace(spec.template, beta=spec.beta_for(1e155))

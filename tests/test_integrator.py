@@ -20,10 +20,13 @@ from rumorsim import (
     NoiseIntensities,
     NumericsError,
     StateVector,
+    SweepSpec,
     default_initial_state,
     default_params,
+    derive_seed,
     integrate,
     run_ensemble,
+    run_sweep,
     second_moment_envelope,
     simulate_linearized,
     simulate_paths,
@@ -223,6 +226,41 @@ class TestOneRunPath:
         history = HistoryFunction.constant(cfg.initial)
         one, row = one_run_and_batch_row(cfg.model, history, cfg.integrator, seed)
         assert one == row
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize("entry", ["ensemble", "sweep"])
+    def test_one_run_entries_take_the_float_stepper(self, entry, monkeypatch):
+        # a one-run ensemble or sweep never reaches the batch kernel, and
+        # its statistics read the bits of row 0 of the batch [s, s]
+        p = default_params(tau=2.5, r0=2.0, noise_level=0.5)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 20.0)
+        spec = SweepSpec(
+            taus=(p.tau,), r0_values=(1.5,), run_count=1, base_seed=7, template=p, integrator=cfg
+        )
+        if entry == "sweep":
+            p = dataclasses.replace(p, beta=spec.beta_for(1.5))
+            s = derive_seed(derive_seed(spec.base_seed, 0, 0), 0)
+        else:
+            s = derive_seed(7, 0)
+        times, paths, _ = simulate_paths(p, hist, cfg, [s, s])
+        row = paths[0]
+        peak, final = row[:, 2].max(keepdims=True), row[-1, 3:4] + row[-1, 5:6]
+
+        def batch_kernel(*args):
+            raise AssertionError("the batch kernel stepped a single run")
+
+        monkeypatch.setattr("rumorsim.integrator.euler_maruyama", batch_kernel)
+        if entry == "sweep":
+            (cell,) = run_sweep(spec).cells
+            assert (cell.peak_mean, cell.final_mean) == (float(peak[0]), float(final[0]))
+            return
+        result = run_ensemble(p, hist, cfg, 1, 7)
+        assert result.summary.mean.tobytes() == row.tobytes()
+        m = result.metrics
+        assert m.peak_values.tobytes() == peak.tobytes()
+        assert m.peak_times.tobytes() == times[[np.argmax(row[:, 2])]].tobytes()
+        assert m.final_sizes.tobytes() == final.tobytes()
 
     def test_memory_is_rows_ring_and_one_chunk(self):
         # 20,000 steps: no per-step state or increment is held
