@@ -24,6 +24,7 @@ the population; nothing is renormalized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -73,6 +74,9 @@ _MAX_PATH_STEPS = 10_000_000_000
 # budgets from 2**15 to 2**21 values, this one reduced the benchmark's
 # batches fastest, and smaller blocks pay more per call than they save.
 _STATS_BLOCK_VALUES = 131_072
+
+# +inf's bits: an entry whose bits, read unsigned, are below them is finite, sign bit clear
+_INF_BITS = 0x7FF0000000000000
 
 CSV_FLOAT_FORMAT = "%.9g"
 
@@ -263,6 +267,12 @@ def euler_maruyama(
     count of clamped steps; raises :class:`NumericsError` with ``step``
     and ``run`` set for the lowest run index at the earliest non-finite
     step.
+
+    Every operand, view and ufunc is bound before the loop, and every call
+    in it takes its output positionally.  One reduction screens a projected
+    step: when no entry's bits, read unsigned, reach those of +inf, each is
+    finite with its sign bit clear, and no clamp or finiteness test runs.
+    Other steps run both in full, so ``-0.0`` (sign bit set) clamps nothing.
     """
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
@@ -270,7 +280,8 @@ def euler_maruyama(
     states = np.empty((2, n_comp, n_runs))
     scratch = np.empty((n_comp, n_runs))
     states[0] = np.reshape(start, (n_comp, 1))
-    buffers = [(b, tuple(b), b.reshape(-1)) for b in states]  # array, rows, flat
+    # array, rows, flat and its bits
+    buffers = [(b, tuple(b), b.reshape(-1), b.reshape(-1).view(np.uint64)) for b in states]
     ring_rows = 1 + max(len(early) for _, early in delays)
     ring = np.empty((ring_rows, n_runs))
     writes, first = [], 0
@@ -279,38 +290,41 @@ def euler_maruyama(
         first += runs
         ring[: len(early), cols] = np.reshape(early, (-1, 1))
         ring[len(early), cols] = states[0, delayed_column, cols]
-        writes.append((len(early) + 1, ring[:, cols], states[:, delayed_column, cols]))
+        writes.append((len(early) + 1, list(ring[:, cols]), tuple(states[:, delayed_column, cols])))
     record(0, states[0])
     projection_counts = np.zeros(n_runs, dtype=np.int64)
     noise = np.reshape(noise, (n_comp, 1))
     noisy = bool(np.any(noise > 0.0))
     planes = itertools.chain.from_iterable(_noise_chunks(seeds, n_comp, n_steps, h))  # drawn only when read
+    dt, zero, rows = np.array(float(h)), np.array(0.0), list(ring)
+    multiply, add, copyto, top = np.multiply, np.add, np.copyto, np.maximum.reduce
 
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
             new = (step + 1) & 1
-            x, x_rows, _ = buffers[step & 1]
-            x_next, next_rows, flat = buffers[new]
-            drift(x_rows, ring[step % ring_rows], next_rows)
-            x_next *= h
-            x_next += x  # x + drift * h
+            x, x_rows, _, _ = buffers[step & 1]
+            x_next, next_rows, flat, bits = buffers[new]
+            drift(x_rows, rows[step % ring_rows], next_rows)
+            multiply(x_next, dt, x_next)
+            add(x_next, x, x_next)  # x + drift * h
             if noisy:
-                np.multiply(noise, x, out=scratch)
-                scratch *= next(planes)
-                x_next += scratch  # + (noise * x) * dw
-            if project and not np.minimum.reduce(flat) >= 0.0:
-                clamped = x_next < 0.0
-                if clamped.any():
-                    projection_counts += clamped.any(axis=0)
-                    np.maximum(x_next, 0.0, out=x_next)
-            # one sum is non-finite whenever an entry is; only then scan
-            if not math.isfinite(np.add.reduce(flat)):
-                bad = np.flatnonzero(~np.isfinite(x_next).all(axis=0))
-                if bad.size:
-                    raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
-            for offset, rows, source in writes:
-                rows[(step + offset) % ring_rows] = source[new]  # D(step + k + 1)
+                multiply(noise, x, scratch)
+                multiply(scratch, next(planes), scratch)
+                add(x_next, scratch, x_next)  # + (noise * x) * dw
+            if not (project and top(bits) < _INF_BITS):
+                if project and not np.minimum.reduce(flat) >= 0.0:
+                    clamped = x_next < zero
+                    if clamped.any():
+                        projection_counts += clamped.any(axis=0)
+                        np.maximum(x_next, zero, out=x_next)  # a positional out is deprecated here
+                # one sum is non-finite whenever an entry is; only then scan
+                if not math.isfinite(add.reduce(flat)):
+                    bad = np.flatnonzero(~np.isfinite(x_next).all(axis=0))
+                    if bad.size:
+                        raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
+            for offset, slots, sources in writes:
+                copyto(slots[(step + offset) % ring_rows], sources[new])  # D(step + k + 1)
             if (step + 1) % stride == 0:
                 record((step + 1) // stride, x_next)
     return x_next, projection_counts
@@ -341,8 +355,10 @@ def stream_model(
     if len(seeds) == 1:
         one = p if beta is None else replace(p, beta=float(beta[0]))
         return _stream_one(one, history(0.0), groups[0][1], cfg, seeds, record)
+    # 0-d float arrays; float() first, as an int past int64 would make an object array
+    rates = [np.array(float(v)) for v in (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)]
     return euler_maruyama(
-        lambda x, i_delayed, out: _drift_with_delayed_i(x, i_delayed, p, out, beta),
+        functools.partial(_drift_with_delayed_i, rates if beta is None else [beta, *rates[1:]]),
         history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, record,
         cfg.projection_enabled,
     )

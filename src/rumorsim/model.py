@@ -269,24 +269,26 @@ def _state_array(x) -> np.ndarray:
     return arr
 
 
-def _drift_with_delayed_i(x, i_delayed, p: ModelParams, out, beta=None) -> None:
+def _drift_with_delayed_i(c, x, i_delayed, out) -> None:
     # Shared kernel, component-major: ``x`` and ``out`` are sequences of six
-    # component arrays, and ``out`` is filled in place.  Each flow is
+    # component arrays, and ``out`` is filled in place; ``c`` holds beta (one,
+    # or one per run), gamma, rho, sigma_act and theta.  Each flow is
     # computed once and reused with both signs, so the components cancel
-    # to zero up to the final rounding.  ``beta`` overrides ``p.beta``.
+    # to zero up to the final rounding.
+    beta, gamma, rho, sigma_act, theta = c
     s, e, i, _, ig, _ = x
     d_s, d_e, d_i, d_r, d_ig, d_f = out
-    np.multiply(p.beta if beta is None else beta, s, out=d_s)
-    np.multiply(d_s, i_delayed, out=d_s)  # transmission
-    np.multiply(p.gamma, i, out=d_r)  # removal
-    np.multiply(p.rho, i, out=d_ig)  # skepticism
-    np.add(d_r, d_ig, out=d_e)
-    np.multiply(p.sigma_act, e, out=d_f)  # activation
-    np.subtract(d_f, d_e, out=d_i)  # activation - (removal + skepticism)
-    np.subtract(d_s, d_f, out=d_e)  # transmission - activation
-    np.negative(d_s, out=d_s)
-    np.multiply(p.theta, ig, out=d_f)  # verification
-    np.subtract(d_ig, d_f, out=d_ig)  # skepticism - verification
+    np.multiply(beta, s, d_s)
+    np.multiply(d_s, i_delayed, d_s)  # transmission
+    np.multiply(gamma, i, d_r)  # removal
+    np.multiply(rho, i, d_ig)  # skepticism
+    np.add(d_r, d_ig, d_e)
+    np.multiply(sigma_act, e, d_f)  # activation
+    np.subtract(d_f, d_e, d_i)  # activation - (removal + skepticism)
+    np.subtract(d_s, d_f, d_e)  # transmission - activation
+    np.negative(d_s, d_s)
+    np.multiply(theta, ig, d_f)  # verification
+    np.subtract(d_ig, d_f, d_ig)  # skepticism - verification
 
 
 def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
@@ -302,7 +304,8 @@ def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
     ya = _state_array(x_delayed)
     out = np.empty(xa.shape)
     i_delayed = np.broadcast_to(ya[..., 2], xa.shape[:-1]).reshape(-1)
-    _drift_with_delayed_i(xa.reshape(-1, 6).T, i_delayed, p, out.reshape(-1, 6).T)
+    rates = [float(v) for v in (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)]
+    _drift_with_delayed_i(rates, xa.reshape(-1, 6).T, i_delayed, out.reshape(-1, 6).T)
     return out
 
 

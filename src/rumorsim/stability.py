@@ -180,15 +180,18 @@ def simulate_linearized(
     # one block of (E, I) rows, and the estimate with its times
     check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
 
-    bn = p.beta * p.population
+    # bound as in :func:`~rumorsim.integrator.stream_model`
+    sigma, removal, bn = (np.array(float(v)) for v in (p.sigma_act, p.removal_rate, p.beta * p.population))
+    transmission = np.empty(run_count)
 
     def drift(x, i_delayed, out):
         e, i = x
         d_e, d_i = out
-        np.multiply(p.sigma_act, e, out=d_e)  # activation
-        np.multiply(p.removal_rate, i, out=d_i)
-        np.subtract(d_e, d_i, out=d_i)
-        np.subtract(bn * i_delayed, d_e, out=d_e)
+        np.multiply(sigma, e, d_e)  # activation
+        np.multiply(removal, i, d_i)
+        np.subtract(d_e, d_i, d_i)
+        np.multiply(bn, i_delayed, transmission)
+        np.subtract(transmission, d_e, d_e)
 
     slab = np.empty((block, 2, run_count))
     ms_estimate = np.empty(rows)

@@ -74,9 +74,9 @@ def _coord(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """``x,y`` pixel pairs in ``_coord`` precision, space-separated."""
-    return " ".join(map("%.3f,%.3f".__mod__, zip(xs.tolist(), ys.tolist())))
+def _points(xs: list[str], ys: np.ndarray) -> str:
+    """``x,y`` pixel pairs in ``_coord`` precision, space-separated, from ``x,`` prefixes."""
+    return " ".join(map("%s%.3f".__mod__, zip(xs, ys.tolist())))
 
 
 def _escape(text: str) -> str:
@@ -148,6 +148,9 @@ def render_svg(
         return _tag("text", body, x=x, y=y, **anchored, font_family="sans-serif", font_size=size, **extra)
 
     colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(series))]
+    # the x pixels of each distinct time grid, formatted once
+    grids = {id(s.times): s.times for s in series}
+    xs = {key: list(map("%.3f,".__mod__, sx(times).tolist())) for key, times in grids.items()}
     out = [_tag("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="#ffffff")]
     if title:
         out.append(text(title, _WIDTH / 2, 18, 14, "middle"))
@@ -167,13 +170,13 @@ def render_svg(
     # bands first so every line stays visible on top of every band
     for s, color in zip(series, colors):
         if s.band is not None:
-            (lo, hi), px = s.band, sx(s.times)
+            (lo, hi), px = s.band, xs[id(s.times)]
             points = f"{_points(px, sy(hi))} {_points(px[::-1], sy(lo[::-1]))}"
             out.append(
                 _tag("polygon", class_="band", points=points, fill=color, fill_opacity="0.25", stroke="none")
             )
     for s, color in zip(series, colors):
-        points = _points(sx(s.times), sy(s.values))
+        points = _points(xs[id(s.times)], sy(s.values))
         out.append(
             _tag("polyline", class_="line", points=points, fill="none", stroke=color, stroke_width="1.5")
         )

@@ -83,3 +83,34 @@ def linear_cascade(e0, i0, sigma_act, removal, t):
         math.exp(-sigma_act * t) - math.exp(-removal * t)
     ) / (removal - sigma_act)
     return e_t, i_t
+
+
+def final_size_exact(p, initial):
+    """Outbreak size ``R + F`` of the zero-noise delayed model as time goes
+    to infinity, from a constant history at ``initial``.
+
+    Integrating ``S'/S = -beta I(t - tau)`` over all time, with
+    ``I = i0`` on ``[-tau, 0]`` and ``(S + E + I)' = -(gamma + rho) I``,
+    gives the final-size relation
+
+        ln(S0 / S_inf) = beta tau i0 + beta (S0 + E0 + I0 - S_inf) / (gamma + rho),
+
+    solved here for ``S_inf`` in ``(0, S0)`` by bisection.  Every class but
+    ``S``, ``R`` and ``F`` empties, so the rest of the mass ends in ``R + F``.
+    """
+    s0, e0, i0, r0, ig0, f0 = (float(v) for v in initial.as_array())
+    beta, removal = p.beta, p.gamma + p.rho
+
+    def excess(s):  # decreasing through the one root below s0
+        return math.log(s0 / s) - beta * p.tau * i0 - beta * (s0 + e0 + i0 - s) / removal
+
+    lo, hi = 0.0, s0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mid > 0.0 and excess(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return s0 + e0 + i0 + r0 + ig0 + f0 - hi

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import final_size_exact
 from rumorsim import (
     FinalSizeHorizonWarning,
     GridMismatchError,
@@ -200,6 +201,28 @@ class TestBatchedSweep:
             with pytest.raises(NumericsError) as single:
                 integrate(params, history, cfg, seed)
         assert single.value.step == failed.value.step
+
+
+class TestExactFinalSize:
+    def test_zero_noise_cells_converge_to_the_final_size_relation_at_first_order(self):
+        # Euler's global error is O(h), so halving h halves each cell's gap
+        # to the exact outbreak size; T = 3000 lets every class but S, R
+        # and F empty
+        taus, r0s, hs = (0.0, 5.0, 10.0), (0.5, 1.2, 2.0), (0.2, 0.1, 0.05)
+        template = default_params(noise_level=0.0)
+        start = default_initial_state(template)
+        gaps, sizes = {}, {}
+        for h in hs:
+            cfg = IntegratorConfig(h, 3000.0, record_stride=100)
+            for c in run_sweep(SweepSpec(taus, r0s, 2, 0, template, cfg)).cells:
+                p = dataclasses.replace(template, beta=c.beta, tau=c.tau)
+                sizes[c.tau, c.r0] = final_size_exact(p, start)
+                gaps.setdefault((c.tau, c.r0), []).append(abs(c.final_mean - sizes[c.tau, c.r0]))
+        assert len(gaps) == 9
+        for cell, gap in gaps.items():
+            order = np.polyfit(np.log(hs), np.log(gap), 1)[0]
+            assert 0.9 <= order <= 1.1, (cell, gap)
+            assert gap[-1] < 1e-3 * sizes[cell], (cell, gap)
 
 
 class TestCompare:

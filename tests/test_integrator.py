@@ -196,6 +196,13 @@ _ONE_RUN_CASES = {
         HistoryFunction.constant(StateVector(1.0, 0, 0.005, 0, 0, 0)),
         IntegratorConfig(0.1, 10.0, projection_enabled=False), None,
     ),
+    # Python ints, one beyond the int64 and uint64 ranges, as the config
+    # file's rules let them through
+    "integer_rates": (
+        ModelParams(beta=1, sigma_act=1, gamma=1, rho=1, theta=2**64, population=1,
+                    noise=NoiseIntensities.uniform(0.5)),
+        None, IntegratorConfig(0.1, 2.0), None,
+    ),
 }
 
 
@@ -454,6 +461,44 @@ class TestKernel:
             IntegratorConfig(1.0, 5.0), lambda row, x: None, True,
         )
         assert np.all(terminal == 1e308)
+
+    # start -> {projection: terminal second component, or (step, run) of
+    # the error}; the first component is 1.0, the three runs alike
+    _SCREENED = {
+        "+0.0": (0.0, {True: 0.0, False: 0.0}),
+        "-0.0": (-0.0, {True: -0.0, False: -0.0}),
+        "-1e-300": (-1e-300, {True: 0.0, False: -1e-300}),
+        "+inf": (np.inf, {True: (1, 0), False: (1, 0)}),
+        "-inf": (-np.inf, {True: 0.0, False: (1, 0)}),
+        "nan": (np.nan, {True: (1, 0), False: (1, 0)}),
+        "-nan": (-np.nan, {True: (1, 0), False: (1, 0)}),
+    }
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("start", [*_SCREENED, "sum_overflow"])
+    def test_every_check_runs_on_states_the_screen_rejects(self, start, project):
+        # a zero drift that keeps each entry's sign, so -0.0 stays -0.0;
+        # the expected outcomes are those of the min, clamp and sum checks
+        def drift(x, delayed, out):
+            for xc, oc in zip(x, out):
+                np.copysign(0.0, xc, out=oc)
+
+        if start == "sum_overflow":
+            first, (value, outcomes) = 1e308, (1e308, {True: 1e308, False: 1e308})
+        else:
+            first, (value, outcomes) = 1.0, self._SCREENED[start]
+        expected = outcomes[project]
+        try:
+            terminal, counts = euler_maruyama(
+                drift, (first, value), [(3, [])], 0, np.zeros(2), range(3),
+                IntegratorConfig(1.0, 3.0), lambda row, x: None, project,
+            )
+        except NumericsError as exc:
+            assert (exc.step, exc.run) == expected
+            return
+        assert terminal.tobytes() == np.array([[first] * 3, [expected] * 3]).tobytes()
+        clamped = project and np.signbit(value) and value != 0.0
+        assert counts.tolist() == [int(clamped)] * 3
 
 
 class TestMemory:

@@ -139,6 +139,22 @@ class TestLinearizedSimulation:
             with pytest.raises(NumericsError, match=advice):
                 simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 50.0), 3, 1)
 
+    @pytest.mark.parametrize(
+        "population, horizon, verdict", [(1, 20.0, DecayVerdict.DECAY), (2**64, 0.5, DecayVerdict.GROWTH)]
+    )
+    def test_integer_rates_give_the_bits_of_their_floats(self, population, horizon, verdict):
+        # the second case's beta * N, 2**64, lies beyond the int64 range
+        noise = NoiseIntensities(s=0, e=0.5, i=0.5, r=0, ig=0, f=0)
+        ints = ModelParams(beta=1, sigma_act=2, gamma=1, rho=2, theta=1, tau=1, population=population, noise=noise)
+        floats = ModelParams(
+            beta=1.0, sigma_act=2.0, gamma=1.0, rho=2.0, theta=1.0, tau=1.0, population=float(population),
+            noise=noise,
+        )
+        cfg = IntegratorConfig(0.1, horizon)
+        a, b = (simulate_linearized(p, 0.005, 0.005, cfg, 5, 3) for p in (ints, floats))
+        assert a.ms_estimate.tobytes() == b.ms_estimate.tobytes()
+        assert a.verdict is b.verdict is verdict
+
     def test_input_validation(self, short_cfg):
         p = linear_params(r0=0.5)
         with pytest.raises(ValueError):

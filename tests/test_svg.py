@@ -107,6 +107,7 @@ class TestBandGeometry:
 
 _T = np.arange(11.0)
 _MARKUP = '& < > "'
+_COARSE = np.linspace(0.0, 10.0, 5)
 
 # name -> (series, render_svg keywords)
 PINNED = {
@@ -118,6 +119,13 @@ PINNED = {
     "band": ([Series("mean", _T, _T / 3.0, band=(_T / 3.0 - 0.25, _T / 3.0 + _T / 9.0))], {"title": "band"}),
     "constant": ([Series("flat", _T, np.full(11, -2.5))], {"title": "constant"}),
     "nine_series": ([Series(f"s{k}", _T, k + _T / (k + 1.0)) for k in range(9)], {"title": "palette"}),
+    "two_grids": (
+        [
+            Series("coarse", _COARSE, np.sqrt(_COARSE), band=(np.zeros(5), 1.0 + _COARSE / 4.0)),
+            Series("fine", np.linspace(0.5, 9.5, 9), np.linspace(3.0, -1.0, 9) ** 2 / 3.0),
+        ],
+        {"title": "two grids"},
+    ),
 }
 
 # recorded before every element came to be written by one helper
@@ -127,6 +135,8 @@ PINNED_SHA256 = {
     "band": "38636d671f5a9456adc599ba341c17ec2645c8c548d9103b081a2bb7119dd6d9",
     "constant": "f49f74f90c1293c0296833b7586f1fc5cf86ae23844df31a74cc4c86f895a8f6",
     "nine_series": "f2b7b0ed5867cf5334d0cddf8a0cab40e4c3885599138a2235f4a888514c5046",
+    # recorded before each chart's x pixels came to be formatted once per time grid
+    "two_grids": "24cee188ec7fced11e81ad7d50fadf617a8fb02455847b981179d7218b30ef8e",
 }
 
 
