@@ -30,7 +30,7 @@ import numpy as np
 
 from .ensemble import OutbreakMetrics, _warn_if_unconverged
 from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
-from .integrator import IntegratorConfig, check_memory, delay_steps, stream_model, write_table
+from .integrator import IntegratorConfig, block_rows, check_memory, delay_steps, stream_model, write_table
 from .model import (
     COUNT, NONNEGATIVE, POSITIVE, HistoryFunction, ModelParams, StateVector, check, default_initial_state,
 )
@@ -139,19 +139,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0s[0]:g}): {exc}") from exc
     cell_runs = n * len(r0s)
-    check_memory(cfg, max(taus), cell_runs * len(taus), 6, 0)  # peaks and terminal states only
+    runs = cell_runs * len(taus)
+    block = block_rows(cfg, 6 * 6 * runs)  # a sixth of a statistics block: one row of six is kept
+    check_memory(cfg, max(taus), runs, 6, 6 * runs * block)  # one block of rows; peaks, terminal states
     cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
     betas = [spec.beta_for(r0) for r0 in r0s]
     start = spec.initial_state or default_initial_state(spec.template)
     peak = np.full(len(seeds), -np.inf)
+    staged = np.empty((block, 6, runs))
+
+    def reduce(first, count):
+        np.maximum(peak, np.maximum.reduce(staged[:count, 2]), out=peak)
+
     try:
         terminal, _ = stream_model(
             spec.template,  # its beta and tau give way to the per-run ones
             HistoryFunction.constant(start),
             cfg,
             seeds,
-            lambda row, x: np.maximum(peak, x[2], out=peak),
+            staged,
+            reduce,
             beta=np.tile(np.repeat(betas, n), len(taus)),
             delays=[(tau, cell_runs) for tau in taus],
         )

@@ -9,10 +9,10 @@ the batch is bit-identical to integrating the runs one at a time, and the
 summary statistics do not depend on any scheduling order.  The
 statistics are reduced per block of recorded rows as the kernel hands
 them over, so an ensemble holds one block of ``runs x rows x 6`` values
-and the rows it writes, never the whole path set; every statistic is
-elementwise or reduces over the runs of one row, so the blocks change no
-bit of it.  Sweeps build :class:`OutbreakMetrics` from each run's peak
-and terminal state instead.
+(the staged rows and their runs-major copy) and the rows it writes,
+never the whole path set; every statistic is elementwise or reduces over
+the runs of one row, so the blocks change no bit of it.  Sweeps build
+:class:`OutbreakMetrics` from each run's peak and terminal state instead.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from scipy.special import ndtri
 from .errors import InsufficientDataError
 from .integrator import (
     IntegratorConfig,
-    block_recorder,
     block_rows,
     check_memory,
     recorded_times,
@@ -257,22 +256,23 @@ def run_ensemble(
     """
     check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
     rows = cfg.recorded_count
-    block = block_rows(cfg, run_count * 6)
-    held = run_count * block * 6 + rows * (4 * 6 + 1)  # a block, the outputs and times
+    # the staged block and the slab hold two copies of each row
+    block = block_rows(cfg, 2 * run_count * 6)
+    held = 2 * run_count * block * 6 + rows * (4 * 6 + 1)  # the blocks, the outputs and times
     check_memory(cfg, p.tau, run_count, 6, held)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
+    staged = np.empty((block, 6, run_count))
     slab = np.empty((run_count, block, 6))
     mean = np.empty((rows, 6))
     std, lower, upper = (np.full((rows, 6), np.nan) for _ in range(3))
     peak_values = np.full(run_count, -np.inf)
     peak_rows = np.zeros(run_count, dtype=np.intp)
 
-    def fill(j, x):
-        slab[:, j] = x.T
-
     def reduce(first, count):
+        # runs-major, so the mean sums each row's values in run order
         values, span = slab[:, :count], slice(first, first + count)
+        values[...] = staged[:count].transpose(2, 0, 1)
         mean[span] = values.mean(axis=0)
         spreader = values[:, :, 2]
         block_peak = spreader.max(axis=1)
@@ -282,9 +282,7 @@ def run_ensemble(
         if run_count >= 2:
             std[span], lower[span], upper[span] = _spread_and_band(values, ci_level, ci_method)
 
-    terminal, _ = stream_model(
-        p, history, cfg, seeds, block_recorder(cfg, block, fill, reduce)
-    )
+    terminal, _ = stream_model(p, history, cfg, seeds, staged, reduce)
     times = recorded_times(cfg)
     metrics = OutbreakMetrics(
         peak_values=peak_values,

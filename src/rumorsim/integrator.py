@@ -44,7 +44,7 @@ from .model import (
     _drift_with_delayed_i,
     check,
 )
-from .rng import normal_block, seed_array
+from .rng import increment_chunks, seed_array
 
 __all__ = [
     "IntegratorConfig",
@@ -214,21 +214,6 @@ def block_rows(cfg: IntegratorConfig, values_per_row: int) -> int:
     return max(1, min(cfg.recorded_count, _STATS_BLOCK_VALUES // values_per_row))
 
 
-def block_recorder(cfg: IntegratorConfig, block: int, fill, reduce):
-    """A ``record`` callback for :func:`euler_maruyama` that stores each
-    row with ``fill(j, x)`` as row ``j`` of a block of ``block`` rows, and
-    calls ``reduce(first, count)`` on every full block and the last one."""
-    last = cfg.recorded_count - 1
-
-    def record(row, x):
-        j = row % block
-        fill(j, x)
-        if j == block - 1 or row == last:
-            reduce(row - j, j + 1)
-
-    return record
-
-
 def _non_finite(step: int, h: float, run: int, seed) -> NumericsError:
     return NumericsError(
         f"non-finite state at step {step} (t={step * h:g}) in run index {run} (seed {seed})",
@@ -237,36 +222,27 @@ def _non_finite(step: int, h: float, run: int, seed) -> NumericsError:
     )
 
 
-def _noise_chunks(seeds: np.ndarray, n_comp: int, n_steps: int, h: float):
-    """The increments ``sqrt(h) Z(n)`` of every run, drawn lazily in contiguous
-    ``(steps, components, runs)`` chunks of about ``_NOISE_CHUNK_DRAWS`` draws."""
-    chunk = max(1, _NOISE_CHUNK_DRAWS // (n_comp * seeds.size))
-    for step in range(0, n_steps, chunk):
-        dw = normal_block(seeds, min(chunk, n_steps - step), n_comp, step_offset=step)
-        dw = dw.transpose(0, 2, 1)  # contiguous (steps, components, runs)
-        dw *= np.sqrt(h)
-        yield dw
-        del dw  # before the next chunk is drawn
-
-
 def euler_maruyama(
-    drift, start, delays, delayed_column, noise, seeds, cfg, record, project
+    drift, start, delays, delayed_column, noise, seeds, cfg, staged, reduce, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
     sqrt(h) Z(n)`` for one run per seed, ``Z(n)`` its counter stream at
     step ``n``, on a ``(components, runs)`` state; the operation order
-    fixes the bits of every output.  ``drift(x, d, out)`` writes the drift
-    at the component rows ``x`` into the rows ``out``.
+    fixes the bits of every output.  ``drift(x, out)`` binds the state and
+    a drift buffer once and returns ``step(d)``, which writes the drift at
+    ``x`` into ``out``; the state is then updated in place.
 
     ``delays`` splits the runs, in seed order, into groups ``(runs,
     early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
-    ``early[n]`` for the first ``k = len(early)`` steps.  ``record(row,
-    x)`` receives the start as row 0 and every ``cfg.record_stride``-th
-    state after it.  With ``project``, negative components are clamped to
-    zero after each step.  Returns the terminal state and the per-run
-    count of clamped steps; raises :class:`NumericsError` with ``step``
-    and ``run`` set for the lowest run index at the earliest non-finite
-    step.
+    ``early[n]`` for the first ``k = len(early)`` steps.  Recorded row
+    ``r`` (the start, then every ``cfg.record_stride``-th state) is copied
+    into ``staged[r % len(staged)]``, a caller-owned ``(rows, components,
+    runs)`` block, and ``reduce(first, count)`` is called on every full
+    block and the last one.  With ``project``, negative components are
+    clamped to zero after each step.  Returns the terminal state and the
+    per-run count of clamped steps; raises :class:`NumericsError` with
+    ``step`` and ``run`` set for the lowest run index at the earliest
+    non-finite step.
 
     Every operand, view and ufunc is bound before the loop, and every call
     in it takes its output positionally.  One reduction screens a projected
@@ -277,11 +253,11 @@ def euler_maruyama(
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
     n_comp, n_runs = noise.size, seeds.size
-    states = np.empty((2, n_comp, n_runs))
-    scratch = np.empty((n_comp, n_runs))
-    states[0] = np.reshape(start, (n_comp, 1))
-    # array, rows, flat and its bits
-    buffers = [(b, tuple(b), b.reshape(-1), b.reshape(-1).view(np.uint64)) for b in states]
+    x = np.empty((n_comp, n_runs))  # the state, updated in place
+    x[...] = np.reshape(start, (n_comp, 1))
+    dx = np.empty_like(x)
+    step_drift, flat = drift(x, dx), x.reshape(-1)
+    bits = flat.view(np.uint64)
     ring_rows = 1 + max(len(early) for _, early in delays)
     ring = np.empty((ring_rows, n_runs))
     writes, first = [], 0
@@ -289,54 +265,60 @@ def euler_maruyama(
         cols = slice(first, first + runs)
         first += runs
         ring[: len(early), cols] = np.reshape(early, (-1, 1))
-        ring[len(early), cols] = states[0, delayed_column, cols]
-        writes.append((len(early) + 1, list(ring[:, cols]), tuple(states[:, delayed_column, cols])))
-    record(0, states[0])
+        ring[len(early), cols] = x[delayed_column, cols]
+        writes.append((len(early) + 1, list(ring[:, cols]), x[delayed_column, cols]))
+    block, last = len(staged), cfg.recorded_count - 1
+    np.copyto(staged[0], x)
+    if block == 1:  # the start is never the last row
+        reduce(0, 1)
     projection_counts = np.zeros(n_runs, dtype=np.int64)
-    noise = np.reshape(noise, (n_comp, 1))
+    noise = np.broadcast_to(np.reshape(noise, (n_comp, 1)), (n_comp, n_runs)).copy()
     noisy = bool(np.any(noise > 0.0))
-    planes = itertools.chain.from_iterable(_noise_chunks(seeds, n_comp, n_steps, h))  # drawn only when read
+    # drawn only when read
+    planes = itertools.chain.from_iterable(increment_chunks(seeds, n_comp, n_steps, h, _NOISE_CHUNK_DRAWS))
     dt, zero, rows = np.array(float(h)), np.array(0.0), list(ring)
     multiply, add, copyto, top = np.multiply, np.add, np.copyto, np.maximum.reduce
 
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            new = (step + 1) & 1
-            x, x_rows, _, _ = buffers[step & 1]
-            x_next, next_rows, flat, bits = buffers[new]
-            drift(x_rows, rows[step % ring_rows], next_rows)
-            multiply(x_next, dt, x_next)
-            add(x_next, x, x_next)  # x + drift * h
-            if noisy:
-                multiply(noise, x, scratch)
-                multiply(scratch, next(planes), scratch)
-                add(x_next, scratch, x_next)  # + (noise * x) * dw
+            step_drift(rows[step % ring_rows])
+            multiply(dx, dt, dx)
+            if noisy:  # x is read for the last time here, so it takes the noise term
+                add(dx, x, dx)  # x + drift * h
+                multiply(noise, x, x)
+                multiply(x, next(planes), x)  # (noise * x) * dw
+            add(dx, x, x)  # x + drift * h, plus the noise term if any
             if not (project and top(bits) < _INF_BITS):
                 if project and not np.minimum.reduce(flat) >= 0.0:
-                    clamped = x_next < zero
+                    clamped = x < zero
                     if clamped.any():
                         projection_counts += clamped.any(axis=0)
-                        np.maximum(x_next, zero, out=x_next)  # a positional out is deprecated here
+                        np.maximum(x, zero, out=x)  # a positional out is deprecated here
                 # one sum is non-finite whenever an entry is; only then scan
                 if not math.isfinite(add.reduce(flat)):
-                    bad = np.flatnonzero(~np.isfinite(x_next).all(axis=0))
+                    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
                     if bad.size:
                         raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
-            for offset, slots, sources in writes:
-                copyto(slots[(step + offset) % ring_rows], sources[new])  # D(step + k + 1)
+            for offset, slots, source in writes:
+                copyto(slots[(step + offset) % ring_rows], source)  # D(step + k + 1)
             if (step + 1) % stride == 0:
-                record((step + 1) // stride, x_next)
-    return x_next, projection_counts
+                row = (step + 1) // stride
+                j = row % block
+                copyto(staged[j], x)
+                if j == block - 1 or row == last:
+                    reduce(row - j, j + 1)
+    return x, projection_counts
 
 
 def stream_model(
-    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, record,
+    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, staged, reduce,
     beta=None, delays=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`euler_maruyama` for the model, one run per seed.  ``beta``, if
-    given, is a per-run transmission rate replacing ``p.beta``; ``delays``,
-    if given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
+    """:func:`euler_maruyama` for the model, one run per seed, recording
+    into ``staged`` and calling ``reduce`` as it does.  ``beta``, if given,
+    is a per-run transmission rate replacing ``p.beta``; ``delays``, if
+    given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
     groups of runs their own delay in place of ``p.tau``.
 
     One seed is stepped in Python floats by :func:`_stream_one`, where
@@ -354,12 +336,11 @@ def stream_model(
         groups.append((runs, history(lags)[:, 2]))
     if len(seeds) == 1:
         one = p if beta is None else replace(p, beta=float(beta[0]))
-        return _stream_one(one, history(0.0), groups[0][1], cfg, seeds, record)
-    # 0-d float arrays; float() first, as an int past int64 would make an object array
-    rates = [np.array(float(v)) for v in (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)]
+        return _stream_one(one, history(0.0), groups[0][1], cfg, seeds, staged, reduce)
+    rates = [p.beta if beta is None else beta, p.gamma, p.rho, p.sigma_act, p.theta]
     return euler_maruyama(
-        functools.partial(_drift_with_delayed_i, rates if beta is None else [beta, *rates[1:]]),
-        history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, record,
+        functools.partial(_drift_with_delayed_i, rates),
+        history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, staged, reduce,
         cfg.projection_enabled,
     )
 
@@ -369,7 +350,7 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _stream_one(p, start, early, cfg, seeds, record) -> tuple[np.ndarray, np.ndarray]:
+def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model and one seed, in Python floats,
     with the kernel's operations in its order; ``early`` holds the delayed
     spreader values of the first ``len(early)`` steps."""
@@ -379,9 +360,13 @@ def _stream_one(p, start, early, cfg, seeds, record) -> tuple[np.ndarray, np.nda
     ns, ne, ni, nr, nig, nf = noise = p.noise.as_array().tolist()
     noisy, project = any(n > 0.0 for n in noise), cfg.projection_enabled
     six = struct.Struct("6d")
-    draws = itertools.chain.from_iterable(map(six.iter_unpack, _noise_chunks(seeds, 6, n_steps, h)))
+    chunks = increment_chunks(seeds, 6, n_steps, h, _NOISE_CHUNK_DRAWS)
+    draws = itertools.chain.from_iterable(map(six.iter_unpack, chunks))
     x = np.array(start, dtype=float).reshape(6, 1)  # each recorded row is packed into it
-    record(0, x)
+    block, last = len(staged), cfg.recorded_count - 1
+    np.copyto(staged[0], x)
+    if block == 1:  # the start is never the last row
+        reduce(0, 1)
     s, e, i, r, ig, f = start.tolist()
     ring = array("d", [*early.tolist(), i])  # D(0 .. k)
     slots, clamps = len(ring), 0
@@ -404,8 +389,12 @@ def _stream_one(p, start, early, cfg, seeds, record) -> tuple[np.ndarray, np.nda
             raise _non_finite(step + 1, h, 0, seeds[0])
         ring[slot] = i  # D(step + k + 1)
         if (step + 1) % stride == 0:
+            row = (step + 1) // stride
+            j = row % block
             six.pack_into(x, 0, s, e, i, r, ig, f)
-            record((step + 1) // stride, x)
+            np.copyto(staged[j], x)
+            if j == block - 1 or row == last:
+                reduce(row - j, j + 1)
     return x, np.array([clamps], dtype=np.int64)
 
 
@@ -428,8 +417,9 @@ def simulate_paths(
         raise ValueError("at least one seed is required")
     check_memory(cfg, p.tau, len(seeds), 6, len(seeds) * cfg.recorded_count * 6)
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
-    record = paths.transpose(1, 2, 0).__setitem__  # row j of every path from a (6, runs) state
-    _, projection_counts = stream_model(p, history, cfg, seeds, record)
+    # one block of every row, staged straight into the paths
+    staged = paths.transpose(1, 2, 0)
+    _, projection_counts = stream_model(p, history, cfg, seeds, staged, lambda first, count: None)
     return recorded_times(cfg), paths, projection_counts
 
 

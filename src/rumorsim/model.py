@@ -174,6 +174,14 @@ def check(path: str, rules: dict, **values) -> None:
         raise ConfigurationError("; ".join(reader.errors))
 
 
+def _store_floats(obj, rules: dict) -> None:
+    """Keep each checked number field of the frozen dataclass ``obj`` as a
+    float, so an integer computes as the float it stands for."""
+    for name, rule in rules.items():
+        if isinstance(rule, tuple) and rule[0] is float:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class NoiseIntensities:
     """Per-compartment multiplicative noise intensities (all >= 0)."""
@@ -187,6 +195,7 @@ class NoiseIntensities:
 
     def __post_init__(self):
         check("model.noise", COMPARTMENT_RULES, **vars(self))
+        _store_floats(self, COMPARTMENT_RULES)
 
     @classmethod
     def uniform(cls, level: float) -> "NoiseIntensities":
@@ -231,6 +240,7 @@ class ModelParams:
         if not isinstance(self.noise, NoiseIntensities):
             raise TypeError("noise must be a NoiseIntensities instance")
         check("model", MODEL_RULES, **{name: value for name, value in vars(self).items() if name != "noise"})
+        _store_floats(self, MODEL_RULES)
 
     @property
     def removal_rate(self) -> float:
@@ -251,6 +261,7 @@ class StateVector:
 
     def __post_init__(self):
         check("initial", COMPARTMENT_RULES, **vars(self))
+        _store_floats(self, COMPARTMENT_RULES)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i, self.r, self.ig, self.f])
@@ -269,26 +280,35 @@ def _state_array(x) -> np.ndarray:
     return arr
 
 
-def _drift_with_delayed_i(c, x, i_delayed, out) -> None:
-    # Shared kernel, component-major: ``x`` and ``out`` are sequences of six
-    # component arrays, and ``out`` is filled in place; ``c`` holds beta (one,
+def _drift_with_delayed_i(c, x, out):
+    # Shared kernel, component-major: ``x`` and ``out`` are ``(6, n)``
+    # arrays, and the returned ``step(i_delayed)`` writes the drift at ``x``
+    # into ``out``, every operand and view bound here; ``c`` holds beta (one,
     # or one per run), gamma, rho, sigma_act and theta.  Each flow is
     # computed once and reused with both signs, so the components cancel
-    # to zero up to the final rounding.
+    # to zero up to the final rounding; stacked rows share one call.
     beta, gamma, rho, sigma_act, theta = c
-    s, e, i, _, ig, _ = x
-    d_s, d_e, d_i, d_r, d_ig, d_f = out
-    np.multiply(beta, s, d_s)
-    np.multiply(d_s, i_delayed, d_s)  # transmission
-    np.multiply(gamma, i, d_r)  # removal
-    np.multiply(rho, i, d_ig)  # skepticism
-    np.add(d_r, d_ig, d_e)
-    np.multiply(sigma_act, e, d_f)  # activation
-    np.subtract(d_f, d_e, d_i)  # activation - (removal + skepticism)
-    np.subtract(d_s, d_f, d_e)  # transmission - activation
-    np.negative(d_s, d_s)
-    np.multiply(theta, ig, d_f)  # verification
-    np.subtract(d_ig, d_f, d_ig)  # skepticism - verification
+    rates = np.empty((2, x.shape[1]))
+    rates[0], rates[1] = beta, sigma_act
+    outflows, theta = np.array([[gamma], [rho]], dtype=float), np.array(theta, dtype=float)
+    flows = np.empty((3, x.shape[1]))  # transmission, activation, removal + skepticism
+    transmission, head, tail = flows[0], flows[:2], flows[1:]
+    s_e, i, ig = x[:2], x[2], x[4]
+    d_s, d_e_i, d_r_ig, d_r, d_ig, d_f = out[0], out[1:3], out[3:5], out[3], out[4], out[5]
+    multiply, add, subtract, negative = np.multiply, np.add, np.subtract, np.negative
+
+    def step(i_delayed):
+        multiply(rates, s_e, head)  # beta S, activation
+        multiply(transmission, i_delayed, transmission)
+        multiply(outflows, i, d_r_ig)  # removal, skepticism
+        add(d_r, d_ig, flows[2])
+        # transmission - activation, activation - (removal + skepticism)
+        subtract(head, tail, d_e_i)
+        negative(transmission, d_s)
+        multiply(theta, ig, d_f)  # verification
+        subtract(d_ig, d_f, d_ig)  # skepticism - verification
+
+    return step
 
 
 def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
@@ -304,8 +324,8 @@ def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
     ya = _state_array(x_delayed)
     out = np.empty(xa.shape)
     i_delayed = np.broadcast_to(ya[..., 2], xa.shape[:-1]).reshape(-1)
-    rates = [float(v) for v in (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)]
-    _drift_with_delayed_i(rates, xa.reshape(-1, 6).T, i_delayed, out.reshape(-1, 6).T)
+    rates = (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)
+    _drift_with_delayed_i(rates, xa.reshape(-1, 6).T, out.reshape(-1, 6).T)(i_delayed)
     return out
 
 
@@ -329,9 +349,14 @@ def stochastic_margin(p: ModelParams) -> float:
 
     Returns ``(1 - n_I**2 / (2 * (gamma + rho))) - beta * N / (gamma + rho)``.
     A positive value means spreader noise plus removal dominate delayed
-    transmission, which guarantees exponential mean-square decay of the
-    linearized (E, I) subsystem for every delay; the condition is
-    sufficient only, so a negative margin proves nothing by itself.
+    transmission.  Without exposed-class noise (``n_E = 0``) that
+    guarantees exponential mean-square decay of the linearized (E, I)
+    subsystem for every delay; a negative margin proves nothing by itself.
+
+    The margin has no ``n_E`` term, and with ``n_E > 0`` the guarantee
+    fails: at the default rates with ``beta = 0.045`` (R0 0.3), ``n_E =
+    1`` and every other intensity 0 the margin is 0.7, yet ``E[E^2]``
+    alone grows at the rate ``n_E**2 - 2 * sigma_act = +0.5``.
     """
     damping = 1.0 - p.noise.i**2 / (2.0 * p.removal_rate)
     return damping - reproduction_number(p)

@@ -23,10 +23,11 @@ The construction, spelled out so results can be reproduced independently:
    ``((word >> 11) + 0.5) * 2**-53`` and to a standard normal through the
    inverse normal CDF.
 
-Blocks are hashed in place in component-major memory, and
+Blocks are hashed in place in component-major memory.
 :func:`normal_block` returns its documented step-major shape as a
-transposed view of it, so the integrator reads each step's
-``(components, runs)`` plane without a copy.
+transposed view of it, and :func:`increment_chunks`, the integrator's
+one source of increments, yields that memory as it is, so each step's
+``(components, runs)`` plane is read without a copy.
 
 Child seeds come from the same finalizer:
 ``derive_seed(base, k) = mix64(base + (k+1) * GOLDEN_GAMMA)``, chained left
@@ -43,6 +44,7 @@ from scipy.special import ndtri
 __all__ = [
     "GOLDEN_GAMMA",
     "derive_seed",
+    "increment_chunks",
     "mix64",
     "normal_block",
     "seed_array",
@@ -108,6 +110,39 @@ def seed_array(seeds) -> np.ndarray:
     return np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
 
 
+def _stream_keys(seeds: np.ndarray) -> np.ndarray:
+    """``mix64(seed ^ KEY_SALT)`` for each ``uint64`` seed."""
+    keys = seeds ^ _U_KEY_SALT
+    _mix64_inplace(keys, np.empty_like(keys))
+    return keys
+
+
+def _normals(keys: np.ndarray, step_offset: int, n_steps: int, n_components: int) -> np.ndarray:
+    """The draws of steps ``step_offset .. step_offset+n_steps-1`` of every
+    key, as a C-contiguous ``(n_steps, n_components, len(keys))`` array."""
+    positions = np.add.outer(
+        np.arange(step_offset, step_offset + n_steps, dtype=np.uint64) * np.uint64(_STREAM_STRIDE),
+        np.arange(1, n_components + 1, dtype=np.uint64),
+    )
+    positions *= _U_GOLDEN
+    words = np.empty((n_steps, n_components, keys.size), dtype=np.uint64)
+    np.add(positions[:, :, None], keys, out=words)
+    # a block of one seed is as large as its positions: at most two such
+    # arrays are held at once
+    del positions
+    work = np.empty_like(words)
+    _mix64_inplace(words, work)
+    np.right_shift(words, _U_S11, out=words)
+    # the uniforms overwrite the scratch words, and the normals the uniforms;
+    # the 53-bit words convert exactly, and faster, read as int64
+    draws = work.view(np.float64)
+    np.copyto(draws, words.view(np.int64), casting="unsafe")
+    draws += 0.5
+    draws *= 2.0**-53
+    ndtri(draws, out=draws)
+    return draws
+
+
 def normal_block(
     seed, n_steps: int, n_components: int = 6, step_offset: int = 0
 ) -> np.ndarray:
@@ -126,29 +161,24 @@ def normal_block(
         raise ValueError(f"n_components must be in 1..{_STREAM_STRIDE}")
     if n_steps < 0 or step_offset < 0:
         raise ValueError("n_steps and step_offset must be nonnegative")
-    keys = seed_array([seed] if np.ndim(seed) == 0 else seed) ^ _U_KEY_SALT
-    _mix64_inplace(keys, np.empty_like(keys))
-    positions = np.add.outer(
-        np.arange(step_offset, step_offset + n_steps, dtype=np.uint64) * np.uint64(_STREAM_STRIDE),
-        np.arange(1, n_components + 1, dtype=np.uint64),
-    )
-    positions *= _U_GOLDEN
-    words = np.empty((n_steps, n_components, keys.size), dtype=np.uint64)
-    np.add(positions[:, :, None], keys, out=words)
-    # a block of one seed is as large as its positions: at most two such
-    # arrays are held at once
-    del positions
-    work = np.empty_like(words)
-    _mix64_inplace(words, work)
-    np.right_shift(words, _U_S11, out=words)
-    # the uniforms overwrite the scratch words, and the normals the uniforms
-    draws = work.view(np.float64)
-    np.copyto(draws, words, casting="unsafe")
-    draws += 0.5
-    draws *= 2.0**-53
-    ndtri(draws, out=draws)
-    block = draws.transpose(0, 2, 1)
+    keys = _stream_keys(seed_array([seed] if np.ndim(seed) == 0 else seed))
+    block = _normals(keys, step_offset, n_steps, n_components).transpose(0, 2, 1)
     return block[:, 0] if np.ndim(seed) == 0 else block
+
+
+def increment_chunks(seeds: np.ndarray, n_components: int, n_steps: int, step_size: float, chunk_draws: int):
+    """``normal_block(seeds, n_steps, n_components).transpose(0, 2, 1) *
+    np.sqrt(step_size)`` for ``uint64`` seeds, bit for bit, drawn lazily in
+    C-contiguous chunks of about ``chunk_draws`` draws; each seed's key is
+    hashed once for the whole stream."""
+    keys = _stream_keys(seeds)
+    chunk = max(1, chunk_draws // (n_components * keys.size))
+    scale = np.sqrt(step_size)
+    for step in range(0, n_steps, chunk):
+        dw = _normals(keys, step, min(chunk, n_steps - step), n_components)
+        dw *= scale
+        yield dw
+        del dw  # before the next chunk is drawn
 
 
 def wiener_increments(rng_seed: int, step_index: int) -> np.ndarray:

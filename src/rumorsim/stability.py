@@ -11,7 +11,8 @@ susceptible point is governed by the linear delay subsystem
     dI = (sigma_act * E - (gamma + rho) * I)     dt + n_I * I dW_I
 
 whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
-whenever :func:`~rumorsim.model.stochastic_margin` is positive.  This
+whenever :func:`~rumorsim.model.stochastic_margin` is positive and ``n_E``
+is zero (the margin has no ``n_E`` term; see its caveat).  This
 module estimates that second moment over an ensemble, integrated by the
 streaming kernel of :mod:`rumorsim.integrator`, and issues an empirical
 verdict instead of re-deriving the analysis.
@@ -29,7 +30,6 @@ from .errors import NumericsError
 from .integrator import (
     IntegratorConfig,
     Trajectory,
-    block_recorder,
     block_rows,
     check_memory,
     delay_steps,
@@ -180,27 +180,25 @@ def simulate_linearized(
     # one block of (E, I) rows, and the estimate with its times
     check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
 
-    # bound as in :func:`~rumorsim.integrator.stream_model`
-    sigma, removal, bn = (np.array(float(v)) for v in (p.sigma_act, p.removal_rate, p.beta * p.population))
+    rates, bn = np.array([[p.sigma_act], [p.removal_rate]]), np.array(p.beta * p.population)
     transmission = np.empty(run_count)
 
-    def drift(x, i_delayed, out):
-        e, i = x
+    def drift(x, out):
         d_e, d_i = out
-        np.multiply(sigma, e, d_e)  # activation
-        np.multiply(removal, i, d_i)
-        np.subtract(d_e, d_i, d_i)
-        np.multiply(bn, i_delayed, transmission)
-        np.subtract(transmission, d_e, d_e)
 
-    slab = np.empty((block, 2, run_count))
+        def step(i_delayed):
+            np.multiply(rates, x, out)  # activation, removal
+            np.subtract(d_e, d_i, d_i)
+            np.multiply(bn, i_delayed, transmission)
+            np.subtract(transmission, d_e, d_e)
+
+        return step
+
+    staged = np.empty((block, 2, run_count))
     ms_estimate = np.empty(rows)
 
-    def fill(j, x):
-        slab[j] = x
-
     def reduce(first, count):
-        squares = np.square(slab[:count], out=slab[:count])
+        squares = np.square(staged[:count], out=staged[:count])
         ms_estimate[first : first + count] = squares.sum(axis=1).mean(axis=1)
 
     early = np.full(delay_steps(p.tau, cfg), i0)
@@ -208,8 +206,7 @@ def simulate_linearized(
     seeds = [derive_seed(base_seed, j) for j in range(run_count)]
     try:
         euler_maruyama(
-            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg,
-            block_recorder(cfg, block, fill, reduce), False,
+            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg, staged, reduce, False,
         )
     except NumericsError as exc:
         raise NumericsError(

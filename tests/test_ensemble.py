@@ -26,7 +26,7 @@ from rumorsim.ensemble import (
     write_metrics_csv,
     write_summary_csv,
 )
-from rumorsim.integrator import block_recorder, block_rows
+from rumorsim.integrator import block_rows, euler_maruyama
 
 
 def quiet_ensemble(run_count=5, noise=0.0, r0=2.0, horizon=200.0, seed=42, **kwargs):
@@ -352,14 +352,19 @@ class TestBlockwiseStatistics:
 
     @pytest.mark.parametrize("block", [None, 7, 20])
     def test_linearized_estimate_equals_whole_array_reference(self, monkeypatch, block):
-        # every row the kernel records, seen through the record callback
+        # every row the kernel records, seen in its staged block before the reduce
         recorded = []
 
-        def spy(cfg, rows, fill, reduce):
-            record = block_recorder(cfg, rows, fill, reduce)
-            return lambda row, x: (recorded.append(x.copy()), record(row, x))
+        def spy(*args):
+            *head, staged, reduce, project = args
 
-        monkeypatch.setattr("rumorsim.stability.block_recorder", spy)
+            def seen(first, count):
+                recorded.extend(staged[:count].copy())
+                reduce(first, count)
+
+            return euler_maruyama(*head, staged, seen, project)
+
+        monkeypatch.setattr("rumorsim.stability.euler_maruyama", spy)
         runs, cfg = 5, IntegratorConfig(0.1, 20.0)
         if block is not None:
             set_block(monkeypatch, block, 2 * runs)

@@ -405,11 +405,11 @@ class TestKernel:
         assert [delay_steps(tau, cfg) for tau in taus] == [0, 25, cfg.step_count]
 
         def run(params, seeds, **delays):
-            rows = []
+            rows = np.empty((cfg.recorded_count, 6, len(seeds)))
             terminal, counts = stream_model(
-                params, history, cfg, seeds, lambda row, x: rows.append(x.copy()), **delays
+                params, history, cfg, seeds, rows, lambda first, count: None, **delays
             )
-            return np.array(rows), terminal, counts
+            return rows, terminal, counts
 
         mixed = run(p, list(range(n)) * len(taus), delays=[(tau, n) for tau in taus])
         assert mixed[2].any()  # some steps were clamped
@@ -427,9 +427,12 @@ class TestKernel:
         # overflow at different steps; the later runs overflow first
         rates = np.array([0.0, 3e3, 0.0, 1e6, 1e6])
 
-        def drift(x, delayed, out):
-            for xc, oc in zip(x, out):
-                np.multiply(rates, xc, out=oc)
+        def drift(x, out):
+            def step(delayed):
+                for xc, oc in zip(x, out):
+                    np.multiply(rates, xc, out=oc)
+
+            return step
 
         cfg = IntegratorConfig(1.0, 200.0, projection_enabled=False)
         first_step = []
@@ -446,19 +449,22 @@ class TestKernel:
         with pytest.raises(NumericsError) as failed:
             euler_maruyama(
                 drift, (1.0, 1.0), [(rates.size, [])], 0, np.zeros(2), range(rates.size),
-                cfg, lambda row, x: None, False,
+                cfg, np.empty((1, 2, rates.size)), lambda first, count: None, False,
             )
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
 
     def test_finite_states_whose_sum_overflows_do_not_fail(self):
-        def drift(x, delayed, out):
-            for oc in out:
-                oc[...] = 0.0
+        def drift(x, out):
+            def step(delayed):
+                for oc in out:
+                    oc[...] = 0.0
+
+            return step
 
         terminal, _ = euler_maruyama(
             drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), range(3),
-            IntegratorConfig(1.0, 5.0), lambda row, x: None, True,
+            IntegratorConfig(1.0, 5.0), np.empty((1, 2, 3)), lambda first, count: None, True,
         )
         assert np.all(terminal == 1e308)
 
@@ -479,9 +485,12 @@ class TestKernel:
     def test_every_check_runs_on_states_the_screen_rejects(self, start, project):
         # a zero drift that keeps each entry's sign, so -0.0 stays -0.0;
         # the expected outcomes are those of the min, clamp and sum checks
-        def drift(x, delayed, out):
-            for xc, oc in zip(x, out):
-                np.copysign(0.0, xc, out=oc)
+        def drift(x, out):
+            def step(delayed):
+                for xc, oc in zip(x, out):
+                    np.copysign(0.0, xc, out=oc)
+
+            return step
 
         if start == "sum_overflow":
             first, (value, outcomes) = 1e308, (1e308, {True: 1e308, False: 1e308})
@@ -491,7 +500,7 @@ class TestKernel:
         try:
             terminal, counts = euler_maruyama(
                 drift, (first, value), [(3, [])], 0, np.zeros(2), range(3),
-                IntegratorConfig(1.0, 3.0), lambda row, x: None, project,
+                IntegratorConfig(1.0, 3.0), np.empty((1, 2, 3)), lambda first, count: None, project,
             )
         except NumericsError as exc:
             assert (exc.step, exc.run) == expected

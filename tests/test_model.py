@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from rumorsim import (
     HistoryFunction,
+    IntegratorConfig,
     ModelParams,
     NoiseIntensities,
+    NumericsError,
     StateVector,
     default_initial_state,
     default_params,
@@ -15,6 +19,8 @@ from rumorsim import (
     growth_bound_constant,
     lipschitz_constant,
     reproduction_number,
+    simulate_linearized,
+    simulate_paths,
     stochastic_margin,
     verify_growth_bound,
     verify_lipschitz_bound,
@@ -227,6 +233,39 @@ class TestValidation:
         x = default_initial_state(p)
         assert x.total == pytest.approx(p.population)
         assert x.i == pytest.approx(0.005)
+
+
+class TestIntegerFields:
+    """Numeric fields hold floats, so an integer computes as the float it
+    stands for, past the float range's integers too."""
+
+    def test_integers_past_the_float_integers_give_the_float_results(self):
+        outcomes = []
+        for beta, population in ((10**200, 10**200), (1e200, 1e200)):
+            p = replace(default_params(), beta=beta, population=population)
+            assert isinstance(p.beta, float) and isinstance(p.population, float)
+            try:
+                simulate_linearized(p, 0.01, 0.01, IntegratorConfig(0.1, 1.0), 3, 1)
+                error = None
+            except NumericsError as exc:
+                error = str(exc)
+            outcomes.append((reproduction_number(p), stochastic_margin(p), error))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (np.inf, -np.inf)
+        assert outcomes[0][2].startswith("linearized second moment overflowed at step 1")
+
+    def test_integer_rates_noise_and_state_give_the_float_paths(self):
+        runs = []
+        for kind in (int, float):
+            p = ModelParams(
+                beta=kind(1), sigma_act=kind(1), gamma=kind(1), rho=kind(2), theta=kind(3),
+                noise=NoiseIntensities(kind(1), 0, 0, 0, 0, kind(2)), population=kind(4),
+            )
+            start = StateVector(kind(3), 0, kind(1), 0, 0, 0)
+            assert {type(v) for v in (*vars(p.noise).values(), *vars(start).values())} == {float}
+            _, paths, counts = simulate_paths(p, HistoryFunction.constant(start), IntegratorConfig(0.1, 2.0), [5, 6])
+            runs.append((paths.tobytes(), counts.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestHistoryFunction:

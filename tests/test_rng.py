@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rumorsim.rng import derive_seed, mix64, normal_block, wiener_increments
+from rumorsim.rng import derive_seed, increment_chunks, mix64, normal_block, seed_array, wiener_increments
 
 
 def test_same_seed_and_step_is_identical():
@@ -30,6 +30,38 @@ def test_seed_array_block_is_step_major(n_components):
     assert block.shape == (30, len(seeds), n_components)
     for j, seed in enumerate(seeds):
         assert np.array_equal(block[:, j, :], normal_block(seed, 30, n_components, step_offset=45))
+
+
+# one seed on each side of 2**63, or 2,000 seeds that include both
+_STREAM_SEEDS = {
+    "below": [2**63 - 1],
+    "above": [2**63 + 5],
+    "many": [2**63 - 1, 2**63 + 5, *(derive_seed(11, k) for k in range(1998))],
+}
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 6])
+@pytest.mark.parametrize("seeds", list(_STREAM_SEEDS))
+def test_increment_chunks_equal_normal_block_run_by_run(seeds, n_components):
+    # chunks of 7 steps; the windows start inside a chunk and cross its ends
+    seeds = seed_array(_STREAM_SEEDS[seeds])
+    assert (seeds < 2**63).any() and (seeds >= 2**63).any() or seeds.size == 1
+    chunk_draws = 8 * n_components * seeds.size - 1  # rounds down to 7 steps
+    chunks = list(increment_chunks(seeds, n_components, 40, 1.0, chunk_draws))
+    assert [c.shape[0] for c in chunks] == [7] * 5 + [5]
+    assert all(c.flags.c_contiguous and c.shape[1:] == (n_components, seeds.size) for c in chunks)
+    stream = np.concatenate(chunks).view(np.uint64)
+    for j, seed in enumerate(seeds.tolist()):
+        for offset, steps in ((0, 40), (5, 10), (13, 16), (34, 6)):
+            window = normal_block(seed, steps, n_components, step_offset=offset)
+            assert np.array_equal(stream[offset : offset + steps, :, j], window.view(np.uint64))
+
+
+def test_increments_are_draws_times_root_step():
+    seeds = seed_array([2**63 - 1, 2**63 + 5, 3])
+    stream = np.concatenate(list(increment_chunks(seeds, 6, 30, 0.01, 100)))
+    want = normal_block(seeds, 30, 6).transpose(0, 2, 1) * np.sqrt(0.01)
+    assert np.array_equal(stream.view(np.uint64), want.view(np.uint64))
 
 
 def test_gaussian_moments():
