@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import numtext
 from .errors import ConfigurationError, NumericsError
 from .model import (
     COUNT,
@@ -79,6 +80,8 @@ _STATS_BLOCK_VALUES = 131_072
 _INF_BITS = 0x7FF0000000000000
 
 CSV_FLOAT_FORMAT = "%.9g"
+# CSV rows are formatted and written about this many cells at a time
+_CSV_CHUNK_CELLS = 4096
 
 INTEGRATOR_RULES = {
     "step_size": POSITIVE, "horizon": POSITIVE, "projection_enabled": bool, "record_stride": COUNT,
@@ -496,43 +499,45 @@ def second_moment_envelope(
     return np.exp(np.minimum(log_env, 709.0))
 
 
-def _csv_text(text: str) -> str:
-    """Quote a text cell the way ``csv.writer`` does by default."""
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _cell_texts(column: np.ndarray) -> list[str]:
+    """Integers and booleans as integers, other cells as text quoted the
+    way ``csv.writer`` quotes it by default."""
+    if column.dtype.kind in "biu":
+        return ["%d" % x for x in column.tolist()]
+    texts = map(str, column.tolist())
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\n') else t for t in texts]
 
 
 def write_table(path, header, columns, meta=None) -> None:
     """Write a CSV table an array at a time.
 
     ``columns`` holds one sequence per ``header`` name.  Floats print with
-    ``CSV_FLOAT_FORMAT`` (``nan`` and ``inf`` as such), integers and
-    booleans as integers, and text csv-quoted where it needs quoting.
+    ``CSV_FLOAT_FORMAT`` (``nan`` and ``inf`` as such) through the exact
+    array formatter of :mod:`rumorsim.numtext`, with a per-cell fallback to
+    ``%``; integers and booleans print as integers, and text csv-quoted
+    where it needs quoting.  Rows are written in chunks of about
+    ``_CSV_CHUNK_CELLS`` cells, so memory follows the chunk, not the table.
     Each ``meta`` item becomes a ``# key=value`` line above the header,
     with a float value in ``CSV_FLOAT_FORMAT``.
     """
-    formats, cells = [], []
-    for column in columns:
-        column = np.asarray(column)
-        if column.dtype.kind == "f":
-            formats.append(CSV_FLOAT_FORMAT)
-            cells.append(column.tolist())
-        elif column.dtype.kind in "biu":
-            formats.append("%d")
-            cells.append(column.tolist())
-        else:
-            formats.append("%s")
-            cells.append([_csv_text(str(text)) for text in column.tolist()])
-    row = ",".join(formats) + "\n"
-    lines = [
-        f"# {key}={CSV_FLOAT_FORMAT % value if isinstance(value, float) else value}\n"
-        for key, value in (meta or {}).items()
-    ]
-    lines.append(",".join(header) + "\n")
-    lines.extend(map(row.__mod__, zip(*cells)))
+    columns = [np.asarray(column) for column in columns]
+    floats = [j for j, column in enumerate(columns) if column.dtype.kind == "f"]
+    seps = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], np.uint8)
+    chunk = max(1, _CSV_CHUNK_CELLS // max(1, len(columns)))
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join(lines))
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key}={CSV_FLOAT_FORMAT % value if isinstance(value, float) else value}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, min(map(len, columns), default=0), chunk):
+            part = slice(start, start + chunk)
+            if floats:
+                codes, keep = numtext.records(np.stack([columns[j][part] for j in floats], 1), seps[floats])
+            cells = [
+                (codes[:, floats.index(j)], keep[:, floats.index(j)]) if j in floats
+                else numtext.strings(_cell_texts(column[part]), seps[j])
+                for j, column in enumerate(columns)
+            ]
+            fh.write(numtext.join([(codes, keep)] if len(floats) == len(columns) else cells))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

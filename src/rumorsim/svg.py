@@ -4,6 +4,8 @@ shaded confidence bands.
 The output is a standalone SVG document whose every element one writer,
 ``_tag``, formats as plain text, so identical input always yields identical
 bytes; that carries the determinism contract of the CLI into the figures.
+Polyline and polygon points print an array at a time through the exact
+formatter of :mod:`rumorsim.numtext`, as ``%.3f`` would print them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import numtext
 
 __all__ = ["Series", "render_svg", "write_svg"]
 
@@ -74,9 +78,10 @@ def _coord(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _points(xs: list[str], ys: np.ndarray) -> str:
-    """``x,y`` pixel pairs in ``_coord`` precision, space-separated, from ``x,`` prefixes."""
-    return " ".join(map("%s%.3f".__mod__, zip(xs, ys.tolist())))
+def _points(xs, ys: np.ndarray) -> str:
+    """``x,y`` pixel pairs in ``_coord`` precision, space-separated, from
+    the grid's ``x,`` records (see :func:`~rumorsim.numtext.records`)."""
+    return numtext.join([xs, numtext.records(ys, ord(" "), fixed=True)])[:-1]
 
 
 def _escape(text: str) -> str:
@@ -148,9 +153,9 @@ def render_svg(
         return _tag("text", body, x=x, y=y, **anchored, font_family="sans-serif", font_size=size, **extra)
 
     colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(series))]
-    # the x pixels of each distinct time grid, formatted once
+    # the x pixel records of each distinct time grid, formatted once
     grids = {id(s.times): s.times for s in series}
-    xs = {key: list(map("%.3f,".__mod__, sx(times).tolist())) for key, times in grids.items()}
+    xs = {key: numtext.records(sx(times), ord(","), fixed=True) for key, times in grids.items()}
     out = [_tag("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="#ffffff")]
     if title:
         out.append(text(title, _WIDTH / 2, 18, 14, "middle"))
@@ -171,7 +176,7 @@ def render_svg(
     for s, color in zip(series, colors):
         if s.band is not None:
             (lo, hi), px = s.band, xs[id(s.times)]
-            points = f"{_points(px, sy(hi))} {_points(px[::-1], sy(lo[::-1]))}"
+            points = f"{_points(px, sy(hi))} {_points([r[::-1] for r in px], sy(lo[::-1]))}"
             out.append(
                 _tag("polygon", class_="band", points=points, fill=color, fill_opacity="0.25", stroke="none")
             )

@@ -275,6 +275,22 @@ def set_block(monkeypatch, rows, values_per_row):
     monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", rows * values_per_row)
 
 
+# run_ensemble stages a block and copies it into a runs-major slab: 12 values per run and row
+ENSEMBLE_VALUES_PER_RUN = 12
+
+
+def ensemble_blocks(monkeypatch):
+    """The block sizes ``run_ensemble`` takes from ``block_rows``, as it takes them."""
+    sizes = []
+
+    def spy(cfg, values_per_row):
+        sizes.append(block_rows(cfg, values_per_row))
+        return sizes[-1]
+
+    monkeypatch.setattr("rumorsim.ensemble.block_rows", spy)
+    return sizes
+
+
 def whole_array_reference(p, hist, cfg, run_count, seed, ci_level, ci_method):
     """The ensemble statistics over every recorded path at once."""
     seeds = [derive_seed(seed, k) for k in range(run_count)]
@@ -325,10 +341,11 @@ class TestBlockwiseStatistics:
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 20.0, record_stride=stride)
         if block is not None:
-            set_block(monkeypatch, block, run_count * 6)
-        assert block_rows(cfg, run_count * 6) == (block or cfg.recorded_count)
+            set_block(monkeypatch, block, run_count * ENSEMBLE_VALUES_PER_RUN)
+        sizes = ensemble_blocks(monkeypatch)
         ref = whole_array_reference(p, hist, cfg, run_count, 9, 0.9, ci_method)
         result = run_ensemble(p, hist, cfg, run_count, 9, ci_level=0.9, ci_method=ci_method)
+        assert sizes == [block or cfg.recorded_count]
         assert_matches_reference(result, ref)
 
     def test_peak_tie_across_blocks_keeps_the_first_row(self, monkeypatch):
@@ -341,12 +358,14 @@ class TestBlockwiseStatistics:
         )
         hist = HistoryFunction.constant(StateVector(s=0.98, e=0.01, i=0.01, r=0.0, ig=0.0, f=0.0))
         cfg = IntegratorConfig(0.1, 60.0)
-        set_block(monkeypatch, 50, 2 * 6)
+        set_block(monkeypatch, 50, 2 * ENSEMBLE_VALUES_PER_RUN)
+        sizes = ensemble_blocks(monkeypatch)
         ref = whole_array_reference(p, hist, cfg, 2, 1, 0.95, "quantile")
         spreader = ref["paths"][0, :, 2]
         tied = np.flatnonzero(spreader == spreader.max())
         assert tied[0] > 50 and tied[-1] // 50 > tied[0] // 50  # several blocks
         result = run_ensemble(p, hist, cfg, 2, 1)
+        assert sizes == [50]
         assert_matches_reference(result, ref)
         assert np.all(result.metrics.peak_times == result.summary.times[tied[0]])
 
@@ -488,10 +507,11 @@ class TestExactBandOracle:
         p = default_params(tau=1.0, r0=2.0, noise_level=1.0)
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 20.0, record_stride=10)
-        set_block(monkeypatch, block, run_count * 6)
-        assert block_rows(cfg, run_count * 6) == block
+        set_block(monkeypatch, block, run_count * ENSEMBLE_VALUES_PER_RUN)
+        sizes = ensemble_blocks(monkeypatch)
         _, paths, _ = simulate_paths(p, hist, cfg, [derive_seed(5, k) for k in range(run_count)])
         result = run_ensemble(p, hist, cfg, run_count, 5, ci_level=0.9)
+        assert sizes == [block]
         want = numpy_band(paths, 0.9)
         assert_same_band(result.summary.lower, want[0], paths)
         assert_same_band(result.summary.upper, want[1], paths)

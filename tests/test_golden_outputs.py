@@ -166,8 +166,22 @@ def test_cases_exercise_nan_columns_and_flagged_notes(produced):
     "case, runs, components",
     [("ensemble_blocks", 300, 6), ("ensemble_blocks_normal", 300, 6), ("stability_blocks", 400, 2)],
 )
-def test_block_cases_end_on_a_partial_block(case, runs, components):
-    integrator = from_dict({**_SMALL, **CASES[case][1]}).integrator
-    block = block_rows(integrator, runs * components)
-    assert integrator.recorded_count > 2 * block
-    assert integrator.recorded_count % block != 0
+def test_block_cases_end_on_a_partial_block(tmp_path, monkeypatch, case, runs, components):
+    # the blocks the statistics actually take, read as the case runs
+    seen = []
+
+    def spy(cfg, values_per_row):
+        seen.append((values_per_row, block_rows(cfg, values_per_row)))
+        return seen[-1][1]
+
+    command, blocks, _ = CASES[case]
+    monkeypatch.setattr(f"rumorsim.{command}.block_rows", spy)
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps({**_SMALL, **blocks}))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
+    integrator = from_dict({**_SMALL, **blocks}).integrator
+    assert seen
+    for values_per_row, block in seen:
+        assert values_per_row % (runs * components) == 0  # whole rows of every run
+        assert integrator.recorded_count > 2 * block
+        assert integrator.recorded_count % block != 0

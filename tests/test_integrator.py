@@ -667,6 +667,18 @@ class TestWriteTable:
         with open(out, newline="") as fh:
             assert fh.read() == expected.getvalue()
 
+    def test_memory_follows_the_chunk_not_the_table(self, tmp_path):
+        rng = np.random.default_rng(0)
+        columns = list(rng.uniform(0.0, 1.0, (25, 20_001)))
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "wide.csv", [f"c{j}" for j in range(25)], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table's text alone is 5 MB, and one list of its cells as Python floats 12 MB
+        assert peak < 8e6
+
     def test_meta_floats_use_the_csv_float_format(self, tmp_path):
         out = tmp_path / "meta.csv"
         write_table(out, ["t"], [[0.1]], meta={"rate": 1 / 3, "verdict": "decay", "runs": 5})
