@@ -9,10 +9,11 @@ the batch is bit-identical to integrating the runs one at a time, and the
 summary statistics do not depend on any scheduling order.  The
 statistics are reduced per block of recorded rows as the kernel hands
 them over, so an ensemble holds one block of ``runs x rows x 6`` values
-(the staged rows and their runs-major copy) and the rows it writes,
-never the whole path set; every statistic is elementwise or reduces over
-the runs of one row, so the blocks change no bit of it.  Sweeps build
-:class:`OutbreakMetrics` from each run's peak and terminal state instead.
+twice (the staged rows, which the band sorts in place, and a runs-major
+copy) and the rows it writes, never the whole path set; every statistic
+is elementwise or reduces over the runs of one row, so the blocks change
+no bit of it.  Sweeps build :class:`OutbreakMetrics` from each run's peak
+and terminal state instead.
 """
 
 from __future__ import annotations
@@ -87,55 +88,62 @@ def confidence_band(values, level: float, method: str = "quantile"):
             f"confidence band needs at least 2 values, got {values.shape[0]}"
         )
     check("ensemble", ENSEMBLE_RULES, ci_level=level, ci_method=method)
-    _, lo, hi = _spread_and_band(values, level, method)
+    _, lo, hi = _spread_and_band(values.copy(), values.mean(axis=0), level, method, np.moveaxis(values, 0, -1))
     if values.ndim == 1:
         return float(lo), float(hi)
     return lo, hi
 
 
-def _sample_std(values):
-    """The ddof=1 standard deviation along the first axis.
+def _sample_std(values, mean, sample=None):
+    """The ddof=1 standard deviation along the first axis of ``values``,
+    whose runs are outermost in memory, from their ``mean`` in numpy's
+    order: subtract, square, sum, divide by ``n - 1``, square root.  The
+    squares go to a new array, or overwrite ``values`` if ``sample`` holds
+    the same values (runs first, in any layout).
 
-    A lane whose squared deviations overflow is recomputed on its values
+    A lane whose squared deviations overflow is recomputed on the sample
     scaled by a power of two, which is exact, so huge but finite samples
     keep a finite spread; every other lane keeps numpy's bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        std = np.std(values, axis=0, ddof=1)
+        squares = np.subtract(values, mean, out=None if sample is None else values)
+        std = np.sqrt(np.add.reduce(np.square(squares, out=squares), axis=0) / (len(squares) - 1))
         lost = ~np.isfinite(std)
-        if lost.any():  # scale the whole sample, which keeps numpy's sum order
-            exponent = np.where(lost, np.frexp(np.abs(values).max(axis=0))[1], 0)
-            rescaled = np.ldexp(np.std(np.ldexp(values, -exponent), axis=0, ddof=1), exponent)
-            std = np.where(lost, rescaled, std)
+        if lost.any():  # scale the whole sample, runs outermost, which keeps numpy's sum order
+            sample = values if sample is None else sample
+            exponent = np.where(lost, np.frexp(np.abs(sample).max(axis=0))[1], 0)
+            scaled = np.ldexp(sample, -exponent, order="C")
+            std = np.where(lost, np.ldexp(np.std(scaled, axis=0, ddof=1), exponent), std)
     return std
 
 
-def _spread_and_band(values, level: float, method: str):
-    """The ddof=1 standard deviation and the band of a sample along its
-    first axis.  The std is exactly zero where all values agree,
-    suppressing the roundoff the two-pass mean would otherwise leave.
-    ``normal`` gives ``mean +/- z * std``, with ``z`` the standard-normal
-    quantile; ``quantile`` sorts ``values`` in place and reads the band
-    from the order statistics.
+def _spread_and_band(values, mean, level: float, method: str, runs_last):
+    """The ddof=1 standard deviation and the band of a sample with its
+    ``mean``, held runs first in ``values``, which the squared deviations
+    overwrite, and runs last in ``runs_last``.  The std is exactly zero
+    where all values agree, suppressing the roundoff the two-pass mean
+    would otherwise leave.  ``normal`` gives ``mean +/- z * std``, with
+    ``z`` the standard-normal quantile; ``quantile`` sorts ``runs_last`` in
+    place along its last axis and reads the band from the order statistics.
     """
-    std = _sample_std(values)
+    std = _sample_std(values, mean, np.moveaxis(runs_last, -1, 0))
     if method == "normal":
-        std = np.where(values.max(axis=0) == values.min(axis=0), 0.0, std)
-        z, mean = ndtri(0.5 + level / 2.0), values.mean(axis=0)
+        std = np.where(runs_last.max(axis=-1) == runs_last.min(axis=-1), 0.0, std)
+        z = ndtri(0.5 + level / 2.0)
         return std, mean - z * std, mean + z * std
-    values.sort(axis=0)
-    return (np.where(values[0] == values[-1], 0.0, std), *_quantile_band(values, level))
+    runs_last.sort(axis=-1)
+    return (np.where(runs_last[..., 0] == runs_last[..., -1], 0.0, std), *_quantile_band(runs_last, level))
 
 
 def _quantile_band(ordered, level: float):
-    """The quantile band of a sample sorted along its first axis.
+    """The quantile band of a sample sorted along its last axis.
 
     It interpolates between the order statistics at and after
     ``(n - 1) q`` as numpy's "linear" quantile does: the same weight, the
     same two ``_lerp`` branches, and NaN wherever the last order statistic
     is NaN, so the band equals numpy's to the bit.
     """
-    n, last = ordered.shape[0], ordered[-1]
+    n, last = ordered.shape[-1], ordered[..., -1]
     nan_lanes = np.isnan(last)
     alpha = (1.0 - level) / 2.0
     band = []
@@ -143,7 +151,7 @@ def _quantile_band(ordered, level: float):
         position = (n - 1) * q
         # at q = 1 both ends are the last value, where the weight is moot
         below = min(math.floor(position), n - 1)
-        a, b, t = ordered[below], ordered[min(below + 1, n - 1)], position - below
+        a, b, t = ordered[..., below], ordered[..., min(below + 1, n - 1)], position - below
         diff = b - a
         value = b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
         band.append(np.where(nan_lanes, last, value))
@@ -207,7 +215,7 @@ def _run_spread(values) -> float:
     """The ddof=1 std over runs: NaN below two runs, exactly 0 where all agree."""
     if values.size < 2:
         return float("nan")
-    return 0.0 if values.max() == values.min() else float(_sample_std(values))
+    return 0.0 if values.max() == values.min() else float(_sample_std(values, values.mean()))
 
 
 @dataclass(frozen=True)
@@ -250,9 +258,10 @@ def run_ensemble(
     (see :func:`~rumorsim.integrator.block_rows`), so memory scales with
     ``run_count`` times one block plus the written rows; the per-run peak
     merges across blocks keeping its first occurrence, and the final size
-    comes from the terminal state.  Once its mean, spread and peaks are
-    read, each block is sorted in place along the runs, and its band read
-    from the order statistics.
+    comes from the terminal state.  The mean, peaks and ddof=1 std are
+    read from a runs-major copy of each block, the std's squared
+    deviations overwriting it; the staged rows, which the kernel never
+    reads again, are then sorted along their runs for the band.
     """
     check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
     rows = cfg.recorded_count
@@ -280,7 +289,10 @@ def run_ensemble(
         peak_values[higher] = block_peak[higher]
         peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
         if run_count >= 2:
-            std[span], lower[span], upper[span] = _spread_and_band(values, ci_level, ci_method)
+            # the kernel reads no staged row again, so the band sorts them in place
+            std[span], lower[span], upper[span] = _spread_and_band(
+                values, mean[span], ci_level, ci_method, staged[:count]
+            )
 
     terminal, _ = stream_model(p, history, cfg, seeds, staged, reduce)
     times = recorded_times(cfg)

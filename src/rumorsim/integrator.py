@@ -248,10 +248,13 @@ def euler_maruyama(
     non-finite step.
 
     Every operand, view and ufunc is bound before the loop, and every call
-    in it takes its output positionally.  One reduction screens a projected
-    step: when no entry's bits, read unsigned, reach those of +inf, each is
-    finite with its sign bit clear, and no clamp or finiteness test runs.
-    Other steps run both in full, so ``-0.0`` (sign bit set) clamps nothing.
+    in it takes its output positionally.  One ``argmax`` screens a projected
+    step: when the largest entry's bits, read unsigned, are below those of
+    +inf, each is finite with its sign bit clear, and no clamp or
+    finiteness test runs.  Other steps run both in full, so ``-0.0`` (sign
+    bit set) clamps nothing; their finiteness test is one dot product of
+    the state with itself, non-finite whenever an entry is, and only when
+    it is non-finite are the entries scanned one by one.
     """
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
@@ -280,7 +283,7 @@ def euler_maruyama(
     # drawn only when read
     planes = itertools.chain.from_iterable(increment_chunks(seeds, n_comp, n_steps, h, _NOISE_CHUNK_DRAWS))
     dt, zero, rows = np.array(float(h)), np.array(0.0), list(ring)
-    multiply, add, copyto, top = np.multiply, np.add, np.copyto, np.maximum.reduce
+    multiply, add, copyto, top = np.multiply, np.add, np.copyto, bits.argmax
 
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,14 +295,14 @@ def euler_maruyama(
                 multiply(noise, x, x)
                 multiply(x, next(planes), x)  # (noise * x) * dw
             add(dx, x, x)  # x + drift * h, plus the noise term if any
-            if not (project and top(bits) < _INF_BITS):
+            if not (project and bits[top()] < _INF_BITS):
                 if project and not np.minimum.reduce(flat) >= 0.0:
                     clamped = x < zero
                     if clamped.any():
                         projection_counts += clamped.any(axis=0)
                         np.maximum(x, zero, out=x)  # a positional out is deprecated here
-                # one sum is non-finite whenever an entry is; only then scan
-                if not math.isfinite(add.reduce(flat)):
+                # the sum of squares is non-finite whenever an entry is; only then scan
+                if not math.isfinite(flat.dot(flat)):
                     bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
                     if bad.size:
                         raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])

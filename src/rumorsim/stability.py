@@ -177,20 +177,23 @@ def simulate_linearized(
     check("stability", STABILITY_RULES, e0=e0, i0=i0, run_count=run_count)
     rows = cfg.recorded_count
     block = block_rows(cfg, 2 * run_count)
-    # one block of (E, I) rows, and the estimate with its times
-    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
+    # one block of (E, I) rows, the drift's six rows, and the estimate with its times
+    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 6 * run_count + 2 * rows)
 
-    rates, bn = np.array([[p.sigma_act], [p.removal_rate]]), np.array(p.beta * p.population)
-    transmission = np.empty(run_count)
+    # (bN * D - sigma * E, sigma * E - (gamma + rho) * I) as head - tail of
+    # the flows (transmission, activation, removal), full rows throughout
+    rates = np.repeat([[p.sigma_act], [p.removal_rate]], run_count, axis=1)
+    bn = np.full(run_count, p.beta * p.population)
+    flows = np.empty((3, run_count))
+    transmission, head, tail = flows[0], flows[:2], flows[1:]
 
     def drift(x, out):
-        d_e, d_i = out
+        multiply, subtract = np.multiply, np.subtract
 
         def step(i_delayed):
-            np.multiply(rates, x, out)  # activation, removal
-            np.subtract(d_e, d_i, d_i)
-            np.multiply(bn, i_delayed, transmission)
-            np.subtract(transmission, d_e, d_e)
+            multiply(rates, x, tail)
+            multiply(bn, i_delayed, transmission)
+            subtract(head, tail, out)
 
         return step
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import rumorsim.ensemble
+
 from oracles import quantile_band, sample_std
 from rumorsim import (
     FinalSizeHorizonWarning,
@@ -22,6 +24,7 @@ from rumorsim import (
 from rumorsim.ensemble import (
     CI_METHODS,
     OutbreakMetrics,
+    _sample_std,
     write_aggregate_csv,
     write_metrics_csv,
     write_summary_csv,
@@ -220,6 +223,55 @@ class TestHugeSpread:
         assert np.isfinite(result.metrics.peak_std) and np.isfinite(result.metrics.final_size_std)
 
 
+class TestSampleStd:
+    """The ddof=1 std from the mean in hand has numpy's bits, and the
+    rescaled bits where the squared deviations overflow."""
+
+    SCALE = 2.0**900
+
+    @pytest.mark.parametrize("runs", [2, 3, 100, 300])
+    def test_equals_numpy_std(self, runs):
+        rng = np.random.default_rng(runs)
+        x = rng.lognormal(-3.0, 1.0, size=(runs, 4, 6)) * rng.choice([-1.0, 1.0], size=(runs, 4, 6))
+        values = x.copy()
+        values[:, 0, 0] = 1.5  # all values agree
+        values[runs // 2, 0, 1] = np.nan
+        values[0, 0, 2] = np.inf
+        values[:, 0, 3] = -np.inf
+        values[[0, -1], 0, 4] = [np.inf, -np.inf]
+        values[:, 1, :3] *= self.SCALE  # squared deviations overflow
+        values[:, 1, 3] = np.linspace(1.5e308, 1.7e308, runs)  # and their sum too
+        values[-1, 1, 4] = 1e300  # one huge value among small ones
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.std(values, axis=0, ddof=1)[1, :5]).any()
+        want = self.rescaled_numpy_std(values)
+        assert np.isfinite(want[1, :5]).all() and np.isfinite(want[2:]).all()
+        assert np.isnan(want[0, 1:5]).all()
+        runs_last = np.moveaxis(values, 0, -1).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = values.mean(axis=0)
+            # the squares in a new array, or over the values, with the
+            # rescale read from the same sample laid out runs last
+            assert _sample_std(values, mean).tobytes() == want.tobytes()
+            got = _sample_std(values.copy(), mean, np.moveaxis(runs_last, -1, 0))
+            assert got.tobytes() == want.tobytes()
+            for lane in [(0, 5), (2, 0), (1, 1), (1, 3)]:  # 1-D samples
+                column = values[(slice(None), *lane)]
+                want = self.rescaled_numpy_std(column)
+                assert _sample_std(column, column.mean()).tobytes() == want.tobytes()
+
+    @staticmethod
+    def rescaled_numpy_std(values):
+        """``np.std(values, axis=0, ddof=1)``, and where it is not finite,
+        the same on the values scaled by a power of two, scaled back."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            std = np.std(values, axis=0, ddof=1)
+            lost = ~np.isfinite(std)
+            exponent = np.where(lost, np.frexp(np.abs(values).max(axis=0))[1], 0)
+            rescaled = np.ldexp(np.std(np.ldexp(values, -exponent), axis=0, ddof=1), exponent)
+        return np.where(lost, rescaled, std)
+
+
 class TestHorizonWarning:
     def test_unconverged_final_size_warns(self):
         with pytest.warns(FinalSizeHorizonWarning):
@@ -368,6 +420,35 @@ class TestBlockwiseStatistics:
         assert sizes == [50]
         assert_matches_reference(result, ref)
         assert np.all(result.metrics.peak_times == result.summary.times[tied[0]])
+
+    @pytest.mark.parametrize("ci_method", CI_METHODS)
+    @pytest.mark.parametrize("stride", [1, 10])
+    @pytest.mark.parametrize("run_count", [1, 2, 7])
+    def test_outputs_never_read_a_staged_block_after_its_reduce(self, monkeypatch, ci_method, stride, run_count):
+        # the band sorts the staged rows in place, which is sound only if
+        # neither kernel reads a staged row once it is reduced
+        p = default_params(tau=2.0, r0=2.0, noise_level=0.05)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 20.0, record_stride=stride)
+        set_block(monkeypatch, 4, run_count * ENSEMBLE_VALUES_PER_RUN)
+        clean = run_ensemble(p, hist, cfg, run_count, 9, ci_method=ci_method)
+        real, poisoned = rumorsim.ensemble.stream_model, []
+
+        def spy(p, history, cfg, seeds, staged, reduce, *args):
+            def reduce_then_poison(first, count):
+                reduce(first, count)
+                staged[...] = np.nan
+                poisoned.append(count)
+
+            return real(p, history, cfg, seeds, staged, reduce_then_poison, *args)
+
+        monkeypatch.setattr("rumorsim.ensemble.stream_model", spy)
+        result = run_ensemble(p, hist, cfg, run_count, 9, ci_method=ci_method)
+        assert sum(poisoned) == cfg.recorded_count
+        for got, want in [(result.summary, clean.summary), (result.metrics, clean.metrics)]:
+            for name, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(got, name).tobytes() == value.tobytes(), name
 
     @pytest.mark.parametrize("block", [None, 7, 20])
     def test_linearized_estimate_equals_whole_array_reference(self, monkeypatch, block):

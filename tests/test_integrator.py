@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import math
 import os
 import tracemalloc
 
@@ -33,6 +34,7 @@ from rumorsim import (
 )
 from rumorsim.config import from_dict
 from rumorsim.integrator import (
+    _INF_BITS,
     _NOISE_CHUNK_DRAWS,
     block_rows,
     check_memory,
@@ -508,6 +510,73 @@ class TestKernel:
         assert terminal.tobytes() == np.array([[first] * 3, [expected] * 3]).tobytes()
         clamped = project and np.signbit(value) and value != 0.0
         assert counts.tolist() == [int(clamped)] * 3
+
+
+def _bits_of(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+# +-0.0, +-inf, NaNs with either sign bit (quiet and signalling), the
+# smallest and largest subnormals, and finite values near 1e200
+_SPECIAL_BITS = [
+    *_bits_of(0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e200, -1e200, 3e200),
+    0x7FF0000000000001, 0xFFF0000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+    0x7FEFFFFFFFFFFFFF, 0x7FF8000000000001,
+]
+_SCREEN_WIDTHS = [1, 2, 400, 600, 12_000]
+
+
+class TestStepScreens:
+    """The projected step's ``argmax`` screen decides as the largest entry
+    read unsigned does, and the finiteness screen's dot product is
+    non-finite whenever an entry is."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        width=st.sampled_from(_SCREEN_WIDTHS),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.sampled_from(["any", "finite", "positive", "special"]),
+        placed=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1) | st.sampled_from(_SPECIAL_BITS), st.floats(0.0, 1.0)),
+            max_size=4,
+        ),
+    )
+    def test_screens_decide_as_the_exact_checks(self, width, seed, fill, placed):
+        rng = np.random.default_rng(seed)
+        if fill == "any":  # any of the 2**64 patterns
+            bits = rng.integers(0, 2**64, size=width, dtype=np.uint64)
+        elif fill == "special":
+            bits = rng.choice(np.array(_SPECIAL_BITS, dtype=np.uint64), size=width)
+        else:  # finite values near 1e200, of both signs or positive only
+            values = rng.uniform(-3e200 if fill == "finite" else 0.0, 3e200, size=width)
+            bits = values.view(np.uint64)
+        for pattern, where in placed:
+            bits[min(int(where * width), width - 1)] = pattern
+        flat = bits.view(np.float64)
+        passed = bool(bits[bits.argmax()] < _INF_BITS)
+        assert passed == bool(np.maximum.reduce(bits) < _INF_BITS)
+        assert passed == bool(np.isfinite(flat).all() and not np.signbit(flat).any())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(flat).all() or not math.isfinite(flat.dot(flat))
+
+    @pytest.mark.parametrize("width", _SCREEN_WIDTHS)
+    def test_unprojected_states_whose_squares_overflow_do_not_fail(self, width):
+        # the dot product overflows at every step, so each step falls
+        # through to the exact scan, which finds every entry finite
+        def drift(x, out):
+            def step(delayed):
+                out[...] = 0.0
+
+            return step
+
+        start = (1e200, -3e200) if width % 2 == 0 else (1e200,)
+        runs = width // len(start)
+        terminal, counts = euler_maruyama(
+            drift, start, [(runs, [])], 0, np.zeros(len(start)), range(runs),
+            IntegratorConfig(1.0, 3.0), np.empty((1, len(start), runs)), lambda first, count: None, False,
+        )
+        assert terminal.tobytes() == np.repeat(np.reshape(start, (-1, 1)), runs, axis=1).tobytes()
+        assert not counts.any()
 
 
 class TestMemory:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import linear_cascade, rk4_path
 from rumorsim import (
@@ -161,6 +163,64 @@ class TestLinearizedSimulation:
             simulate_linearized(p, 0.0, 0.0, short_cfg, 2, 1)
         with pytest.raises(ValueError):
             simulate_linearized(p, 0.005, 0.005, short_cfg, 0, 1)
+
+
+class _Captured(Exception):
+    pass
+
+
+def lab_drift(p, run_count):
+    """The drift ``simulate_linearized`` hands the kernel, caught before any step."""
+    captured = []
+
+    def spy(drift, *args):
+        captured.append(drift)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("rumorsim.stability.euler_maruyama", spy)
+        with pytest.raises(_Captured):
+            simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 1.0), run_count, 1)
+    return captured[0]
+
+
+_RATES = st.sampled_from([1e-300, 0.05, 0.25, 1.0, 3.0, 1e200, 1e300])
+_STATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e200, -1e200, 1e308, -1e308, np.inf, -np.inf]) | st.floats()
+
+
+class TestLinearizedDrift:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        rates=st.tuples(st.just(0.0) | _RATES, _RATES, _RATES, _RATES, _RATES),
+        data=st.data(),
+        run_count=st.integers(1, 5),
+    )
+    def test_equals_the_four_call_order(self, rates, data, run_count):
+        # (bN * D - sigma * E, sigma * E - (gamma + rho) * I), as the
+        # linear drift was once written: activation and removal in one
+        # broadcast multiply, then three calls
+        beta, sigma, gamma, rho, population = rates
+        p = ModelParams(
+            beta=beta, sigma_act=sigma, gamma=gamma, rho=rho, theta=0.1, tau=0.0,
+            noise=NoiseIntensities.zero(), population=population,
+        )
+        states = st.lists(_STATES, min_size=run_count, max_size=run_count)
+        x = np.array([data.draw(states), data.draw(states)])
+        delayed = np.array(data.draw(states))
+        out = np.empty_like(x)
+        step = lab_drift(p, run_count)(x, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(delayed)
+            want = np.empty_like(x)
+            d_e, d_i = want
+            transmission = np.empty(run_count)
+            np.multiply(np.array([[sigma], [gamma + rho]]), x, want)
+            np.subtract(d_e, d_i, d_i)
+            np.multiply(np.array(beta * population), delayed, transmission)
+            np.subtract(transmission, d_e, d_e)
+            formula = np.array([beta * population * delayed - sigma * x[0], sigma * x[0] - (gamma + rho) * x[1]])
+        assert out.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert out.view(np.uint64).tolist() == formula.view(np.uint64).tolist()
 
 
 class TestFinalSize:
