@@ -13,11 +13,15 @@ Each warning that the active filters let through prints as one
 The effective configuration, with every default resolved, is echoed into
 the output directory before anything is computed; re-running any
 subcommand from the echoed file reproduces the outputs byte for byte.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and serves every later call; importing the module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -51,6 +55,7 @@ __all__ = ["main"]
 _FORMAT_CHOICES = {"csv": ("csv",), "svg": ("svg",), "both": ("csv", "svg")}
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rumorsim",

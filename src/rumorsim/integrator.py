@@ -237,7 +237,9 @@ def euler_maruyama(
 
     ``delays`` splits the runs, in seed order, into groups ``(runs,
     early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
-    ``early[n]`` for the first ``k = len(early)`` steps.  Recorded row
+    ``early[n]`` for the first ``k = len(early)`` steps; a ring of rows
+    holds them.  When every group has ``k = 0``, the drift reads row
+    ``delayed_column`` of the state itself and no ring is kept.  Recorded row
     ``r`` (the start, then every ``cfg.record_stride``-th state) is copied
     into ``staged[r % len(staged)]``, a caller-owned ``(rows, components,
     runs)`` block, and ``reduce(first, count)`` is called on every full
@@ -265,14 +267,16 @@ def euler_maruyama(
     step_drift, flat = drift(x, dx), x.reshape(-1)
     bits = flat.view(np.uint64)
     ring_rows = 1 + max(len(early) for _, early in delays)
-    ring = np.empty((ring_rows, n_runs))
-    writes, first = [], 0
-    for runs, early in delays:
-        cols = slice(first, first + runs)
-        first += runs
-        ring[: len(early), cols] = np.reshape(early, (-1, 1))
-        ring[len(early), cols] = x[delayed_column, cols]
-        writes.append((len(early) + 1, list(ring[:, cols]), x[delayed_column, cols]))
+    rows, writes = [x[delayed_column]], []  # with no delay, D(n) is the state's own row
+    if ring_rows > 1:  # otherwise a ring holds D(n .. n + k)
+        ring, first = np.empty((ring_rows, n_runs)), 0
+        for runs, early in delays:
+            cols = slice(first, first + runs)
+            first += runs
+            ring[: len(early), cols] = np.reshape(early, (-1, 1))
+            ring[len(early), cols] = x[delayed_column, cols]
+            writes.append((len(early) + 1, list(ring[:, cols]), x[delayed_column, cols]))
+        rows = list(ring)
     block, last = len(staged), cfg.recorded_count - 1
     np.copyto(staged[0], x)
     if block == 1:  # the start is never the last row
@@ -282,8 +286,8 @@ def euler_maruyama(
     noisy = bool(np.any(noise > 0.0))
     # drawn only when read
     planes = itertools.chain.from_iterable(increment_chunks(seeds, n_comp, n_steps, h, _NOISE_CHUNK_DRAWS))
-    dt, zero, rows = np.array(float(h)), np.array(0.0), list(ring)
-    multiply, add, copyto, top = np.multiply, np.add, np.copyto, bits.argmax
+    dt, zero = np.array(float(h)), np.array(0.0)
+    multiply, add, top = np.multiply, np.add, bits.argmax
 
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,12 +310,13 @@ def euler_maruyama(
                     bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
                     if bad.size:
                         raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
+            # each copy is an assignment, the bits of np.copyto without its dispatch
             for offset, slots, source in writes:
-                copyto(slots[(step + offset) % ring_rows], source)  # D(step + k + 1)
+                slots[(step + offset) % ring_rows][...] = source  # D(step + k + 1)
             if (step + 1) % stride == 0:
                 row = (step + 1) // stride
                 j = row % block
-                copyto(staged[j], x)
+                staged[j] = x
                 if j == block - 1 or row == last:
                     reduce(row - j, j + 1)
     return x, projection_counts
@@ -359,7 +364,10 @@ def _clamped(v: float) -> float:
 def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model and one seed, in Python floats,
     with the kernel's operations in its order; ``early`` holds the delayed
-    spreader values of the first ``len(early)`` steps."""
+    spreader values of the first ``len(early)`` steps.  Each recorded row
+    is packed in place into ``staged``, through a byte view of its
+    ``(rows, 6)`` reshape, so a block whose rows are not six contiguous
+    doubles raises :class:`ValueError` before the first step."""
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
     beta, gamma, rho, sigma, theta = p.beta, p.gamma, p.rho, p.sigma_act, p.theta
@@ -368,12 +376,14 @@ def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray
     six = struct.Struct("6d")
     chunks = increment_chunks(seeds, 6, n_steps, h, _NOISE_CHUNK_DRAWS)
     draws = itertools.chain.from_iterable(map(six.iter_unpack, chunks))
-    x = np.array(start, dtype=float).reshape(6, 1)  # each recorded row is packed into it
+    # bytes of each staged row; a copy would lose them, and rows that are not
+    # six contiguous doubles have no such view, so either raises here
+    row_bytes = np.reshape(staged, (len(staged), 6), copy=False).view(np.uint8)
     block, last = len(staged), cfg.recorded_count - 1
-    np.copyto(staged[0], x)
+    s, e, i, r, ig, f = start.tolist()
+    six.pack_into(row_bytes[0], 0, s, e, i, r, ig, f)
     if block == 1:  # the start is never the last row
         reduce(0, 1)
-    s, e, i, r, ig, f = start.tolist()
     ring = array("d", [*early.tolist(), i])  # D(0 .. k)
     slots, clamps = len(ring), 0
     for step in range(n_steps):
@@ -397,11 +407,10 @@ def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray
         if (step + 1) % stride == 0:
             row = (step + 1) // stride
             j = row % block
-            six.pack_into(x, 0, s, e, i, r, ig, f)
-            np.copyto(staged[j], x)
+            six.pack_into(row_bytes[j], 0, s, e, i, r, ig, f)
             if j == block - 1 or row == last:
                 reduce(row - j, j + 1)
-    return x, np.array([clamps], dtype=np.int64)
+    return np.array([[s], [e], [i], [r], [ig], [f]]), np.array([clamps], dtype=np.int64)
 
 
 def simulate_paths(

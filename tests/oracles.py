@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from rumorsim.rng import normal_block
+
 
 def compartment_rhs(x, beta, sigma_act, gamma, rho, theta):
     """The six flow equations, written out directly (no delay)."""
@@ -114,3 +116,36 @@ def final_size_exact(p, initial):
         else:
             lo = mid
     return s0 + e0 + i0 + r0 + ig0 + f0 - hi
+
+
+def linearized_second_moment(p, e0, i0, h, n_steps, k, stride, seeds):
+    """Run mean of ``E^2 + I^2`` on every ``stride``-th step of the
+    Euler-Maruyama scheme of the linearized (E, I) subsystem with delay
+    ``k`` steps and constant history ``(e0, i0)``, one run per seed.
+
+    A numpy recursion over whole steps that takes the stability lab's
+    operations in its order: ``tail = rates * x``, ``transmission = bN * D``,
+    ``out = head - tail``, then ``x + out * h``, plus ``(noise * x) * dw``,
+    with ``D`` the spreader row ``k`` steps back (``i0`` before that) and
+    ``dw`` from ``normal_block``.  Every noise intensity should be positive,
+    as the kernel adds no noise term when all are zero.
+    """
+    runs = len(seeds)
+    dw = normal_block(np.array(seeds, dtype=np.uint64), n_steps, 2) * np.sqrt(h)
+    rates = np.array([[p.sigma_act], [p.removal_rate]])
+    noise = np.array([[p.noise.e], [p.noise.i]])
+    bn = p.beta * p.population
+    x = np.empty((2, runs))
+    x[0], x[1] = e0, i0
+    spreaders, recorded = [x[1]], [x]
+    for n in range(n_steps):
+        delayed = spreaders[n - k] if n >= k else np.full(runs, i0)
+        tail = rates * x  # activation, removal
+        head = np.stack([bn * delayed, tail[0]])  # transmission, activation
+        out = head - tail
+        x = (x + out * h) + (noise * x) * dw[n].T
+        spreaders.append(x[1])
+        if (n + 1) % stride == 0:
+            recorded.append(x)
+    states = np.array(recorded)
+    return (np.square(states[:, 0]) + np.square(states[:, 1])).mean(axis=1)

@@ -30,15 +30,19 @@ def write_config(tmp_path, data, name="config.json"):
     return path
 
 
-def run_cli_process(*argv, timeout):
+def run_cli_process(*argv, timeout, cwd=None):
     """The CLI in a process of its own, so that numpy's floating-point
     warnings reach stderr as they do for a user."""
+    return run_python("-m", "rumorsim.cli", *argv, timeout=timeout, cwd=cwd)
+
+
+def run_python(*args, timeout, cwd=None):
+    """A fresh interpreter that imports this package and shows every warning."""
     src = str(Path(rumorsim.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env["PYTHONWARNINGS"] = "default"
     return subprocess.run(
-        [sys.executable, "-m", "rumorsim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, cwd=cwd,
     )
 
 
@@ -426,6 +430,45 @@ class TestCompare:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / repeated[2:]}: lists a (tau, R0) cell more than once, to 9 decimals\n"
+
+
+class TestParser:
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", "import rumorsim.cli as c; print(c.build_parser.cache_info())", timeout=60)
+        assert proc.returncode == 0 and "currsize=0" in proc.stdout
+
+    def test_one_parser_serves_calls_like_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # one parser per process: a call after a rejected command line
+        # lists and writes what the same call does in a fresh process
+        config = write_config(tmp_path, {"integrator": {"horizon": 20.0}, "stability": {"run_count": 4}})
+        both = ["--config", str(config), "--format", "both"]
+        calls = [
+            ["simulate", *both, "--out", "out/simulate"],
+            ["ensemble", "--runs", "many"],
+            ["ensemble", *both, "--runs", "3", "--out", "out/ensemble"],
+            ["stability", *both, "--out", "out/stability"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir(), fresh.mkdir()
+        monkeypatch.chdir(one)
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in results] == [0, 2, 0, 0]
+        for argv, result in zip(calls, results):
+            proc = run_cli_process(*argv, timeout=120, cwd=fresh)
+            assert (proc.returncode, proc.stdout, proc.stderr) == result
+        files = sorted(path.relative_to(one) for path in one.rglob("*") if path.is_file())
+        assert len(files) == 3 + 6 + 4
+        assert files == sorted(path.relative_to(fresh) for path in fresh.rglob("*") if path.is_file())
+        for name in files:
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestDeterminism:

@@ -271,6 +271,26 @@ class TestOneRunPath:
         assert m.peak_times.tobytes() == times[[np.argmax(row[:, 2])]].tobytes()
         assert m.final_sizes.tobytes() == final.tobytes()
 
+    def test_rows_pack_in_place_into_blocks_of_six_contiguous_doubles(self):
+        # any row stride takes the bits of a contiguous block; a block whose
+        # rows are not six contiguous doubles has no byte view and raises
+        p = default_params(tau=0.0, r0=2.0, noise_level=0.3)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 5.0, record_stride=5)
+        whole = np.empty((cfg.recorded_count, 6, 1))
+        terminal, _ = stream_model(p, hist, cfg, [9], whole, lambda first, count: None)
+        assert terminal.shape == (6, 1) and terminal.tobytes() == whole[-1].tobytes()
+        spaced, rows = np.full((6, 6, 1), np.nan)[::2], []
+        stream_model(p, hist, cfg, [9], spaced, lambda first, count: rows.append(spaced[:count].copy()))
+        assert np.concatenate(rows).tobytes() == whole.tobytes()
+
+        def unread(first, count):
+            raise AssertionError("a block with no byte view was reduced")
+
+        for strided in (np.empty((3, 6, 2))[:, :, :1], np.empty((3, 12, 1))[:, ::2]):
+            with pytest.raises(ValueError):
+                stream_model(p, hist, cfg, [9], strided, unread)
+
     def test_memory_is_rows_ring_and_one_chunk(self):
         # 20,000 steps: no per-step state or increment is held
         p = default_params(tau=5.0, r0=2.0)
@@ -425,6 +445,15 @@ class TestKernel:
         assert not np.array_equal(groups[0], groups[1]) and not np.array_equal(groups[1], groups[2])
 
     def test_probe_reports_the_failure_an_exact_scan_finds_first(self):
+        self._assert_probe_matches_scan(project=False, k=0)
+
+    @pytest.mark.parametrize("project, k", [(True, 0), (False, 3), (True, 3)])
+    def test_probe_reports_it_with_or_without_a_ring_or_projection(self, project, k):
+        # k = 0 reads the state's own row as the delayed one, k = 3 a ring
+        self._assert_probe_matches_scan(project, k)
+
+    @staticmethod
+    def _assert_probe_matches_scan(project, k):
         # each run grows by the factor 1 + rate per step, so the runs
         # overflow at different steps; the later runs overflow first
         rates = np.array([0.0, 3e3, 0.0, 1e6, 1e6])
@@ -448,13 +477,15 @@ class TestKernel:
             first_step.append(step or np.inf)
         step = min(first_step)
         assert step < max(s for s in first_step if s < np.inf)
+        seeds = [101 + j for j in range(rates.size)]
         with pytest.raises(NumericsError) as failed:
             euler_maruyama(
-                drift, (1.0, 1.0), [(rates.size, [])], 0, np.zeros(2), range(rates.size),
-                cfg, np.empty((1, 2, rates.size)), lambda first, count: None, False,
+                drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), seeds,
+                cfg, np.empty((1, 2, rates.size)), lambda first, count: None, project,
             )
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
+        assert f"in run index {failed.value.run} (seed {seeds[failed.value.run]})" in str(failed.value)
 
     def test_finite_states_whose_sum_overflows_do_not_fail(self):
         def drift(x, out):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_cascade, rk4_path
+from oracles import linear_cascade, linearized_second_moment, rk4_path
 from rumorsim import (
     DecayVerdict,
     EquilibriumClass,
@@ -23,6 +23,7 @@ from rumorsim import (
     simulate_linearized,
     stochastic_margin,
 )
+from rumorsim.rng import derive_seed
 from rumorsim.stability import write_decay_csv
 
 
@@ -156,6 +157,17 @@ class TestLinearizedSimulation:
         a, b = (simulate_linearized(p, 0.005, 0.005, cfg, 5, 3) for p in (ints, floats))
         assert a.ms_estimate.tobytes() == b.ms_estimate.tobytes()
         assert a.verdict is b.verdict is verdict
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_second_moment_is_the_exact_recursion(self, k, stride):
+        # tau = 0 reads the state's own spreader row, tau = 3h a ring of them
+        cfg = IntegratorConfig(0.1, 20.0, record_stride=stride)
+        p = linear_params(r0=1.5, noise_i=0.4, noise_e=0.3, tau=k * cfg.step_size)
+        report = simulate_linearized(p, 0.004, 0.006, cfg, 13, 2024)
+        seeds = [derive_seed(2024, j) for j in range(13)]
+        exact = linearized_second_moment(p, 0.004, 0.006, cfg.step_size, cfg.step_count, k, stride, seeds)
+        assert report.ms_estimate.tobytes() == exact.tobytes()
 
     def test_input_validation(self, short_cfg):
         p = linear_params(r0=0.5)
