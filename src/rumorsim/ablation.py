@@ -33,6 +33,7 @@ from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorS
 from .integrator import IntegratorConfig, block_rows, check_memory, delay_steps, stream_model, write_table
 from .model import (
     COUNT, NONNEGATIVE, POSITIVE, HistoryFunction, ModelParams, StateVector, check, default_initial_state,
+    store_checked,
 )
 from .rng import derive_seed
 
@@ -82,7 +83,7 @@ class SweepSpec:
     initial_state: StateVector | None = None
 
     def __post_init__(self):
-        check("sweep", SWEEP_RULES, taus=self.taus, r0_values=self.r0_values, run_count=self.run_count)
+        store_checked(self, "sweep", SWEEP_RULES, **{name: getattr(self, name) for name in SWEEP_RULES})
         if len({_cell_key(t, r) for t in self.taus for r in self.r0_values}) < len(self.taus) * len(self.r0_values):
             raise ConfigurationError(
                 f"sweep grid repeats a cell: taus and R0 values must each be distinct to {_KEY_DECIMALS} decimals"
@@ -198,9 +199,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def load_reference(path=None) -> tuple[SweepCell, ...]:
-    """Load a reference table; defaults to the bundled 18-cell one."""
+    """Load a reference table; defaults to the bundled 18-cell one.  Each
+    value of a cell must be a finite number >= 0."""
     source = resources.files("rumorsim.data").joinpath("table_reference.csv") if path is None else Path(path)
-    return _read_cells(source, path or "bundled reference")[1]
+    name = path or "bundled reference"
+    cells, rules = _read_cells(source, name)[1], dict.fromkeys(_COLUMNS, NONNEGATIVE)
+    for cell in cells:
+        check(f"{name}: cell (tau={cell.tau:g}, R0={cell.r0:g})", rules, **dict(zip(_COLUMNS, vars(cell).values())))
+    return cells
 
 
 def _read_cells(source, name) -> tuple[dict, tuple[SweepCell, ...]]:

@@ -46,7 +46,7 @@ from .config import (
 from .ensemble import run_ensemble, write_aggregate_csv, write_metrics_csv, write_summary_csv
 from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import integrate, write_table, write_trajectory_csv
-from .model import CSV_COMPARTMENTS, HistoryFunction, reproduction_number, stochastic_margin
+from .model import CSV_COMPARTMENTS, HistoryFunction, reproduction_number
 from .stability import simulate_linearized, write_decay_csv
 from .svg import Series, write_svg
 
@@ -178,11 +178,10 @@ def _cmd_stability(cfg: RunConfig, output, args) -> None:
         cfg.ensemble.seed,
     )
     if cfg.output.wants_csv:
-        margin = stochastic_margin(cfg.model)
         write_table(
             output("threshold.csv"),
             ["R0", "stochastic_margin", "ms_condition_holds"],
-            [[reproduction_number(cfg.model)], [margin], [margin > 0]],
+            [[reproduction_number(cfg.model)], [report.margin], [report.margin > 0]],
         )
         write_decay_csv(report, output("decay.csv"))
     if cfg.output.wants_svg:

@@ -39,11 +39,13 @@ from .errors import ConfigurationError, NumericsError
 from .model import (
     COUNT,
     CSV_COMPARTMENTS,
+    NONNEGATIVE,
     POSITIVE,
     HistoryFunction,
     ModelParams,
     _drift_with_delayed_i,
     check,
+    store_checked,
 )
 from .rng import increment_chunks, seed_array
 
@@ -138,7 +140,7 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        check("integrator", INTEGRATOR_RULES, **vars(self))
+        store_checked(self, "integrator", INTEGRATOR_RULES, **vars(self))
         errors = grid_violations(self.step_size, self.horizon, self.record_stride)
         if errors:
             raise ConfigurationError("; ".join(errors))
@@ -182,10 +184,11 @@ def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, 
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory, or take more than
     ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
-    :func:`euler_maruyama` to the ``held_values`` values the caller keeps.
+    :func:`euler_maruyama`, with six drift scratch rows per run (the most a
+    drift binds), to the ``held_values`` values the caller keeps.
     """
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
-    held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4) + noise_chunk)
+    held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4 + 6) + noise_chunk)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -503,11 +506,11 @@ def second_moment_envelope(
     logarithm exceeds the float range saturate at ~8e307 instead of
     overflowing to infinity.
     """
-    if initial_sq_norm < 0:
-        raise ValueError("initial_sq_norm must be >= 0")
+    v0 = check("envelope", {"initial_sq_norm": NONNEGATIVE}, initial_sq_norm=initial_sq_norm)["initial_sq_norm"]
     t = np.asarray(times, dtype=float)
     c = generator_growth_constant(p)
-    log_env = np.log(initial_sq_norm + c * t) + 2.0 * c * t
+    with np.errstate(divide="ignore"):  # log(0) = -inf at V0 = t = 0, where the envelope is 0
+        log_env = np.log(v0 + c * t) + 2.0 * c * t
     return np.exp(np.minimum(log_env, 709.0))
 
 

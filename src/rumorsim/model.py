@@ -164,22 +164,21 @@ class _Reader:
         return value
 
 
-def check(path: str, rules: dict, **values) -> None:
-    """Raise :class:`ConfigurationError` listing every one of ``values``
-    that breaks its rule in ``rules``, as ``path.name: must be ...``, the
-    words a config file's violations are reported in."""
+def check(path: str, rules: dict, **values) -> dict:
+    """``values`` as ``rules`` read them (numbers as floats, lists as tuples);
+    raises :class:`ConfigurationError` listing every one that breaks its
+    rule as ``path.name: must be ...``, in a config file's words."""
     reader = _Reader()
-    reader.block(values, path, {name: rules[name] for name in values}, SimpleNamespace(**values))
+    read = reader.block(values, path, {name: rules[name] for name in values}, SimpleNamespace(**values))
     if reader.errors:
         raise ConfigurationError("; ".join(reader.errors))
+    return read
 
 
-def _store_floats(obj, rules: dict) -> None:
-    """Keep each checked number field of the frozen dataclass ``obj`` as a
-    float, so an integer computes as the float it stands for."""
-    for name, rule in rules.items():
-        if isinstance(rule, tuple) and rule[0] is float:
-            object.__setattr__(obj, name, float(getattr(obj, name)))
+def store_checked(obj, path: str, rules: dict, **values) -> None:
+    """Keep ``values`` on the frozen dataclass ``obj`` as :func:`check` reads them."""
+    for name, value in check(path, rules, **values).items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,7 @@ class NoiseIntensities:
     f: float = DEFAULT_NOISE_INTENSITY
 
     def __post_init__(self):
-        check("model.noise", COMPARTMENT_RULES, **vars(self))
-        _store_floats(self, COMPARTMENT_RULES)
+        store_checked(self, "model.noise", COMPARTMENT_RULES, **vars(self))
 
     @classmethod
     def uniform(cls, level: float) -> "NoiseIntensities":
@@ -239,8 +237,7 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.noise, NoiseIntensities):
             raise TypeError("noise must be a NoiseIntensities instance")
-        check("model", MODEL_RULES, **{name: value for name, value in vars(self).items() if name != "noise"})
-        _store_floats(self, MODEL_RULES)
+        store_checked(self, "model", MODEL_RULES, **{k: v for k, v in vars(self).items() if k != "noise"})
 
     @property
     def removal_rate(self) -> float:
@@ -260,8 +257,7 @@ class StateVector:
     f: float
 
     def __post_init__(self):
-        check("initial", COMPARTMENT_RULES, **vars(self))
-        _store_floats(self, COMPARTMENT_RULES)
+        store_checked(self, "initial", COMPARTMENT_RULES, **vars(self))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.s, self.e, self.i, self.r, self.ig, self.f])
@@ -382,8 +378,7 @@ def growth_bound_constant(p: ModelParams, radius: float) -> float:
     because the transmission term is quadratic: the ratio grows linearly
     in the radius and no radius-free constant exists.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    radius = check("growth_bound", {"radius": POSITIVE}, radius=radius)["radius"]
     gr = p.removal_rate
     drift_coeff = max(
         3.0 * p.beta**2 * radius**2,
@@ -403,8 +398,7 @@ def lipschitz_constant(p: ModelParams, radius: float) -> float:
     gamma+rho, theta)`` times the l1 norms of the state differences;
     ``sqrt(6)`` converts l1 to the Euclidean norm used in the estimate.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    radius = check("lipschitz_bound", {"radius": POSITIVE}, radius=radius)["radius"]
     return math.sqrt(6.0) * 2.0 * max(
         p.beta * radius, p.sigma_act, p.removal_rate, p.theta
     )
@@ -436,8 +430,7 @@ def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, ra
     """Compare ``constant(p, radius)`` with the largest ``ratio`` over
     ``sample_count`` draws of ``points`` nonnegative points in the radius
     ball, drawn in chunks in argument order."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    sample_count = check("sampled_bound", {"sample_count": COUNT}, sample_count=sample_count)["sample_count"]
     bound = constant(p, radius)
     rng = np.random.default_rng(rng_seed)
     max_ratio = 0.0
@@ -524,8 +517,7 @@ class HistoryFunction:
         samples = np.array([_state_array(s) for s in states], dtype=float)
         if samples.ndim != 2 or samples.shape[0] < 2:
             raise ValueError("sampled history needs at least two states")
-        if span <= 0:
-            raise ValueError("span must be > 0")
+        span = check("history", {"span": POSITIVE}, span=span)["span"]
         xi = np.linspace(-span, 0.0, samples.shape[0])
         return cls(xi, samples)
 

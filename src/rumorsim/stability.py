@@ -37,7 +37,7 @@ from .integrator import (
     recorded_times,
     write_table,
 )
-from .model import COUNT, NONNEGATIVE, ModelParams, StateVector, check, drift, stochastic_margin
+from .model import COUNT, NONNEGATIVE, POSITIVE, ModelParams, StateVector, check, drift, stochastic_margin
 from .rng import derive_seed
 
 __all__ = [
@@ -99,8 +99,7 @@ def classify_equilibrium(x: StateVector, p: ModelParams, tol: float = 1e-9) -> E
     to machine precision, not merely small: every flow is a product with a
     zero factor.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    tol = check("equilibrium", {"tol": POSITIVE}, tol=tol)["tol"]
     residual = float(np.linalg.norm(drift(x, x, p)))
     conservation = abs(x.total - p.population)
     is_family = max(x.e, x.i, x.ig) <= tol and residual <= tol
@@ -177,8 +176,8 @@ def simulate_linearized(
     check("stability", STABILITY_RULES, e0=e0, i0=i0, run_count=run_count)
     rows = cfg.recorded_count
     block = block_rows(cfg, 2 * run_count)
-    # one block of (E, I) rows, the drift's six rows, and the estimate with its times
-    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 6 * run_count + 2 * rows)
+    # one block of (E, I) rows, and the estimate with its times
+    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
 
     # (bN * D - sigma * E, sigma * E - (gamma + rho) * I) as head - tail of
     # the flows (transmission, activation, removal), full rows throughout

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from strategies import CONFIGS, RUNNABLE_CONFIGS
 
 import rumorsim
-from rumorsim import FinalSizeHorizonWarning, SweepSpec, run_sweep
+from rumorsim import FinalSizeHorizonWarning, SweepSpec, load_reference, run_sweep
 from rumorsim.cli import main
 from rumorsim.config import load_config
 from rumorsim.integrator import IntegratorConfig
@@ -331,6 +331,14 @@ class TestStability:
         assert "0.5" in threshold.splitlines()[1]
         decay = (tmp_path / "out" / "decay.csv").read_text()
         assert decay.startswith("# margin=0.5\n")
+        # the default config's margin is negative
+        code, out, err = run_cli(capsys, "stability", "--out", str(tmp_path / "default"))
+        assert code == 0, err
+        for out_dir, sign in ((tmp_path / "out", 1), (tmp_path / "default", -1)):
+            margin = (out_dir / "decay.csv").read_text().splitlines()[0].removeprefix("# margin=")
+            _, cell, holds = (out_dir / "threshold.csv").read_text().splitlines()[1].split(",")
+            assert cell == margin and sign * float(margin) > 0
+            assert holds == ("1" if float(margin) > 0 else "0")
 
 
 class TestAblate:
@@ -430,6 +438,19 @@ class TestCompare:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / repeated[2:]}: lists a (tau, R0) cell more than once, to 9 decimals\n"
+
+    @pytest.mark.parametrize("std", ["nan", "-0.01", "inf"])
+    def test_reference_cells_must_be_finite_and_nonnegative(self, tmp_path, capsys, std):
+        header = "tau,R0,beta,peak_mean,peak_std,final_mean,final_std\n"
+        result, reference = tmp_path / "result.csv", tmp_path / "reference.csv"
+        result.write_text("# run_count=3\n" + header + "0,0.5,0.075,0.1,0,0.2,0\n")
+        reference.write_text(header + f"0,0.5,0.075,0.1,{std},0.2,0\n")
+        argv = ["compare", "--result", str(result), "--reference", str(reference), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {reference}: cell (tau=0, R0=0.5).peak_std: must be ")
+        assert len(load_reference()) == 18  # the bundled table holds
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +13,18 @@ from rumorsim import (
     NoiseIntensities,
     NumericsError,
     StateVector,
+    SweepSpec,
+    classify_equilibrium,
     default_initial_state,
     default_params,
     diffusion,
     drift,
     growth_bound_constant,
+    integrate,
     lipschitz_constant,
     reproduction_number,
+    run_ensemble,
+    second_moment_envelope,
     simulate_linearized,
     simulate_paths,
     stochastic_margin,
@@ -266,6 +272,50 @@ class TestIntegerFields:
             _, paths, counts = simulate_paths(p, HistoryFunction.constant(start), IntegratorConfig(0.1, 2.0), [5, 6])
             runs.append((paths.tobytes(), counts.tobytes()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_integer_step_and_horizon_give_float_times(self):
+        cfg = IntegratorConfig(step_size=1, horizon=10)
+        assert type(cfg.step_size) is float and type(cfg.horizon) is float
+        p = default_params()
+        hist = HistoryFunction.constant(default_initial_state(p))
+        result = run_ensemble(p, hist, cfg, 3, 1)
+        for times in (integrate(p, hist, cfg, 1).times, result.summary.times, result.metrics.peak_times):
+            assert times.dtype == np.float64
+
+    def test_sweep_lists_are_stored_as_tuples_of_floats(self):
+        spec = SweepSpec(taus=[0, 5], r0_values=[1, 2.5], run_count=1, base_seed=0, template=default_params())
+        assert spec.taus == (0.0, 5.0) and spec.r0_values == (1.0, 2.5)
+        assert {type(v) for v in spec.taus + spec.r0_values} == {float}
+
+
+_ORIGIN = StateVector(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# each helper called with one argument set to ``v``, giving the numbers that must be finite
+_HELPERS = {
+    "growth_bound_constant": growth_bound_constant,
+    "lipschitz_constant": lipschitz_constant,
+    "verify_growth_bound": lambda p, v: verify_growth_bound(p, v, 1.0, 0).max_ratio,
+    "second_moment_envelope": lambda p, v: second_moment_envelope(p, v, [0.0, 1.0]),
+    "classify_equilibrium": lambda p, v: classify_equilibrium(_ORIGIN, p, tol=v).tolerance,
+    "HistoryFunction.sampled": lambda p, v: HistoryFunction.sampled([_ORIGIN, _ORIGIN], v).span,
+}
+
+
+class TestArgumentChecks:
+    """The helpers read their radius, sample count, initial norm, tolerance
+    or span by the rules a config file is read by."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        helper=st.sampled_from(sorted(_HELPERS)),
+        value=st.sampled_from([math.nan, math.inf, -1, 0, 2.5, True, "x"]),
+    )
+    def test_any_argument_gives_a_finite_result_or_a_value_error(self, helper, value):
+        try:
+            result = _HELPERS[helper](default_params(), value)
+        except ValueError:
+            return
+        assert np.all(np.isfinite(result)), (helper, value, result)
 
 
 class TestHistoryFunction:
