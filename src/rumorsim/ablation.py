@@ -124,8 +124,8 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one ensemble per grid cell; a pure function of the grid spec.
 
-    All cells run as one batch, each delay a group of runs in the
-    kernel's delay ring, and the batch keeps each run's peak of ``I`` and
+    All cells run as one batch, each delay a group of runs with its own
+    delay ring in the kernel, and the batch keeps each run's peak of ``I`` and
     terminal state; the statistics equal ``run_ensemble`` ones exactly.
     An off-grid delay is reported with its cell.  A non-finite state names
     the cell, the run and its seed; of several failing runs, the one at
@@ -142,7 +142,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cell_runs = n * len(r0s)
     runs = cell_runs * len(taus)
     block = block_rows(cfg, 6 * 6 * runs)  # a sixth of a statistics block: one row of six is kept
-    check_memory(cfg, max(taus), runs, 6, 6 * runs * block)  # one block of rows; peaks, terminal states
+    delays = [(tau, cell_runs) for tau in taus]
+    check_memory(cfg, delays, runs, 6, 6 * runs * block)  # one block of rows; peaks, terminal states
     cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
     betas = [spec.beta_for(r0) for r0 in r0s]
@@ -162,7 +163,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             staged,
             reduce,
             beta=np.tile(np.repeat(betas, n), len(taus)),
-            delays=[(tau, cell_runs) for tau in taus],
+            delays=delays,
         )
     except NumericsError as exc:
         c, r = divmod(exc.run, n)

@@ -180,15 +180,21 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     return min(steps_on_grid(tau, cfg.step_size, "tau"), cfg.step_count)
 
 
-def check_memory(cfg: IntegratorConfig, tau: float, runs: int, components: int, held_values: int) -> None:
+def check_memory(cfg: IntegratorConfig, tau, runs: int, components: int, held_values: int) -> None:
     """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
     more than the machine's physical memory, or take more than
-    ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
-    :func:`euler_maruyama`, with six drift scratch rows per run (the most a
-    drift binds), to the ``held_values`` values the caller keeps.
+    ``_MAX_PATH_STEPS`` path-steps.  ``tau`` is the delay of every run, or
+    a sequence of ``(tau, runs)`` groups splitting them, as
+    :func:`stream_model` takes.  The estimate adds the buffers of
+    :func:`euler_maruyama`, with its per-group delay rings at ``k + 1``
+    values per run of a group (``D(n)`` at ``k = 0``) and six drift scratch
+    rows per run (the most a drift binds), to the ``held_values`` values
+    the caller keeps.
     """
+    groups = [(tau, runs)] if np.ndim(tau) == 0 else tau
+    rings = sum((delay_steps(t, cfg) + 1) * n for t, n in groups)
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
-    held = 8 * (held_values + runs * (3 * components + delay_steps(tau, cfg) + 4 + 6) + noise_chunk)
+    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + noise_chunk)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -240,9 +246,12 @@ def euler_maruyama(
 
     ``delays`` splits the runs, in seed order, into groups ``(runs,
     early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
-    ``early[n]`` for the first ``k = len(early)`` steps; a ring of rows
-    holds them.  When every group has ``k = 0``, the drift reads row
-    ``delayed_column`` of the state itself and no ring is kept.  Recorded row
+    ``early[n]`` for the first ``k = len(early)`` steps.  A group with
+    ``k > 0`` keeps its own ring of ``k + 1`` rows holding ``D(n .. n +
+    k)``, so the rings hold ``(k + 1) * runs`` values per group; a group
+    with ``k = 0`` keeps none and reads its own state row.  With one group
+    the drift reads that row in place; with several, each step first
+    gathers the groups' rows into one ``D(n)`` row.  Recorded row
     ``r`` (the start, then every ``cfg.record_stride``-th state) is copied
     into ``staged[r % len(staged)]``, a caller-owned ``(rows, components,
     runs)`` block, and ``reduce(first, count)`` is called on every full
@@ -269,17 +278,25 @@ def euler_maruyama(
     dx = np.empty_like(x)
     step_drift, flat = drift(x, dx), x.reshape(-1)
     bits = flat.view(np.uint64)
-    ring_rows = 1 + max(len(early) for _, early in delays)
-    rows, writes = [x[delayed_column]], []  # with no delay, D(n) is the state's own row
-    if ring_rows > 1:  # otherwise a ring holds D(n .. n + k)
-        ring, first = np.empty((ring_rows, n_runs)), 0
-        for runs, early in delays:
-            cols = slice(first, first + runs)
-            first += runs
-            ring[: len(early), cols] = np.reshape(early, (-1, 1))
-            ring[len(early), cols] = x[delayed_column, cols]
-            writes.append((len(early) + 1, list(ring[:, cols]), x[delayed_column, cols]))
-        rows = list(ring)
+    # each group's slots hold D(n .. n + k): slot n % (k + 1) is read at
+    # step n and then takes the new state's row, D(n + k + 1)
+    groups, first = [], 0  # (columns, slots, the state row that feeds them)
+    for runs, early in delays:
+        cols = slice(first, first + runs)
+        first += runs
+        own = x[delayed_column, cols]
+        slots = [own]  # with no delay, D(n) is the state's own row
+        if len(early):
+            ring = np.empty((len(early) + 1, runs))
+            ring[:-1], ring[-1] = np.reshape(early, (-1, 1)), own
+            slots = list(ring)
+        groups.append((cols, slots, own))
+    writes = [(slots, len(slots), own) for _, slots, own in groups if len(slots) > 1]
+    rows, gathers = groups[0][1], []  # one group: the drift reads its slot in place
+    if len(groups) > 1:  # several: each step gathers their slots into one row
+        rows = [np.empty(n_runs)]
+        gathers = [(rows[0][cols], slots, len(slots)) for cols, slots, _ in groups]
+    ring_rows = len(rows)
     block, last = len(staged), cfg.recorded_count - 1
     np.copyto(staged[0], x)
     if block == 1:  # the start is never the last row
@@ -295,6 +312,8 @@ def euler_maruyama(
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
+            for target, slots, size in gathers:
+                target[...] = slots[step % size]
             step_drift(rows[step % ring_rows])
             multiply(dx, dt, dx)
             if noisy:  # x is read for the last time here, so it takes the noise term
@@ -314,8 +333,8 @@ def euler_maruyama(
                     if bad.size:
                         raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
             # each copy is an assignment, the bits of np.copyto without its dispatch
-            for offset, slots, source in writes:
-                slots[(step + offset) % ring_rows][...] = source  # D(step + k + 1)
+            for slots, size, source in writes:
+                slots[step % size][...] = source  # D(step + k + 1)
             if (step + 1) % stride == 0:
                 row = (step + 1) // stride
                 j = row % block

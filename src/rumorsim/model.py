@@ -341,21 +341,42 @@ def reproduction_number(p: ModelParams) -> float:
 
 
 def stochastic_margin(p: ModelParams) -> float:
-    """Margin of the sufficient mean-square stability condition.
+    """Margin of the sufficient mean-square stability condition
 
-    Returns ``(1 - n_I**2 / (2 * (gamma + rho))) - beta * N / (gamma + rho)``.
-    A positive value means spreader noise plus removal dominate delayed
-    transmission.  Without exposed-class noise (``n_E = 0``) that
-    guarantees exponential mean-square decay of the linearized (E, I)
+        (1 - n_E**2 / (2 * sigma_act)) * (1 - n_I**2 / (2 * (gamma + rho))) > R0,
+
+    which guarantees exponential mean-square decay of the linearized (E, I)
     subsystem for every delay; a negative margin proves nothing by itself.
 
-    The margin has no ``n_E`` term, and with ``n_E > 0`` the guarantee
-    fails: at the default rates with ``beta = 0.045`` (R0 0.3), ``n_E =
-    1`` and every other intensity 0 the margin is 0.7, yet ``E[E^2]``
-    alone grows at the rate ``n_E**2 - 2 * sigma_act = +0.5``.
+    Derivation: write the subsystem as ``dx = (A x + B x(t - tau)) dt +
+    diag(n_E E, n_I I) dW`` with ``A = [[-sigma_act, 0], [sigma_act,
+    -(gamma + rho)]]`` and ``B = beta N e1 e2^T``, and take the
+    Lyapunov-Krasovskii functional ``V = x^T P x + int_{t - tau}^t x^T Q x
+    ds`` with ``P = diag(p1, 1)`` and ``Q = diag(q1, q2)``.  ``LV < 0``
+    holds when ``[[A^T P + P A + diag(n_E**2 p1, n_I**2) + Q, P B], [B^T P,
+    -Q]]`` is negative definite.  Its Schur complement, with ``q1 -> 0``, is
+    negative definite when ``(c1 p1 - p1**2 (beta N)**2 / q2) (c2 - q2) >
+    sigma_act**2``, ``c1 = 2 sigma_act - n_E**2`` and ``c2 = 2 (gamma + rho)
+    - n_I**2``; the best ``p1 = c1 q2 / (2 (beta N)**2)`` and ``q2 = c2 / 2``
+    turn it into ``c1 c2 > 4 beta N sigma_act``, the condition above.
+
+    Returns ``(1 - n_I**2 / (2 * (gamma + rho))) - R0`` where that is at
+    most zero (``n_E`` cannot make it positive), and the condition's left
+    side minus ``R0`` otherwise, which is never larger.  So the margin is
+    positive exactly when the condition holds, and at ``n_E = 0`` it has
+    the bits of the ``n_E``-free form.  At the default rates with ``beta =
+    0.045`` (R0 0.3), ``n_E = 1`` and every other intensity 0 it is -1.3:
+    the self-term ``n_E**2 - 2 * sigma_act`` of ``E[E^2]`` is +0.5.
     """
-    damping = 1.0 - p.noise.i**2 / (2.0 * p.removal_rate)
-    return damping - reproduction_number(p)
+    try:
+        spread = p.noise.i**2  # not i * i, which differs in the last bit for some i
+    except OverflowError:
+        spread = math.inf
+    damping = 1.0 - spread / (2.0 * p.removal_rate)
+    margin = damping - reproduction_number(p)
+    if not margin > 0.0:
+        return margin
+    return (1.0 - p.noise.e * p.noise.e / (2.0 * p.sigma_act)) * damping - reproduction_number(p)
 
 
 def growth_bound_constant(p: ModelParams, radius: float) -> float:
@@ -379,14 +400,15 @@ def growth_bound_constant(p: ModelParams, radius: float) -> float:
     in the radius and no radius-free constant exists.
     """
     radius = check("growth_bound", {"radius": POSITIVE}, radius=radius)["radius"]
-    gr = p.removal_rate
+    # squares as float products, which overflow to +inf where ** raises
+    br, gr, noise = p.beta * radius, p.removal_rate, p.noise.max_intensity
     drift_coeff = max(
-        3.0 * p.beta**2 * radius**2,
-        4.0 * p.sigma_act**2,
-        2.0 * gr**2 + p.gamma**2 + 2.0 * p.rho**2,
-        3.0 * p.theta**2,
+        3.0 * (br * br),
+        4.0 * (p.sigma_act * p.sigma_act),
+        2.0 * (gr * gr) + p.gamma * p.gamma + 2.0 * (p.rho * p.rho),
+        3.0 * (p.theta * p.theta),
     )
-    return drift_coeff + p.noise.max_intensity**2
+    return drift_coeff + noise * noise
 
 
 def lipschitz_constant(p: ModelParams, radius: float) -> float:
@@ -426,21 +448,34 @@ def _sample_nonnegative_ball(rng: np.random.Generator, count: int, radius: float
     return direction / norms * radii[:, None]
 
 
-def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, ratio) -> BoundCheckReport:
-    """Compare ``constant(p, radius)`` with the largest ``ratio`` over
+def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, terms) -> BoundCheckReport:
+    """Compare ``constant(p, radius)`` with the largest ratio over
     ``sample_count`` draws of ``points`` nonnegative points in the radius
-    ball, drawn in chunks in argument order."""
+    ball, drawn in chunks in argument order; ``terms`` gives each draw's
+    numerator and denominator, and draws with a zero denominator are
+    skipped.  A constant, term or ratio beyond the float range would make
+    the report vacuous, so it raises :class:`ConfigurationError`."""
     sample_count = check("sampled_bound", {"sample_count": COUNT}, sample_count=sample_count)["sample_count"]
     bound = constant(p, radius)
     rng = np.random.default_rng(rng_seed)
     max_ratio = 0.0
     remaining = sample_count
-    while remaining > 0:
-        chunk = min(remaining, 1 << 17)
-        ratios = ratio(*[_sample_nonnegative_ball(rng, chunk, radius) for _ in range(points)])
-        if ratios.size:
-            max_ratio = max(max_ratio, float(np.max(ratios)))
-        remaining -= chunk
+    # overflow is detected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining > 0:
+            chunk = min(remaining, 1 << 17)
+            num, den = terms(*[_sample_nonnegative_ball(rng, chunk, radius) for _ in range(points)])
+            valid = den > 0.0
+            ratios = num[valid] / den[valid]
+            if not (math.isfinite(bound) and np.isfinite(num).all() and np.isfinite(den).all()
+                    and np.isfinite(ratios).all()):
+                raise ConfigurationError(
+                    f"sampled_bound: at radius {radius:g} the bound ({bound:g}) or a sampled ratio "
+                    f"overflows the float range; lower the radius or the rates"
+                )
+            if ratios.size:
+                max_ratio = max(max_ratio, float(np.max(ratios)))
+            remaining -= chunk
     return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
 
 
@@ -452,12 +487,12 @@ def verify_growth_bound(
     maximum against :func:`growth_bound_constant`.
     """
 
-    def ratio(x, y):
+    def terms(x, y):
         b, g = drift(x, y, p), p.noise.as_array() * x
         num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
-        return num / (1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1))
+        return num, 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
 
-    return _check_sampled_bound(growth_bound_constant, p, sample_count, radius, rng_seed, 2, ratio)
+    return _check_sampled_bound(growth_bound_constant, p, sample_count, radius, rng_seed, 2, terms)
 
 
 def verify_lipschitz_bound(
@@ -468,13 +503,11 @@ def verify_lipschitz_bound(
     :func:`lipschitz_constant`.
     """
 
-    def ratio(x, y, x2, y2):
+    def terms(x, y, x2, y2):
         num = np.linalg.norm(drift(x, y, p) - drift(x2, y2, p), axis=1)
-        den = np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)
-        valid = den > 0.0
-        return num[valid] / den[valid]
+        return num, np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)
 
-    return _check_sampled_bound(lipschitz_constant, p, sample_count, radius, rng_seed, 4, ratio)
+    return _check_sampled_bound(lipschitz_constant, p, sample_count, radius, rng_seed, 4, terms)
 
 
 class HistoryFunction:

@@ -11,11 +11,10 @@ susceptible point is governed by the linear delay subsystem
     dI = (sigma_act * E - (gamma + rho) * I)     dt + n_I * I dW_I
 
 whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
-whenever :func:`~rumorsim.model.stochastic_margin` is positive and ``n_E``
-is zero (the margin has no ``n_E`` term; see its caveat).  This
-module estimates that second moment over an ensemble, integrated by the
-streaming kernel of :mod:`rumorsim.integrator`, and issues an empirical
-verdict instead of re-deriving the analysis.
+whenever :func:`~rumorsim.model.stochastic_margin` is positive (see its
+derivation).  This module estimates that second moment over an ensemble,
+integrated by the streaming kernel of :mod:`rumorsim.integrator`, and
+issues an empirical verdict instead of re-deriving the analysis.
 """
 
 from __future__ import annotations

@@ -340,6 +340,21 @@ class TestStability:
             assert cell == margin and sign * float(margin) > 0
             assert holds == ("1" if float(margin) > 0 else "0")
 
+    def test_spreader_noise_beyond_the_float_square_prints_minus_inf(self, tmp_path, capsys):
+        # one step from no spreaders keeps the lab finite; n_I^2 overflows
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"noise": {"i": 1e200}},
+                "integrator": {"horizon": 0.1},
+                "stability": {"run_count": 3, "e0": 0.01, "i0": 0.0},
+                "output": {"directory": str(tmp_path / "out")},
+            },
+        )
+        code, out, err = run_cli(capsys, "stability", "--config", str(cfg))
+        assert code == 0, err
+        assert (tmp_path / "out" / "threshold.csv").read_text().splitlines()[1] == "2,-inf,0"
+
 
 class TestAblate:
     def test_full_grid_has_18_rows_and_deviation(self, tmp_path, capsys):

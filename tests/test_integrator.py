@@ -416,15 +416,16 @@ class TestNumericGuards:
 
 class TestKernel:
     def test_mixed_delay_batch_equals_per_delay_batches(self):
-        # k = 0, k = 25 and a delay capped at the horizon, read from a
-        # sampled history, in one batch; every group repeats the same seeds
+        # groups of (tau, runs) in one batch, read from a sampled history:
+        # k = 0, 25 and a delay capped at the horizon; delays out of order
+        # with k = 0 between two rings; groups of one run; every group
+        # repeats the same seeds
         p = default_params(r0=2.5, noise_level=1.0)
         history = HistoryFunction.sampled(
             [[1.0 - i, 0.0, i, 0.0, 0.0, 0.0] for i in np.linspace(0.002, 0.02, 6)], span=50.0
         )
         cfg = IntegratorConfig(0.1, 10.0, record_stride=2)
-        taus, n = (0.0, 2.5, 50.0), 4
-        assert [delay_steps(tau, cfg) for tau in taus] == [0, 25, cfg.step_count]
+        assert [delay_steps(tau, cfg) for tau in (0.0, 2.5, 5.0, 10.0, 50.0)] == [0, 25, 50, 100, cfg.step_count]
 
         def run(params, seeds, **delays):
             rows = np.empty((cfg.recorded_count, 6, len(seeds)))
@@ -433,16 +434,28 @@ class TestKernel:
             )
             return rows, terminal, counts
 
-        mixed = run(p, list(range(n)) * len(taus), delays=[(tau, n) for tau in taus])
-        assert mixed[2].any()  # some steps were clamped
-        for g, tau in enumerate(taus):
-            alone = run(dataclasses.replace(p, tau=tau), range(n))
-            cols = slice(g * n, (g + 1) * n)
-            assert np.array_equal(mixed[0][..., cols], alone[0])
-            assert np.array_equal(mixed[1][:, cols], alone[1])
-            assert np.array_equal(mixed[2][cols], alone[2])
-        groups = np.split(mixed[1], len(taus), axis=1)
-        assert not np.array_equal(groups[0], groups[1]) and not np.array_equal(groups[1], groups[2])
+        layouts = [
+            [(0.0, 4), (2.5, 4), (50.0, 4)],
+            [(10.0, 3), (0.0, 2), (5.0, 3)],
+            [(2.5, 1), (50.0, 2), (0.0, 1), (1.0, 3)],
+        ]
+        clamped = False
+        for delays in layouts:
+            seeds = [seed for _, n in delays for seed in range(n)]
+            mixed = run(p, seeds, delays=delays)
+            clamped |= mixed[2].any()
+            first = 0
+            for tau, n in delays:
+                alone = run(dataclasses.replace(p, tau=tau), range(n))
+                cols = slice(first, first + n)
+                assert np.array_equal(mixed[0][..., cols], alone[0]), (delays, tau)
+                assert np.array_equal(mixed[1][:, cols], alone[1]), (delays, tau)
+                assert np.array_equal(mixed[2][cols], alone[2]), (delays, tau)
+                first += n
+            # the first run of every group has seed 0, and each delay its own path
+            starts = np.cumsum([0] + [n for _, n in delays[:-1]])
+            assert len({mixed[1][:, j].tobytes() for j in starts}) == len(delays)
+        assert clamped  # some steps were clamped
 
     def test_probe_reports_the_failure_an_exact_scan_finds_first(self):
         self._assert_probe_matches_scan(project=False, k=0)
@@ -667,6 +680,45 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 2 * (outputs + block + ring + chunk) < runs * rows * 2 * 8 / 4
 
+    @staticmethod
+    def _two_delay_sweep(runs):
+        # a k = 0 group and a k = 1000 group of ``runs`` runs each
+        spec = SweepSpec(
+            taus=(0.0, 100.0), r0_values=(2.0,), run_count=runs, base_seed=3,
+            template=default_params(), integrator=IntegratorConfig(0.1, 100.0),
+        )
+        return spec, 1000
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_sweep_keeps_one_ring_per_delay_group(self):
+        # the k = 0 runs keep no ring: the whole sweep peaks below what one
+        # ring of k + 1 rows for every run would hold alone
+        spec, k = self._two_delay_sweep(400)
+        shared = (k + 1) * 2 * spec.run_count * 8
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < shared
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_guard_counts_each_delay_group_its_own_ring(self, monkeypatch):
+        # physical memory faked at exactly what one ring of k + 1 rows for
+        # every run would take: the groups' own rings fit under it
+        cfg, runs = IntegratorConfig(0.1, 100.0), 10**6
+        delays = [(0.0, runs), (100.0, runs)]
+        shared = 1001 * 2 * runs * 8
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": shared // 8}.get)
+        check_memory(cfg, delays, 2 * runs, 6, 0)
+        with pytest.raises(ConfigurationError, match="GiB of physical memory"):
+            check_memory(cfg, 100.0, 2 * runs, 6, 0)
+        # and the sweep counts its groups so, with no rows to spare for a shared ring
+        spec, k = self._two_delay_sweep(400)
+        shared = (k + 1) * 2 * spec.run_count * 8
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": shared // 8}.get)
+        run_sweep(spec)
 
     def test_delay_beyond_horizon_reads_only_the_history(self):
         # every step of the horizon reads the history, whatever the delay

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorsim import (
+    ConfigurationError,
     HistoryFunction,
     IntegratorConfig,
     ModelParams,
@@ -163,6 +164,67 @@ class TestThresholds:
         assert reproduction_number(p2) == pytest.approx(2 * reproduction_number(p1))
 
 
+_RATE = st.floats(min_value=0.01, max_value=2.0)
+_INTENSITY = st.floats(min_value=0.0, max_value=1.5)
+
+
+def _params(beta, sigma_act, gamma, rho, n_e, n_i):
+    return ModelParams(
+        beta=beta, sigma_act=sigma_act, gamma=gamma, rho=rho, theta=0.1,
+        noise=NoiseIntensities(0.01, n_e, n_i, 0.01, 0.01, 0.01),
+    )
+
+
+def _second_moment_generator(p):
+    # d vec(C)/dt for C = E[x x^T] of the linearized (E, I) pair at tau = 0:
+    # A C + C A^T plus the noise terms n_E^2 C_EE and n_I^2 C_II
+    a = np.array([[-p.sigma_act, p.beta * p.population], [p.sigma_act, -p.removal_rate]])
+    generator = np.kron(a, np.eye(2)) + np.kron(np.eye(2), a)
+    generator[0, 0] += p.noise.e**2
+    generator[3, 3] += p.noise.i**2
+    return generator
+
+
+class TestCertifiedMargin:
+    """The margin of ``(1 - n_E^2 / (2 sigma)) (1 - n_I^2 / (2 (gamma +
+    rho))) > R0``, printed as the ``n_E``-free margin where that is <= 0."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(beta=_RATE, sigma_act=_RATE, gamma=_RATE, rho=_RATE, n_i=_INTENSITY)
+    def test_without_exposed_noise_it_has_the_bits_of_the_old_margin(self, beta, sigma_act, gamma, rho, n_i):
+        p = _params(beta, sigma_act, gamma, rho, 0.0, n_i)
+        old = 1.0 - n_i**2 / (2.0 * (gamma + rho)) - beta * 1.0 / (gamma + rho)
+        assert stochastic_margin(p) == old
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(beta=_RATE, sigma_act=_RATE, gamma=_RATE, rho=_RATE)
+    def test_without_noise_it_holds_exactly_below_r0_one(self, beta, sigma_act, gamma, rho):
+        p = replace(_params(beta, sigma_act, gamma, rho, 0.0, 0.0), noise=NoiseIntensities.zero())
+        assert (stochastic_margin(p) > 0) == (reproduction_number(p) < 1)
+        at_one = replace(p, beta=(gamma + rho) / p.population)
+        assert stochastic_margin(at_one) == 1.0 - reproduction_number(at_one) <= 0
+
+    def test_exposed_noise_counterexample_gets_a_negative_margin(self):
+        # the n_E-free margin reads +0.7 here, yet the E^2 self-term of the
+        # second moment's generator, n_E^2 - 2 sigma_act, is exactly +0.5
+        p = replace(default_params(r0=0.3), noise=NoiseIntensities(0, 1.0, 0, 0, 0, 0))
+        assert 1.0 - reproduction_number(p) == pytest.approx(0.7)
+        assert stochastic_margin(p) == pytest.approx(-1.3)
+        generator = _second_moment_generator(p)
+        assert generator[0, 0] == 0.5
+        # the generator is Metzler, so its top eigenvalue is at least each diagonal entry
+        assert np.linalg.eigvals(generator).real.max() >= 0.5
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(beta=_RATE, sigma_act=_RATE, gamma=_RATE, rho=_RATE, n_e=_INTENSITY, n_i=_INTENSITY)
+    def test_a_positive_margin_gives_mean_square_decay_at_zero_delay(self, beta, sigma_act, gamma, rho, n_e, n_i):
+        # the exact oracle at tau = 0: every eigenvalue of the generator of
+        # E[x x^T] has a negative real part
+        p = _params(beta, sigma_act, gamma, rho, n_e, n_i)
+        if stochastic_margin(p) > 0:
+            assert np.linalg.eigvals(_second_moment_generator(p)).real.max() < 0
+
+
 class TestBoundChecks:
     def test_growth_bound_passes_at_reference_params(self, params):
         report = verify_growth_bound(params, 20_000, 10.0, rng_seed=31)
@@ -308,14 +370,27 @@ class TestArgumentChecks:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(
         helper=st.sampled_from(sorted(_HELPERS)),
-        value=st.sampled_from([math.nan, math.inf, -1, 0, 2.5, True, "x"]),
+        value=st.sampled_from([math.nan, math.inf, -1, 0, 2.5, 1e200, True, "x"]),
     )
     def test_any_argument_gives_a_finite_result_or_a_value_error(self, helper, value):
         try:
             result = _HELPERS[helper](default_params(), value)
         except ValueError:
             return
-        assert np.all(np.isfinite(result)), (helper, value, result)
+        # a constant whose square leaves the float range is +inf
+        overflowed = helper.endswith("_constant") and result == math.inf
+        assert overflowed or np.all(np.isfinite(result)), (helper, value, result)
+
+    @pytest.mark.parametrize("radius, beta", [(1e200, 0.3), (1.0, 1e200)])
+    def test_verifiers_beyond_the_float_range_raise_a_configuration_error(self, radius, beta):
+        # the squared transmission term overflows: the growth constant is
+        # +inf, and samples whose drift overflows judge nothing
+        p = replace(default_params(), beta=beta)
+        assert growth_bound_constant(p, radius) == math.inf
+        assert math.isfinite(lipschitz_constant(p, radius))
+        for verify in (verify_growth_bound, verify_lipschitz_bound):
+            with pytest.raises(ConfigurationError, match="overflows the float range"):
+                verify(p, 1000, radius, 0)
 
 
 class TestHistoryFunction:
