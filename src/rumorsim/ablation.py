@@ -4,8 +4,8 @@ reference statistics.
 Each grid cell fixes the delay and derives the transmission rate from the
 target reproduction number via ``beta = R0 * (gamma + rho) / N``, then
 runs an independent ensemble.  The whole grid runs as a single batch
-with a per-run transmission rate, the runs of each delay forming one
-group of the integrator's delay ring.  Cell seeds are derived from
+of ``(params, runs)`` cells, the runs of each delay forming one group
+of the integrator's delay ring.  Cell seeds are derived from
 ``(base_seed, tau_index, r0_index)`` so cells are statistically
 independent and the whole sweep is reproducible from its spec.
 
@@ -22,13 +22,13 @@ import csv
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .ensemble import OutbreakMetrics, _warn_if_unconverged
+from .ensemble import _run_spread, _warn_if_unconverged
 from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import IntegratorConfig, block_rows, check_memory, delay_steps, stream_model, write_table
 from .model import (
@@ -124,29 +124,29 @@ class SweepResult:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run one ensemble per grid cell; a pure function of the grid spec.
 
-    All cells run as one batch, each delay a group of runs with its own
-    delay ring in the kernel, and the batch keeps each run's peak of ``I`` and
-    terminal state; the statistics equal ``run_ensemble`` ones exactly.
-    An off-grid delay is reported with its cell.  A non-finite state names
-    the cell, the run and its seed; of several failing runs, the one at
-    the earliest step across the grid is reported, the first in grid order
-    on a tie.
+    All cells run as one batch of ``(params, runs)`` cells in grid order,
+    the cells of each delay one group of runs with its own delay ring in
+    the kernel, and the batch keeps each run's peak of ``I`` and terminal
+    state; the statistics equal ``run_ensemble`` ones exactly.  An
+    off-grid delay or a derived ``beta`` beyond the float range is
+    reported with its cell.  A non-finite state names the cell, the run
+    and its seed; of several failing runs, the one at the earliest step
+    across the grid is reported, the first in grid order on a tie.
     """
     n, cfg = spec.run_count, spec.integrator
     taus, r0s = spec.taus, spec.r0_values
-    for tau in taus:
+    grid, cells = list(itertools.product(taus, r0s)), []
+    for tau, r0 in grid:
         try:
             delay_steps(tau, cfg)
+            cells.append((replace(spec.template, tau=tau, beta=spec.beta_for(r0)), n))
         except ConfigurationError as exc:
-            raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0s[0]:g}): {exc}") from exc
-    cell_runs = n * len(r0s)
-    runs = cell_runs * len(taus)
+            raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0:g}): {exc}") from exc
+    runs = n * len(cells)
     block = block_rows(cfg, 6 * 6 * runs)  # a sixth of a statistics block: one row of six is kept
-    delays = [(tau, cell_runs) for tau in taus]
-    check_memory(cfg, delays, runs, 6, 6 * runs * block)  # one block of rows; peaks, terminal states
+    check_memory(cfg, cells, 6, 6 * runs * block)  # one block of rows; peaks, terminal states
     cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
-    betas = [spec.beta_for(r0) for r0 in r0s]
     start = spec.initial_state or default_initial_state(spec.template)
     peak = np.full(len(seeds), -np.inf)
     staged = np.empty((block, 6, runs))
@@ -155,48 +155,26 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         np.maximum(peak, np.maximum.reduce(staged[:count, 2]), out=peak)
 
     try:
-        terminal, _ = stream_model(
-            spec.template,  # its beta and tau give way to the per-run ones
-            HistoryFunction.constant(start),
-            cfg,
-            seeds,
-            staged,
-            reduce,
-            beta=np.tile(np.repeat(betas, n), len(taus)),
-            delays=delays,
-        )
+        terminal, _ = stream_model(cells, HistoryFunction.constant(start), cfg, seeds, staged, reduce)
     except NumericsError as exc:
         c, r = divmod(exc.run, n)
-        i, j = divmod(c, len(r0s))
         raise NumericsError(
-            f"sweep cell (tau={taus[i]:g}, R0={r0s[j]:g}): non-finite state at "
+            f"sweep cell (tau={grid[c][0]:g}, R0={grid[c][1]:g}): non-finite state at "
             f"step {exc.step} (t={exc.step * cfg.step_size:g}) in run {r} "
             f"(seed {seeds[exc.run]})",
             step=exc.step,
             run=r,
         ) from exc
-    cells = []
-    for c, (tau, (r0, beta)) in enumerate(itertools.product(taus, zip(r0s, betas))):
+    results = []
+    for c, ((tau, r0), (p, _)) in enumerate(zip(grid, cells)):
         rows = slice(c * n, (c + 1) * n)
-        cell = f"sweep cell (tau={tau:g}, R0={r0:g}): "
-        _warn_if_unconverged(terminal[2, rows], spec.template.population, cell)
-        m = OutbreakMetrics(
-            peak_values=peak[rows],
-            peak_times=np.full(n, np.nan),  # not tracked by the sweep
-            final_sizes=terminal[3, rows] + terminal[5, rows],
-        )
-        cells.append(
-            SweepCell(
-                tau=float(tau),
-                r0=float(r0),
-                beta=beta,
-                peak_mean=m.peak_mean,
-                peak_std=m.peak_std,
-                final_mean=m.final_size_mean,
-                final_std=m.final_size_std,
-            )
-        )
-    return SweepResult(cells=tuple(cells), run_count=spec.run_count, base_seed=spec.base_seed)
+        _warn_if_unconverged(terminal[2, rows], p.population, f"sweep cell (tau={tau:g}, R0={r0:g}): ")
+        peaks, finals = peak[rows], terminal[3, rows] + terminal[5, rows]
+        results.append(SweepCell(
+            tau=tau, r0=r0, beta=p.beta, peak_mean=float(peaks.mean()), peak_std=_run_spread(peaks),
+            final_mean=float(finals.mean()), final_std=_run_spread(finals),
+        ))
+    return SweepResult(cells=tuple(results), run_count=spec.run_count, base_seed=spec.base_seed)
 
 
 def load_reference(path=None) -> tuple[SweepCell, ...]:

@@ -97,7 +97,11 @@ _SCHEMA = {
     "ensemble": {**ENSEMBLE_RULES, "seed": int},
     "stability": STABILITY_RULES,
     "sweep": {**SWEEP_RULES, "seed": int},
-    "output": {"directory": str, "formats": [frozenset({"csv", "svg"})]},
+    "output": {
+        # a NUL character is the one a path cannot hold on any platform
+        "directory": (str, "a path without NUL characters", lambda v: "\0" not in v),
+        "formats": [frozenset({"csv", "svg"})],
+    },
 }
 
 
@@ -166,22 +170,22 @@ def apply_overrides(
     formats: tuple[str, ...] | None = None,
 ) -> RunConfig:
     """Apply CLI flag overrides.  ``seed`` and ``runs`` apply to both the
-    ensemble and sweep blocks (the flag wins wherever it is meaningful)."""
-    ensemble = cfg.ensemble
-    sweep = cfg.sweep
-    stability = cfg.stability
-    output = cfg.output
-    if seed is not None:
-        ensemble = replace(ensemble, seed=seed)
-        sweep = replace(sweep, seed=seed)
-    if runs is not None:
-        if runs < 1:
-            raise ConfigFileError(["--runs: must be >= 1"])
-        ensemble = replace(ensemble, run_count=runs)
-        sweep = replace(sweep, run_count=runs)
-        stability = replace(stability, run_count=runs)
-    if out_dir is not None:
-        output = replace(output, directory=out_dir)
-    if formats is not None:
-        output = replace(output, formats=formats)
-    return replace(cfg, ensemble=ensemble, sweep=sweep, stability=stability, output=output)
+    ensemble and sweep blocks (the flag wins wherever it is meaningful),
+    ``runs`` to the stability block too.  Each value is read by the rule of
+    the fields it sets, as a config file's would be; raises
+    :class:`ConfigFileError` naming the flag of every value that breaks it."""
+    reader, blocks = _Reader(), {}
+    for flag, value, fields in (
+        ("--seed", seed, [("ensemble", "seed"), ("sweep", "seed")]),
+        ("--runs", runs, [("ensemble", "run_count"), ("sweep", "run_count"), ("stability", "run_count")]),
+        ("--out", out_dir, [("output", "directory")]),
+        ("--format", formats, [("output", "formats")]),
+    ):
+        if value is not None:
+            block, name = fields[0]  # the fields of one flag share a rule
+            value = reader.read(value, flag, _SCHEMA[block][name], value)
+            for block, name in fields:
+                blocks.setdefault(block, {})[name] = value
+    if reader.errors:
+        raise ConfigFileError(reader.errors)
+    return replace(cfg, **{block: replace(getattr(cfg, block), **values) for block, values in blocks.items()})

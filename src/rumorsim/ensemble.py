@@ -12,8 +12,8 @@ them over, so an ensemble holds one block of ``runs x rows x 6`` values
 twice (the staged rows, which the band sorts in place, and a runs-major
 copy) and the rows it writes, never the whole path set; every statistic
 is elementwise or reduces over the runs of one row, so the blocks change
-no bit of it.  Sweeps build :class:`OutbreakMetrics` from each run's peak
-and terminal state instead.
+no bit of it.  Sweeps reduce each run's peak and terminal state
+instead.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def run_ensemble(
     # the staged block and the slab hold two copies of each row
     block = block_rows(cfg, 2 * run_count * 6)
     held = 2 * run_count * block * 6 + rows * (4 * 6 + 1)  # the blocks, the outputs and times
-    check_memory(cfg, p.tau, run_count, 6, held)
+    cells = [(p, run_count)]
+    check_memory(cfg, cells, 6, held)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
     staged = np.empty((block, 6, run_count))
@@ -294,7 +295,7 @@ def run_ensemble(
                 values, mean[span], ci_level, ci_method, staged[:count]
             )
 
-    terminal, _ = stream_model(p, history, cfg, seeds, staged, reduce)
+    terminal, _ = stream_model(cells, history, cfg, seeds, staged, reduce)
     times = recorded_times(cfg)
     metrics = OutbreakMetrics(
         peak_values=peak_values,

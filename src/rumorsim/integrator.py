@@ -4,10 +4,10 @@ noise.
 
 One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
 of the full model and of the linearized stability subsystem, updating a
-component-major ``(components, runs)`` state in place; groups of runs in
-a batch may have different delays.  The model's one entry,
-:func:`stream_model`, picks its stepper by run count.  Memory scales with
-what is recorded.
+component-major ``(components, runs)`` state in place.  The model's one
+entry, :func:`stream_model`, takes a batch as a list of ``(params, runs)``
+cells, which may differ in delay, rates and noise, and picks its stepper
+by run count.  Memory scales with what is recorded.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
@@ -30,7 +30,7 @@ import math
 import os
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,19 +180,18 @@ def delay_steps(tau: float, cfg: IntegratorConfig) -> int:
     return min(steps_on_grid(tau, cfg.step_size, "tau"), cfg.step_count)
 
 
-def check_memory(cfg: IntegratorConfig, tau, runs: int, components: int, held_values: int) -> None:
-    """Raise :class:`ConfigurationError` when a batch of ``runs`` would hold
-    more than the machine's physical memory, or take more than
-    ``_MAX_PATH_STEPS`` path-steps.  ``tau`` is the delay of every run, or
-    a sequence of ``(tau, runs)`` groups splitting them, as
-    :func:`stream_model` takes.  The estimate adds the buffers of
-    :func:`euler_maruyama`, with its per-group delay rings at ``k + 1``
-    values per run of a group (``D(n)`` at ``k = 0``) and six drift scratch
-    rows per run (the most a drift binds), to the ``held_values`` values
-    the caller keeps.
+def check_memory(cfg: IntegratorConfig, cells, components: int, held_values: int) -> None:
+    """Raise :class:`ConfigurationError` when a batch of ``cells``, the
+    ``(params, runs)`` pairs :func:`stream_model` takes, would hold more
+    than the machine's physical memory, or take more than
+    ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
+    :func:`euler_maruyama`, with its delay rings at ``k + 1`` values per
+    run of a cell (``D(n)`` at ``k = 0``) and six drift scratch rows per
+    run (the most a drift binds), to the ``held_values`` values the caller
+    keeps.
     """
-    groups = [(tau, runs)] if np.ndim(tau) == 0 else tau
-    rings = sum((delay_steps(t, cfg) + 1) * n for t, n in groups)
+    runs = sum(n for _, n in cells)
+    rings = sum((delay_steps(p.tau, cfg) + 1) * n for p, n in cells)
     noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
     held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + noise_chunk)
     try:
@@ -239,10 +238,11 @@ def euler_maruyama(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
     sqrt(h) Z(n)`` for one run per seed, ``Z(n)`` its counter stream at
-    step ``n``, on a ``(components, runs)`` state; the operation order
-    fixes the bits of every output.  ``drift(x, out)`` binds the state and
-    a drift buffer once and returns ``step(d)``, which writes the drift at
-    ``x`` into ``out``; the state is then updated in place.
+    step ``n``, on a ``(components, runs)`` state, with ``noise`` one
+    intensity per component or one per component and run; the operation
+    order fixes the bits of every output.  ``drift(x, out)`` binds the
+    state and a drift buffer once and returns ``step(d)``, which writes the
+    drift at ``x`` into ``out``; the state is then updated in place.
 
     ``delays`` splits the runs, in seed order, into groups ``(runs,
     early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
@@ -272,7 +272,7 @@ def euler_maruyama(
     """
     seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
-    n_comp, n_runs = noise.size, seeds.size
+    n_comp, n_runs = len(noise), seeds.size
     x = np.empty((n_comp, n_runs))  # the state, updated in place
     x[...] = np.reshape(start, (n_comp, 1))
     dx = np.empty_like(x)
@@ -302,7 +302,7 @@ def euler_maruyama(
     if block == 1:  # the start is never the last row
         reduce(0, 1)
     projection_counts = np.zeros(n_runs, dtype=np.int64)
-    noise = np.broadcast_to(np.reshape(noise, (n_comp, 1)), (n_comp, n_runs)).copy()
+    noise = np.broadcast_to(np.reshape(noise, (n_comp, -1)), (n_comp, n_runs)).copy()
     noisy = bool(np.any(noise > 0.0))
     # drawn only when read
     planes = itertools.chain.from_iterable(increment_chunks(seeds, n_comp, n_steps, h, _NOISE_CHUNK_DRAWS))
@@ -345,35 +345,44 @@ def euler_maruyama(
 
 
 def stream_model(
-    p: ModelParams, history: HistoryFunction, cfg: IntegratorConfig, seeds, staged, reduce,
-    beta=None, delays=None,
+    cells, history: HistoryFunction, cfg: IntegratorConfig, seeds, staged, reduce
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model, one run per seed, recording
-    into ``staged`` and calling ``reduce`` as it does.  ``beta``, if given,
-    is a per-run transmission rate replacing ``p.beta``; ``delays``, if
-    given, is a sequence of ``(tau, runs)`` pairs that gives consecutive
-    groups of runs their own delay in place of ``p.tau``.
+    into ``staged`` and calling ``reduce`` as it does.  ``cells`` is a
+    sequence of ``(params, runs)`` pairs, a :class:`ModelParams` for each
+    consecutive group of runs in seed order; every run starts from
+    ``history(0)``.  Consecutive cells of one delay form one delay group of
+    the kernel, and each rate and the noise intensities go to it as one
+    value where every cell agrees and one value per run otherwise.
 
     One seed is stepped in Python floats by :func:`_stream_one`, where
     numpy's per-call cost would dominate six-element steps, and two or more
     by :func:`euler_maruyama`; both take the same operations in the same
     order, so a run has the same bits, clamp count and error either way.
     """
-    groups = []
-    for tau, runs in delays or [(p.tau, len(seeds))]:
-        history.validate_for(replace(p, tau=tau))
+    params, runs = zip(*cells)
+    if sum(runs) != len(seeds):  # a run past the cells would read a D(n) never written
+        raise ValueError(f"the cells hold {sum(runs)} runs for {len(seeds)} seeds")
+    for p in params:
+        history.validate_for(p)
+    delays = []  # (runs, early) of each delay group
+    for tau, group in itertools.groupby(cells, lambda cell: cell[0].tau):
         lags = np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau
         if not history.is_constant:
             # guard against rounding a hair past the sampled span
             lags = np.clip(lags, -history.span, 0.0)
-        groups.append((runs, history(lags)[:, 2]))
+        delays.append((sum(n for _, n in group), history(lags)[:, 2]))
     if len(seeds) == 1:
-        one = p if beta is None else replace(p, beta=float(beta[0]))
-        return _stream_one(one, history(0.0), groups[0][1], cfg, seeds, staged, reduce)
-    rates = [p.beta if beta is None else beta, p.gamma, p.rho, p.sigma_act, p.theta]
+        return _stream_one(params[0], history(0.0), delays[0][1], cfg, seeds, staged, reduce)
+
+    def per_run(values):  # one value where every cell agrees, else one per run
+        values = np.array(values)
+        return values[0] if (values == values[0]).all() else np.repeat(values, runs, axis=0).T
+
+    rates = [per_run(rate) for rate in zip(*[(p.beta, p.gamma, p.rho, p.sigma_act, p.theta) for p in params])]
     return euler_maruyama(
         functools.partial(_drift_with_delayed_i, rates),
-        history(0.0), groups, 2, p.noise.as_array(), seeds, cfg, staged, reduce,
+        history(0.0), delays, 2, per_run([p.noise.as_array() for p in params]), seeds, cfg, staged, reduce,
         cfg.projection_enabled,
     )
 
@@ -452,11 +461,12 @@ def simulate_paths(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    check_memory(cfg, p.tau, len(seeds), 6, len(seeds) * cfg.recorded_count * 6)
+    cells = [(p, len(seeds))]
+    check_memory(cfg, cells, 6, len(seeds) * cfg.recorded_count * 6)
     paths = np.empty((len(seeds), cfg.recorded_count, 6))
     # one block of every row, staged straight into the paths
     staged = paths.transpose(1, 2, 0)
-    _, projection_counts = stream_model(p, history, cfg, seeds, staged, lambda first, count: None)
+    _, projection_counts = stream_model(cells, history, cfg, seeds, staged, lambda first, count: None)
     return recorded_times(cfg), paths, projection_counts
 
 
@@ -501,13 +511,14 @@ def generator_growth_constant(p: ModelParams) -> float:
     """
     bn = p.beta * p.population
     n = p.noise
+    # squares as float products, which overflow to +inf where ** raises
     return max(
-        bn + n.s**2,
-        bn + p.sigma_act + n.e**2,
-        p.sigma_act + p.gamma + p.rho + n.i**2,
-        p.gamma + n.r**2,
-        p.rho + p.theta + n.ig**2,
-        p.theta + n.f**2,
+        bn + n.s * n.s,
+        bn + p.sigma_act + n.e * n.e,
+        p.sigma_act + p.gamma + p.rho + n.i * n.i,
+        p.gamma + n.r * n.r,
+        p.rho + p.theta + n.ig * n.ig,
+        p.theta + n.f * n.f,
     )
 
 
@@ -523,11 +534,14 @@ def second_moment_envelope(
     norm is assumed bounded by the current one.  The envelope is deliberately crude - its role
     is to certify the absence of blow-up, not to be tight.  Values whose
     logarithm exceeds the float range saturate at ~8e307 instead of
-    overflowing to infinity.
+    overflowing to infinity; so does every ``t > 0`` when ``C`` is
+    infinite, where ``t = 0`` keeps ``V0``.
     """
     v0 = check("envelope", {"initial_sq_norm": NONNEGATIVE}, initial_sq_norm=initial_sq_norm)["initial_sq_norm"]
     t = np.asarray(times, dtype=float)
     c = generator_growth_constant(p)
+    if c == math.inf:  # C t is NaN at t = 0
+        return np.where(t == 0.0, v0, np.exp(709.0))
     with np.errstate(divide="ignore"):  # log(0) = -inf at V0 = t = 0, where the envelope is 0
         log_env = np.log(v0 + c * t) + 2.0 * c * t
     return np.exp(np.minimum(log_env, 709.0))

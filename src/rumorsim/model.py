@@ -279,14 +279,15 @@ def _state_array(x) -> np.ndarray:
 def _drift_with_delayed_i(c, x, out):
     # Shared kernel, component-major: ``x`` and ``out`` are ``(6, n)``
     # arrays, and the returned ``step(i_delayed)`` writes the drift at ``x``
-    # into ``out``, every operand and view bound here; ``c`` holds beta (one,
-    # or one per run), gamma, rho, sigma_act and theta.  Each flow is
-    # computed once and reused with both signs, so the components cancel
-    # to zero up to the final rounding; stacked rows share one call.
+    # into ``out``, every operand and view bound here; ``c`` holds beta,
+    # gamma, rho, sigma_act and theta, each one value or one per run.  Each
+    # flow is computed once and reused with both signs, so the components
+    # cancel to zero up to the final rounding; stacked rows share one call.
     beta, gamma, rho, sigma_act, theta = c
     rates = np.empty((2, x.shape[1]))
     rates[0], rates[1] = beta, sigma_act
-    outflows, theta = np.array([[gamma], [rho]], dtype=float), np.array(theta, dtype=float)
+    outflows = np.array(np.broadcast_arrays(gamma, rho), dtype=float).reshape(2, -1)
+    theta = np.array(theta, dtype=float)
     flows = np.empty((3, x.shape[1]))  # transmission, activation, removal + skepticism
     transmission, head, tail = flows[0], flows[:2], flows[1:]
     s_e, i, ig = x[:2], x[2], x[4]

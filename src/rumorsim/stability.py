@@ -176,7 +176,7 @@ def simulate_linearized(
     rows = cfg.recorded_count
     block = block_rows(cfg, 2 * run_count)
     # one block of (E, I) rows, and the estimate with its times
-    check_memory(cfg, p.tau, run_count, 2, 2 * run_count * block + 2 * rows)
+    check_memory(cfg, [(p, run_count)], 2, 2 * run_count * block + 2 * rows)
 
     # (bN * D - sigma * E, sigma * E - (gamma + rho) * I) as head - tail of
     # the flows (transmission, activation, removal), full rows throughout

@@ -412,6 +412,23 @@ class TestAblate:
         assert "tau=1000000.0" in svg and "tau=1000001.0" in svg
 
 
+    def test_a_derived_beta_beyond_the_float_range_names_its_cell(self, tmp_path, capsys):
+        # beta = R0 (gamma + rho) / N overflows to inf at N = 1e-300
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"population": 1e-300},
+                "initial": {"s": 1e-300, "i": 0.0},
+                "sweep": {"taus": [0.0], "r0_values": [1e10]},
+                "integrator": {"horizon": 1.0},
+            },
+        )
+        code, out, err = run_cli(capsys, "ablate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sweep cell (tau=0, R0=1e+10): " in err
+
+
 class TestCompare:
     def test_compare_against_bundled_reference(self, tmp_path, capsys):
         cfg = write_config(
@@ -505,6 +522,26 @@ class TestParser:
         assert files == sorted(path.relative_to(fresh) for path in fresh.rglob("*") if path.is_file())
         for name in files:
             assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--out", ""], "--out: must be a non-empty string"),
+            (["--out", "a\0b"], "--out: must be a path without NUL characters, got a\\x00b"),
+            (["--config", "config.json"], "output.directory: must be a path without NUL characters, got a\\x00b"),
+        ],
+        ids=["empty-flag", "nul-flag", "nul-config"],
+    )
+    def test_a_directory_no_path_can_name_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, argv, message):
+        # an empty directory would be echoed into effective_config.json,
+        # which a re-run then rejects; a NUL byte cannot name any file
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"output": {"directory": "a\u0000b"}})
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestDeterminism:

@@ -401,3 +401,13 @@ class TestOverrides:
     def test_invalid_runs(self):
         with pytest.raises(ConfigFileError):
             apply_overrides(default_config(), runs=0)
+
+    def test_flags_are_read_by_the_rules_of_their_fields(self):
+        with pytest.raises(ConfigFileError) as failed:
+            apply_overrides(default_config(), seed=True, runs=0, out_dir="", formats=("pdf",))
+        assert failed.value.violations == [
+            "--seed: must be an integer",
+            "--runs: must be >= 1, got 0",
+            "--out: must be a non-empty string",
+            "--format: must contain only 'csv' or 'svg', got 'pdf'",
+        ]

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,10 +279,10 @@ class TestOneRunPath:
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 5.0, record_stride=5)
         whole = np.empty((cfg.recorded_count, 6, 1))
-        terminal, _ = stream_model(p, hist, cfg, [9], whole, lambda first, count: None)
+        terminal, _ = stream_model([(p, 1)], hist, cfg, [9], whole, lambda first, count: None)
         assert terminal.shape == (6, 1) and terminal.tobytes() == whole[-1].tobytes()
         spaced, rows = np.full((6, 6, 1), np.nan)[::2], []
-        stream_model(p, hist, cfg, [9], spaced, lambda first, count: rows.append(spaced[:count].copy()))
+        stream_model([(p, 1)], hist, cfg, [9], spaced, lambda first, count: rows.append(spaced[:count].copy()))
         assert np.concatenate(rows).tobytes() == whole.tobytes()
 
         def unread(first, count):
@@ -289,7 +290,7 @@ class TestOneRunPath:
 
         for strided in (np.empty((3, 6, 2))[:, :, :1], np.empty((3, 12, 1))[:, ::2]):
             with pytest.raises(ValueError):
-                stream_model(p, hist, cfg, [9], strided, unread)
+                stream_model([(p, 1)], hist, cfg, [9], strided, unread)
 
     def test_memory_is_rows_ring_and_one_chunk(self):
         # 20,000 steps: no per-step state or increment is held
@@ -427,11 +428,9 @@ class TestKernel:
         cfg = IntegratorConfig(0.1, 10.0, record_stride=2)
         assert [delay_steps(tau, cfg) for tau in (0.0, 2.5, 5.0, 10.0, 50.0)] == [0, 25, 50, 100, cfg.step_count]
 
-        def run(params, seeds, **delays):
+        def run(cells, seeds):
             rows = np.empty((cfg.recorded_count, 6, len(seeds)))
-            terminal, counts = stream_model(
-                params, history, cfg, seeds, rows, lambda first, count: None, **delays
-            )
+            terminal, counts = stream_model(cells, history, cfg, seeds, rows, lambda first, count: None)
             return rows, terminal, counts
 
         layouts = [
@@ -442,11 +441,11 @@ class TestKernel:
         clamped = False
         for delays in layouts:
             seeds = [seed for _, n in delays for seed in range(n)]
-            mixed = run(p, seeds, delays=delays)
+            mixed = run([(dataclasses.replace(p, tau=tau), n) for tau, n in delays], seeds)
             clamped |= mixed[2].any()
             first = 0
             for tau, n in delays:
-                alone = run(dataclasses.replace(p, tau=tau), range(n))
+                alone = run([(dataclasses.replace(p, tau=tau), n)], range(n))
                 cols = slice(first, first + n)
                 assert np.array_equal(mixed[0][..., cols], alone[0]), (delays, tau)
                 assert np.array_equal(mixed[1][:, cols], alone[1]), (delays, tau)
@@ -456,6 +455,45 @@ class TestKernel:
             starts = np.cumsum([0] + [n for _, n in delays[:-1]])
             assert len({mixed[1][:, j].tobytes() for j in starts}) == len(delays)
         assert clamped  # some steps were clamped
+
+    @pytest.mark.parametrize("runs", [[3], [1, 2], [2, 3]])
+    def test_cells_must_hold_one_run_per_seed(self, runs):
+        cfg = IntegratorConfig(0.1, 1.0)
+        p = default_params()
+        cells = [(dataclasses.replace(p, tau=0.5 * j), n) for j, n in enumerate(runs)]
+        rows = np.empty((cfg.recorded_count, 6, 4))
+        history = HistoryFunction.constant(default_initial_state(p))
+        with pytest.raises(ValueError, match=f"the cells hold {sum(runs)} runs for 4 seeds"):
+            stream_model(cells, history, cfg, [1, 2, 3, 4], rows, lambda first, count: None)
+
+    def test_weak_noise_order_with_common_random_numbers(self):
+        # with projection off each run is a polynomial in the noise level
+        # eps for fixed draws, so 2 m(eps) - 3 m(2 eps) + m(4 eps) of the
+        # terminal means cancels the zero-noise path and the O(eps) term
+        # exactly, leaving 6 eps^2 B + O(eps^3): its ratio at eps and eps / 2
+        # tends to 4 at order eps, with no Monte Carlo tolerance
+        p = default_params(tau=5.0, r0=2.0)
+        history = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False)
+        seeds = range(200)
+
+        def terminal_means(eps):
+            cells = [
+                (dataclasses.replace(p, noise=NoiseIntensities.uniform(level)), len(seeds))
+                for level in (eps, 2 * eps, 4 * eps, eps / 2)
+            ]
+            rows = np.empty((cfg.recorded_count, 6, len(cells) * len(seeds)))
+            stream_model(cells, history, cfg, list(seeds) * len(cells), rows, lambda first, count: None)
+            for c, cell in enumerate(cells):
+                alone = np.empty((cfg.recorded_count, 6, len(seeds)))
+                stream_model([cell], history, cfg, seeds, alone, lambda first, count: None)
+                assert np.array_equal(rows[..., c * len(seeds) : (c + 1) * len(seeds)], alone), cell
+            m1, m2, m4, m_half = rows[-1].reshape(6, len(cells), len(seeds)).mean(axis=2).T
+            return (2 * m1 - 3 * m2 + m4) / (2 * m_half - 3 * m1 + m2)
+
+        coarse, fine = np.abs(terminal_means(0.005) - 4.0), np.abs(terminal_means(0.0025) - 4.0)
+        assert np.all(fine < 0.1), fine
+        assert np.all(fine < coarse), (coarse, fine)
 
     def test_probe_reports_the_failure_an_exact_scan_finds_first(self):
         self._assert_probe_matches_scan(project=False, k=0)
@@ -708,12 +746,12 @@ class TestMemory:
         # physical memory faked at exactly what one ring of k + 1 rows for
         # every run would take: the groups' own rings fit under it
         cfg, runs = IntegratorConfig(0.1, 100.0), 10**6
-        delays = [(0.0, runs), (100.0, runs)]
+        cells = [(default_params(tau=0.0), runs), (default_params(tau=100.0), runs)]
         shared = 1001 * 2 * runs * 8
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": shared // 8}.get)
-        check_memory(cfg, delays, 2 * runs, 6, 0)
+        check_memory(cfg, cells, 6, 0)
         with pytest.raises(ConfigurationError, match="GiB of physical memory"):
-            check_memory(cfg, 100.0, 2 * runs, 6, 0)
+            check_memory(cfg, [(default_params(tau=100.0), 2 * runs)], 6, 0)
         # and the sweep counts its groups so, with no rows to spare for a shared ring
         spec, k = self._two_delay_sweep(400)
         shared = (k + 1) * 2 * spec.run_count * 8
@@ -743,12 +781,13 @@ class TestMemory:
     def test_guard_rejects_batches_beyond_physical_memory(self):
         # each call holds the recorded rows, as simulate_paths does
         cfg = IntegratorConfig(0.1, 200.0)
-        check_memory(cfg, 5.0, 2000, 6, 2000 * cfg.recorded_count * 6)
+        p = default_params(tau=5.0)
+        check_memory(cfg, [(p, 2000)], 6, 2000 * cfg.recorded_count * 6)
         with pytest.raises(ConfigurationError, match="GiB of physical memory"):
-            check_memory(cfg, 5.0, 10**13, 6, 10**13 * cfg.recorded_count * 6)
+            check_memory(cfg, [(p, 10**13)], 6, 10**13 * cfg.recorded_count * 6)
         tiny_steps = IntegratorConfig(1e-300, 200.0)
         with pytest.raises(ConfigurationError, match="GiB"):
-            check_memory(tiny_steps, 0.0, 1, 6, tiny_steps.recorded_count * 6)
+            check_memory(tiny_steps, [(default_params(), 1)], 6, tiny_steps.recorded_count * 6)
 
     def test_work_bound_holds_where_memory_is_unknown(self, monkeypatch):
         def unknown(name):
@@ -756,12 +795,12 @@ class TestMemory:
 
         monkeypatch.setattr(os, "sysconf", unknown)
         with pytest.raises(ConfigurationError, match="more than the bound of 1e"):
-            check_memory(IntegratorConfig(1e-300, 200.0), 0.0, 1, 6, 0)
+            check_memory(IntegratorConfig(1e-300, 200.0), [(default_params(), 1)], 6, 0)
         monkeypatch.setattr("rumorsim.integrator._MAX_PATH_STEPS", 30)
         bounded = IntegratorConfig(0.1, 1.0)  # 10 steps
-        check_memory(bounded, 0.0, 3, 6, 0)
+        check_memory(bounded, [(default_params(), 3)], 6, 0)
         with pytest.raises(ConfigurationError, match=r"4 runs of 10 steps would take 40 path-steps"):
-            check_memory(bounded, 0.0, 4, 6, 0)
+            check_memory(bounded, [(default_params(), 4)], 6, 0)
 
 
 class TestMomentEnvelope:
@@ -780,6 +819,14 @@ class TestMomentEnvelope:
     def test_envelope_saturates_instead_of_overflowing(self, params):
         env = second_moment_envelope(params, 1.0, np.array([0.0, 1e6]))
         assert np.all(np.isfinite(env))
+
+    def test_intensity_whose_square_overflows_keeps_v0_then_saturates(self):
+        # C = inf: C t is NaN at t = 0, where the envelope is V0
+        p = dataclasses.replace(default_params(), noise=NoiseIntensities(i=1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = second_moment_envelope(p, 1.0, [0.0, 1.0])
+        assert env.tolist() == [1.0, math.exp(709.0)]
 
 
 class TestTrajectoryCsv:
