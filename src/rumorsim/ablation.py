@@ -195,6 +195,9 @@ def _read_cells(source, name) -> tuple[dict, tuple[SweepCell, ...]]:
         lines = source.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise RumorSimError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except (OSError, ValueError) as exc:
+        # a path with a NUL byte raises ValueError: it names no file
+        raise RumorSimError(f"cannot read {name}: {exc}") from exc
     meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# ") and "=" in line)
     try:
         records = list(csv.DictReader(line for line in lines if line and not line.startswith("#")))

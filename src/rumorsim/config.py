@@ -139,10 +139,13 @@ def default_config() -> RunConfig:
 def load_config(path) -> RunConfig:
     """Load and validate a JSON configuration file."""
     try:
-        with open(path, "r") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:
+        # a path with a NUL byte raises ValueError: it names no file
         raise ConfigFileError([f"config: cannot read {path}: {exc}"]) from exc
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an integer longer than
         # Python converts, or nesting deeper than the decoder recurses

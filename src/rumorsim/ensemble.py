@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InsufficientDataError
 from .integrator import (
@@ -35,7 +34,7 @@ from .integrator import (
     write_table,
 )
 from .model import COUNT, CSV_COMPARTMENTS, HistoryFunction, ModelParams, check
-from .rng import derive_seed
+from .rng import derive_seed, ndtri
 
 __all__ = [
     "CI_METHODS",

@@ -38,8 +38,12 @@ stream.
 
 from __future__ import annotations
 
+import os
+import sys
+import types
+
 import numpy as np
-from scipy.special import ndtri
+import scipy
 
 __all__ = [
     "GOLDEN_GAMMA",
@@ -50,6 +54,36 @@ __all__ = [
     "seed_array",
     "wiener_increments",
 ]
+
+
+def _load_ndtri():
+    """scipy's compiled ``ndtri`` ufunc, loaded without ``scipy.special``'s
+    ``__init__``.
+
+    That ``__init__`` builds scipy's array-API layer, which imports
+    ``numpy.f2py`` and ``numpy.testing``: more import time and memory than
+    the rest of the package, for one ufunc that needs none of it.  A bare
+    stand-in package lets the import system find the extension module, and
+    is removed again, so a later ``import scipy.special`` runs the real
+    package, which reuses the loaded extensions: its ``ndtri`` is this one.
+    """
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded.ndtri
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = [os.path.join(root, "special") for root in scipy.__path__]
+    sys.modules["scipy.special"] = stand_in
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        del sys.modules["scipy.special"]
+        # not getattr: scipy's module __getattr__ would import the real package
+        if vars(scipy).get("special") is stand_in:
+            del scipy.special
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15

@@ -544,6 +544,24 @@ class TestOutputDirectory:
         assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
 
+class TestNulPaths:
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--result", "cannot read a\\x00b: embedded null byte"),
+            ("--reference", "cannot read a\\x00b: embedded null byte"),
+            ("--config", "config: cannot read a\\x00b: embedded null byte"),
+        ],
+    )
+    def test_a_path_with_a_nul_byte_cannot_be_read(self, tmp_path, capsys, flag, message):
+        # a shell cannot pass a NUL byte in argv: library callers can
+        result = tmp_path / "result.csv"
+        result.write_text("# run_count=3\ntau,R0,beta,peak_mean,peak_std,final_mean,final_std\n0,0.5,0.075,0.1,0,0.2,0\n")
+        paths = {"--result": str(result), "--out": str(tmp_path / "out"), flag: "a\0b"}
+        code, out, err = run_cli(capsys, "compare", *(part for item in paths.items() for part in item))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestDeterminism:
     def test_rerun_from_echo_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

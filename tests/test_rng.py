@@ -1,5 +1,10 @@
+import json
+import math
+import textwrap
+
 import numpy as np
 import pytest
+from test_cli import run_python
 
 from rumorsim.rng import derive_seed, increment_chunks, mix64, normal_block, seed_array, wiener_increments
 
@@ -118,3 +123,53 @@ def test_invalid_block_arguments():
         wiener_increments(1, -1)
     with pytest.raises(ValueError):
         normal_block([[1, 2]], 10)
+
+
+def _fresh_python(code):
+    """The JSON that ``code`` prints in a fresh interpreter: which branch of
+    the ``ndtri`` loader runs depends on what the process imported first,
+    which in this one is up to test collection order."""
+    proc = run_python("-c", textwrap.dedent(code), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_ndtri_without_scipy_special_then_leaves_it_importable():
+    seen = _fresh_python(
+        """
+        import json, sys
+        import rumorsim.cli
+        import scipy
+        before = {
+            "modules": [m for m in ("scipy.special", "scipy.special._support_alternative_backends") if m in sys.modules],
+            "attribute": "special" in vars(scipy),
+        }
+        import scipy.special
+        import rumorsim.rng
+        print(json.dumps({
+            **before,
+            "erf": float(scipy.special.erf(0.5)),
+            "ufuncs": scipy.special._ufuncs.__name__,
+            "same": scipy.special.ndtri is rumorsim.rng.ndtri,
+        }))
+        """
+    )
+    assert seen == {
+        "modules": [],
+        "attribute": False,
+        "erf": pytest.approx(math.erf(0.5)),
+        "ufuncs": "scipy.special._ufuncs",
+        "same": True,
+    }
+
+
+def test_ndtri_is_scipy_specials_when_that_is_imported_first():
+    seen = _fresh_python(
+        """
+        import json
+        import scipy.special
+        import rumorsim.rng
+        print(json.dumps(rumorsim.rng.ndtri is scipy.special.ndtri))
+        """
+    )
+    assert seen is True
