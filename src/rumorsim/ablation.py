@@ -32,8 +32,7 @@ from .ensemble import _run_spread, _warn_if_unconverged
 from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import IntegratorConfig, block_rows, check_memory, delay_steps, stream_model, write_table
 from .model import (
-    COUNT, NONNEGATIVE, POSITIVE, HistoryFunction, ModelParams, StateVector, check, default_initial_state,
-    store_checked,
+    NONNEGATIVE, SWEEP_RULES, HistoryFunction, ModelParams, StateVector, check, default_initial_state, store_checked,
 )
 from .rng import derive_seed
 
@@ -53,8 +52,6 @@ __all__ = [
 ]
 
 _KEY_DECIMALS = 9
-
-SWEEP_RULES = {"taus": [NONNEGATIVE], "r0_values": [POSITIVE], "run_count": COUNT}
 
 
 def _cell_key(tau: float, r0: float) -> tuple[float, float]:

@@ -16,6 +16,9 @@ subcommand from the echoed file reproduces the outputs byte for byte.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and serves every later call; importing the module builds none.
+The sweep (:mod:`rumorsim.ablation`) and the stability lab
+(:mod:`rumorsim.stability`) are imported by the subcommands that run them,
+so no other subcommand loads them.
 """
 
 from __future__ import annotations
@@ -26,16 +29,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from .ablation import (
-    SweepSpec,
-    compare_to_reference,
-    filter_reference,
-    load_reference,
-    read_sweep_csv,
-    run_sweep,
-    write_deviation_csv,
-    write_sweep_csv,
-)
 from .config import (
     RunConfig,
     apply_overrides,
@@ -47,7 +40,6 @@ from .ensemble import run_ensemble, write_aggregate_csv, write_metrics_csv, writ
 from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import integrate, write_table, write_trajectory_csv
 from .model import CSV_COMPARTMENTS, HistoryFunction, reproduction_number
-from .stability import simulate_linearized, write_decay_csv
 from .svg import Series, write_svg
 
 __all__ = ["main"]
@@ -169,6 +161,8 @@ def _cmd_ensemble(cfg: RunConfig, output, args) -> None:
 
 def _cmd_stability(cfg: RunConfig, output, args) -> None:
     """threshold margin and empirical mean-square decay report"""
+    from .stability import simulate_linearized, write_decay_csv
+
     report = simulate_linearized(
         cfg.model,
         cfg.stability.e0,
@@ -195,6 +189,11 @@ def _cmd_stability(cfg: RunConfig, output, args) -> None:
 
 def _cmd_ablate(cfg: RunConfig, output, args) -> None:
     """sweep the delay x reproduction-number grid"""
+    from .ablation import (
+        SweepSpec, compare_to_reference, filter_reference, load_reference, run_sweep, write_deviation_csv,
+        write_sweep_csv,
+    )
+
     sweep = cfg.sweep
     result = run_sweep(
         SweepSpec(
@@ -241,6 +240,8 @@ def _cmd_ablate(cfg: RunConfig, output, args) -> None:
 
 def _cmd_compare(cfg: RunConfig, output, args) -> None:
     """compare a sweep result CSV against a reference table"""
+    from .ablation import compare_to_reference, filter_reference, load_reference, read_sweep_csv, write_deviation_csv
+
     result = read_sweep_csv(args.result)
     reference = load_reference(args.reference)
     if args.reference is None:
@@ -253,7 +254,7 @@ def _cmd_compare(cfg: RunConfig, output, args) -> None:
 
 
 # Every subcommand takes ``(cfg, output, args)`` and writes its files through
-# ``output``; its docstring is its help line.
+# ``output``; its docstring is its help line, so a deferred import follows it.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "ensemble": _cmd_ensemble,

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-from .ablation import SWEEP_RULES
 from .ensemble import ENSEMBLE_RULES
 from .errors import ConfigFileError
 from .integrator import INTEGRATOR_RULES, IntegratorConfig, grid_violations
 from .model import (
-    COMPARTMENT_RULES, MODEL_RULES, ModelParams, StateVector, _Reader, default_initial_state, default_params,
+    COMPARTMENT_RULES, MODEL_RULES, STABILITY_RULES, SWEEP_RULES, ModelParams, StateVector, _Reader,
+    default_initial_state, default_params,
 )
-from .stability import STABILITY_RULES
 
 __all__ = [
     "EnsembleSettings",

@@ -83,6 +83,10 @@ MODEL_RULES = {
     "beta": NONNEGATIVE, "sigma_act": POSITIVE, "gamma": POSITIVE, "rho": POSITIVE,
     "theta": POSITIVE, "tau": NONNEGATIVE, "population": POSITIVE, "noise": COMPARTMENT_RULES,
 }
+# here rather than beside their code, so that reading a config loads neither
+# the sweep (:mod:`rumorsim.ablation`) nor the lab (:mod:`rumorsim.stability`)
+SWEEP_RULES = {"taus": [NONNEGATIVE], "r0_values": [POSITIVE], "run_count": COUNT}
+STABILITY_RULES = {"e0": NONNEGATIVE, "i0": NONNEGATIVE, "run_count": COUNT}
 
 _KINDS = {
     float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),

@@ -4,8 +4,11 @@ empirical mean-square stability verification.
 Setting the drift to zero forces the exposed, spreader, and skeptical
 classes to vanish (the spreader outflow ``gamma * I`` admits no positive
 fixed point), leaving a continuum of rumor-free equilibria: any split of
-the population over ``(S, R, F)``.  Local behavior near the fully
-susceptible point is governed by the linear delay subsystem
+the population over ``(S, R, F)``.  They are equilibria of the drift:
+the multiplicative noise keeps the set ``{E = I = Ig = 0}`` invariant,
+but with ``n_S > 0`` S diffuses on it as a geometric Brownian motion, so
+the fully susceptible point is stationary only when ``n_S`` is 0.
+Linearizing there with S frozen at N gives the delay subsystem
 
     dE = (beta * N * I(t - tau) - sigma_act * E) dt + n_E * E dW_E
     dI = (sigma_act * E - (gamma + rho) * I)     dt + n_I * I dW_I
@@ -14,7 +17,11 @@ whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
 whenever :func:`~rumorsim.model.stochastic_margin` is positive (see its
 derivation).  This module estimates that second moment over an ensemble,
 integrated by the streaming kernel of :mod:`rumorsim.integrator`, and
-issues an empirical verdict instead of re-deriving the analysis.
+issues an empirical verdict instead of re-deriving the analysis.  Margin
+and verdict are about this subsystem: neither covers the full model's
+paths whose S wanders above ``N / R0``.  The README section
+"Multiplicative, not additive, noise" gives the chance of that before a
+horizon.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .integrator import (
     recorded_times,
     write_table,
 )
-from .model import COUNT, NONNEGATIVE, POSITIVE, ModelParams, StateVector, check, drift, stochastic_margin
+from .model import POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, drift, stochastic_margin
 from .rng import derive_seed
 
 __all__ = [
@@ -63,8 +70,6 @@ GROWTH_RATIO = 1e2
 # and stops before the estimate underflows the log scale.
 _FIT_START_FRACTION = 0.1
 _FIT_FLOOR = 1e-12
-
-STABILITY_RULES = {"e0": NONNEGATIVE, "i0": NONNEGATIVE, "run_count": COUNT}
 
 
 class EquilibriumClass(enum.Enum):

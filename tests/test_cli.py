@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -560,6 +561,85 @@ class TestNulPaths:
         paths = {"--result": str(result), "--out": str(tmp_path / "out"), flag: "a\0b"}
         code, out, err = run_cli(capsys, "compare", *(part for item in paths.items() for part in item))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _fresh_json(code):
+    """The JSON that ``code`` prints in a fresh interpreter, whose modules
+    no earlier test has loaded; ``loaded()`` there lists the package's."""
+    prelude = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m.partition('.')[2] for m in sys.modules if m.split('.')[0] == 'rumorsim')\n"
+    )
+    proc = run_python("-c", prelude + textwrap.dedent(code), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# the modules every CLI process loads, whichever subcommand it runs; the
+# package itself lists as ""
+CLI_MODULES = {"", "cli", "config", "ensemble", "errors", "integrator", "model", "numtext", "rng", "svg"}
+
+
+class TestLazyImports:
+    def test_cli_import_loads_neither_the_sweep_nor_the_lab(self):
+        assert _fresh_json("import rumorsim.cli\nprint(json.dumps(loaded()))") == sorted(CLI_MODULES)
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        # ablate reads the reference table bundled in rumorsim.data
+        [("simulate", set()), ("ensemble", set()), ("stability", {"stability"}), ("ablate", {"ablation", "data"})],
+    )
+    def test_a_subcommand_loads_only_the_analysis_it_runs(self, tmp_path, command, extra):
+        argv = [command, "--runs", "2", "--format", "both", "--out", str(tmp_path)]
+        seen = _fresh_json(
+            f"""
+            import contextlib, io
+            from rumorsim.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main({argv!r})
+            print(json.dumps([code, loaded()]))
+            """
+        )
+        assert seen == [0, sorted(CLI_MODULES | extra)]
+
+    def test_package_import_loads_no_module_and_resolves_each_name_from_its_own(self):
+        seen = _fresh_json(
+            """
+            import importlib, pkgutil
+            import rumorsim
+            before = loaded()
+            modules = [importlib.import_module(f"rumorsim.{m.name}") for m in pkgutil.iter_modules(rumorsim.__path__)]
+            homes = {name: [m for m in modules if name in getattr(m, "__all__", ())] for name in rumorsim.__all__}
+            print(json.dumps({
+                "before": before,
+                "homes": sorted({len(found) for found in homes.values()}),
+                "same": all(getattr(rumorsim, name) is getattr(found[0], name) for name, found in homes.items()),
+                "dir": set(rumorsim.__all__) <= set(dir(rumorsim)),
+            }))
+            """
+        )
+        assert seen == {"before": [""], "homes": [1], "same": True, "dir": True}
+
+    def test_a_submodule_still_imports_by_name_and_an_unknown_name_raises(self):
+        seen = _fresh_json(
+            """
+            from rumorsim import config, numtext
+            import rumorsim
+            try:
+                rumorsim.no_such_name
+            except AttributeError as exc:
+                error = str(exc)
+            try:
+                from rumorsim import no_such_module
+            except ImportError:
+                missing = True
+            print(json.dumps([numtext.__name__, config.__name__, error, missing]))
+            """
+        )
+        assert seen == [
+            "rumorsim.numtext", "rumorsim.config", "module 'rumorsim' has no attribute 'no_such_name'", True,
+        ]
 
 
 class TestDeterminism:
