@@ -27,17 +27,17 @@ _EXPORTS = {
         "ConfigFileError", "ConfigurationError", "GridMismatchError", "InsufficientDataError", "NumericsError",
         "RumorSimError",
     ),
-    "integrator": ("IntegratorConfig", "Trajectory", "integrate", "second_moment_envelope", "simulate_paths"),
+    "integrator": ("IntegratorConfig", "Trajectory", "integrate", "simulate_paths"),
     "model": (
-        "BoundCheckReport", "HistoryFunction", "ModelParams", "NoiseIntensities", "StateVector",
-        "default_initial_state", "default_params", "diffusion", "drift", "growth_bound_constant",
-        "lipschitz_constant", "reproduction_number", "stochastic_margin", "verify_growth_bound",
-        "verify_lipschitz_bound",
+        "HistoryFunction", "ModelParams", "NoiseIntensities", "StateVector", "default_initial_state",
+        "default_params", "diffusion", "drift", "reproduction_number",
     ),
     "rng": ("derive_seed", "wiener_increments"),
     "stability": (
-        "DecayVerdict", "EquilibriumClass", "EquilibriumReport", "FinalSizeReport", "MeanSquareDecayReport",
-        "classify_equilibrium", "final_size", "simulate_linearized",
+        "BoundCheckReport", "DecayVerdict", "EquilibriumClass", "EquilibriumReport", "FinalSizeReport",
+        "MeanSquareDecayReport", "classify_equilibrium", "crossing_probability", "final_size",
+        "growth_bound_constant", "lipschitz_constant", "second_moment_envelope", "simulate_linearized",
+        "stochastic_margin", "verify_growth_bound", "verify_lipschitz_bound",
     ),
     "svg": ("Series", "render_svg"),
 }

@@ -1,6 +1,6 @@
 """Euler-Maruyama integration of the delayed system with a ring-buffer
 delay, optional nonnegativity projection, and deterministic counter-based
-noise.
+noise; and the one CSV table writer every output goes through.
 
 One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
 of the full model and of the linearized stability subsystem, updating a
@@ -39,12 +39,10 @@ from .errors import ConfigurationError, NumericsError
 from .model import (
     COUNT,
     CSV_COMPARTMENTS,
-    NONNEGATIVE,
     POSITIVE,
     HistoryFunction,
     ModelParams,
     _drift_with_delayed_i,
-    check,
     store_checked,
 )
 from .rng import increment_chunks, seed_array
@@ -54,8 +52,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "simulate_paths",
-    "generator_growth_constant",
-    "second_moment_envelope",
     "write_table",
     "write_trajectory_csv",
 ]
@@ -491,60 +487,6 @@ def integrate(
     """
     times, paths, counts = simulate_paths(p, history, cfg, [rng_seed])
     return Trajectory(times=times, states=paths[0], projection_event_count=int(counts[0]))
-
-
-def generator_growth_constant(p: ModelParams) -> float:
-    """Constant C in the squared-norm generator estimate
-    ``LV <= C (1 + |X(t)|^2 + |X(t-tau)|^2)`` with ``V = |X|^2``.
-
-    Derived by Young's inequality on the cross terms over the nonnegative
-    region with the delayed spreader density bounded by the population
-    scale (which holds for projected density simulations): collecting
-    coefficients per squared component gives
-
-        S:  beta N + n_S^2        E:  beta N + sigma_act + n_E^2
-        I:  sigma_act + gamma + rho + n_I^2
-        R:  gamma + n_R^2         Ig: rho + theta + n_Ig^2
-        F:  theta + n_F^2
-
-    and C is their maximum.
-    """
-    bn = p.beta * p.population
-    n = p.noise
-    # squares as float products, which overflow to +inf where ** raises
-    return max(
-        bn + n.s * n.s,
-        bn + p.sigma_act + n.e * n.e,
-        p.sigma_act + p.gamma + p.rho + n.i * n.i,
-        p.gamma + n.r * n.r,
-        p.rho + p.theta + n.ig * n.ig,
-        p.theta + n.f * n.f,
-    )
-
-
-def second_moment_envelope(
-    p: ModelParams,
-    initial_sq_norm: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Gronwall envelope ``(V0 + C t) * exp(2 C t)`` dominating the
-    expected squared norm of non-exploding solutions.
-
-    ``C`` comes from :func:`generator_growth_constant`; the delayed squared
-    norm is assumed bounded by the current one.  The envelope is deliberately crude - its role
-    is to certify the absence of blow-up, not to be tight.  Values whose
-    logarithm exceeds the float range saturate at ~8e307 instead of
-    overflowing to infinity; so does every ``t > 0`` when ``C`` is
-    infinite, where ``t = 0`` keeps ``V0``.
-    """
-    v0 = check("envelope", {"initial_sq_norm": NONNEGATIVE}, initial_sq_norm=initial_sq_norm)["initial_sq_norm"]
-    t = np.asarray(times, dtype=float)
-    c = generator_growth_constant(p)
-    if c == math.inf:  # C t is NaN at t = 0
-        return np.where(t == 0.0, v0, np.exp(709.0))
-    with np.errstate(divide="ignore"):  # log(0) = -inf at V0 = t = 0, where the envelope is 0
-        log_env = np.log(v0 + c * t) + 2.0 * c * t
-    return np.exp(np.minimum(log_env, 709.0))
 
 
 def _cell_texts(column: np.ndarray) -> list[str]:

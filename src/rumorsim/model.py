@@ -1,7 +1,7 @@
-"""Six-compartment delayed rumor-propagation model: parameters, state space,
-drift/diffusion fields, reproduction-number thresholds, and sampled
-verification of the local regularity bounds the well-posedness argument
-rests on.
+"""Six-compartment delayed rumor-propagation model: parameters, state space
+and the rules that check them, drift/diffusion fields, the basic
+reproduction number, initial histories and defaults; the theory built on
+it sits in :mod:`rumorsim.stability`, beside the lab that checks it.
 
 The population splits into susceptible ``S``, exposed ``E``, spreading
 ``I``, removed ``R``, skeptical ``Ig``, and fact-checked ``F`` classes.
@@ -37,7 +37,6 @@ __all__ = [
     "CSV_COMPARTMENTS",
     "DEFAULT_NOISE_INTENSITY",
     "DEFAULT_SPREADER_FRACTION",
-    "BoundCheckReport",
     "HistoryFunction",
     "ModelParams",
     "NoiseIntensities",
@@ -46,12 +45,7 @@ __all__ = [
     "default_params",
     "diffusion",
     "drift",
-    "growth_bound_constant",
-    "lipschitz_constant",
     "reproduction_number",
-    "stochastic_margin",
-    "verify_growth_bound",
-    "verify_lipschitz_bound",
 ]
 
 COMPARTMENTS = ("s", "e", "i", "r", "ig", "f")
@@ -343,176 +337,6 @@ def diffusion(x, p: ModelParams) -> np.ndarray:
 def reproduction_number(p: ModelParams) -> float:
     """Basic reproduction number ``beta * N / (gamma + rho)``."""
     return p.beta * p.population / p.removal_rate
-
-
-def stochastic_margin(p: ModelParams) -> float:
-    """Margin of the sufficient mean-square stability condition
-
-        (1 - n_E**2 / (2 * sigma_act)) * (1 - n_I**2 / (2 * (gamma + rho))) > R0,
-
-    which guarantees exponential mean-square decay of the linearized (E, I)
-    subsystem for every delay; a negative margin proves nothing by itself.
-
-    Derivation: write the subsystem as ``dx = (A x + B x(t - tau)) dt +
-    diag(n_E E, n_I I) dW`` with ``A = [[-sigma_act, 0], [sigma_act,
-    -(gamma + rho)]]`` and ``B = beta N e1 e2^T``, and take the
-    Lyapunov-Krasovskii functional ``V = x^T P x + int_{t - tau}^t x^T Q x
-    ds`` with ``P = diag(p1, 1)`` and ``Q = diag(q1, q2)``.  ``LV < 0``
-    holds when ``[[A^T P + P A + diag(n_E**2 p1, n_I**2) + Q, P B], [B^T P,
-    -Q]]`` is negative definite.  Its Schur complement, with ``q1 -> 0``, is
-    negative definite when ``(c1 p1 - p1**2 (beta N)**2 / q2) (c2 - q2) >
-    sigma_act**2``, ``c1 = 2 sigma_act - n_E**2`` and ``c2 = 2 (gamma + rho)
-    - n_I**2``; the best ``p1 = c1 q2 / (2 (beta N)**2)`` and ``q2 = c2 / 2``
-    turn it into ``c1 c2 > 4 beta N sigma_act``, the condition above.
-
-    Returns ``(1 - n_I**2 / (2 * (gamma + rho))) - R0`` where that is at
-    most zero (``n_E`` cannot make it positive), and the condition's left
-    side minus ``R0`` otherwise, which is never larger.  So the margin is
-    positive exactly when the condition holds, and at ``n_E = 0`` it has
-    the bits of the ``n_E``-free form.  At the default rates with ``beta =
-    0.045`` (R0 0.3), ``n_E = 1`` and every other intensity 0 it is -1.3:
-    the self-term ``n_E**2 - 2 * sigma_act`` of ``E[E^2]`` is +0.5.
-    """
-    try:
-        spread = p.noise.i**2  # not i * i, which differs in the last bit for some i
-    except OverflowError:
-        spread = math.inf
-    damping = 1.0 - spread / (2.0 * p.removal_rate)
-    margin = damping - reproduction_number(p)
-    if not margin > 0.0:
-        return margin
-    return (1.0 - p.noise.e * p.noise.e / (2.0 * p.sigma_act)) * damping - reproduction_number(p)
-
-
-def growth_bound_constant(p: ModelParams, radius: float) -> float:
-    """Explicit constant K(R) with ``|b|^2 + |g|^2 <= K (1 + |x|^2 + |y|^2)``
-    for all nonnegative ``x, y`` with norms at most ``radius``.
-
-    Derivation (triangle plus Young inequalities, componentwise): with
-    ``|x_1| <= R`` the squared drift components are bounded by
-
-        b1^2 <= beta^2 R^2 y_3^2
-        b2^2 <= 2 beta^2 R^2 y_3^2 + 2 sigma_act^2 x_2^2
-        b3^2 <= 2 sigma_act^2 x_2^2 + 2 (gamma+rho)^2 x_3^2
-        b4^2 = gamma^2 x_3^2
-        b5^2 <= 2 rho^2 x_3^2 + 2 theta^2 x_5^2
-        b6^2 = theta^2 x_5^2
-
-    so ``|b|^2 <= C_b (|x|^2 + |y|^2)`` with ``C_b`` the largest collected
-    coefficient, and the diagonal diffusion satisfies
-    ``|g|^2 <= max(noise)^2 |x|^2``.  The bound is restricted to a ball
-    because the transmission term is quadratic: the ratio grows linearly
-    in the radius and no radius-free constant exists.
-    """
-    radius = check("growth_bound", {"radius": POSITIVE}, radius=radius)["radius"]
-    # squares as float products, which overflow to +inf where ** raises
-    br, gr, noise = p.beta * radius, p.removal_rate, p.noise.max_intensity
-    drift_coeff = max(
-        3.0 * (br * br),
-        4.0 * (p.sigma_act * p.sigma_act),
-        2.0 * (gr * gr) + p.gamma * p.gamma + 2.0 * (p.rho * p.rho),
-        3.0 * (p.theta * p.theta),
-    )
-    return drift_coeff + noise * noise
-
-
-def lipschitz_constant(p: ModelParams, radius: float) -> float:
-    """Explicit constant L(R) with
-    ``|b(x,y) - b(x',y')| <= L (|x-x'| + |y-y'|)`` on the radius-R ball.
-
-    Each flow appears in exactly two drift components, so the l1 norm of
-    the component differences is bounded by ``2 max(beta R, sigma_act,
-    gamma+rho, theta)`` times the l1 norms of the state differences;
-    ``sqrt(6)`` converts l1 to the Euclidean norm used in the estimate.
-    """
-    radius = check("lipschitz_bound", {"radius": POSITIVE}, radius=radius)["radius"]
-    return math.sqrt(6.0) * 2.0 * max(
-        p.beta * radius, p.sigma_act, p.removal_rate, p.theta
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """Outcome of a sampled bound verification."""
-
-    max_ratio: float
-    bound: float
-    passed: bool
-    sample_count: int
-    radius: float
-
-
-def _sample_nonnegative_ball(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
-    # Directions from folded normals (uniform over the nonnegative part of
-    # the sphere), radii pushed toward the boundary where the bounds are
-    # tightest.
-    direction = np.abs(rng.standard_normal((count, 6)))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(count) ** (1.0 / 6.0)
-    return direction / norms * radii[:, None]
-
-
-def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, terms) -> BoundCheckReport:
-    """Compare ``constant(p, radius)`` with the largest ratio over
-    ``sample_count`` draws of ``points`` nonnegative points in the radius
-    ball, drawn in chunks in argument order; ``terms`` gives each draw's
-    numerator and denominator, and draws with a zero denominator are
-    skipped.  A constant, term or ratio beyond the float range would make
-    the report vacuous, so it raises :class:`ConfigurationError`."""
-    sample_count = check("sampled_bound", {"sample_count": COUNT}, sample_count=sample_count)["sample_count"]
-    bound = constant(p, radius)
-    rng = np.random.default_rng(rng_seed)
-    max_ratio = 0.0
-    remaining = sample_count
-    # overflow is detected below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        while remaining > 0:
-            chunk = min(remaining, 1 << 17)
-            num, den = terms(*[_sample_nonnegative_ball(rng, chunk, radius) for _ in range(points)])
-            valid = den > 0.0
-            ratios = num[valid] / den[valid]
-            if not (math.isfinite(bound) and np.isfinite(num).all() and np.isfinite(den).all()
-                    and np.isfinite(ratios).all()):
-                raise ConfigurationError(
-                    f"sampled_bound: at radius {radius:g} the bound ({bound:g}) or a sampled ratio "
-                    f"overflows the float range; lower the radius or the rates"
-                )
-            if ratios.size:
-                max_ratio = max(max_ratio, float(np.max(ratios)))
-            remaining -= chunk
-    return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
-
-
-def verify_growth_bound(
-    p: ModelParams, sample_count: int, radius: float, rng_seed: int
-) -> BoundCheckReport:
-    """Sample the growth ratio ``(|b|^2 + |g|^2) / (1 + |x|^2 + |y|^2)``
-    over random nonnegative pairs in the radius ball and compare its
-    maximum against :func:`growth_bound_constant`.
-    """
-
-    def terms(x, y):
-        b, g = drift(x, y, p), p.noise.as_array() * x
-        num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
-        return num, 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
-
-    return _check_sampled_bound(growth_bound_constant, p, sample_count, radius, rng_seed, 2, terms)
-
-
-def verify_lipschitz_bound(
-    p: ModelParams, sample_count: int, radius: float, rng_seed: int
-) -> BoundCheckReport:
-    """Sample ``|b(x,y) - b(x',y')| / (|x-x'| + |y-y'|)`` over random
-    nonnegative pairs in the radius ball and compare its maximum against
-    :func:`lipschitz_constant`.
-    """
-
-    def terms(x, y, x2, y2):
-        num = np.linalg.norm(drift(x, y, p) - drift(x2, y2, p), axis=1)
-        return num, np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)
-
-    return _check_sampled_bound(lipschitz_constant, p, sample_count, radius, rng_seed, 4, terms)
 
 
 class HistoryFunction:

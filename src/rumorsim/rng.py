@@ -20,8 +20,9 @@ The construction, spelled out so results can be reproduced independently:
    the stride of 8 fixes the layout independently of how many components
    a consumer reads (at most 8).
 4. The word is mapped to a uniform in the open interval (0, 1) via
-   ``((word >> 11) + 0.5) * 2**-53`` and to a standard normal through the
-   inverse normal CDF.
+   ``((word >> 11) + 0.5) * 2**-53``, at most ``1 - 2**-53`` (the top word
+   alone rounds to 1.0), and to a standard normal through the inverse
+   normal CDF.
 
 Blocks are hashed in place in component-major memory.
 :func:`normal_block` returns its documented step-major shape as a
@@ -167,14 +168,21 @@ def _normals(keys: np.ndarray, step_offset: int, n_steps: int, n_components: int
     work = np.empty_like(words)
     _mix64_inplace(words, work)
     np.right_shift(words, _U_S11, out=words)
-    # the uniforms overwrite the scratch words, and the normals the uniforms;
-    # the 53-bit words convert exactly, and faster, read as int64
-    draws = work.view(np.float64)
-    np.copyto(draws, words.view(np.int64), casting="unsafe")
-    draws += 0.5
-    draws *= 2.0**-53
+    # the uniforms overwrite the scratch words, and the normals the uniforms
+    draws = _open_uniforms(words, work.view(np.float64))
     ndtri(draws, out=draws)
     return draws
+
+
+def _open_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(m + 0.5) * 2**-53`` into ``out`` for 53-bit ``uint64`` words ``m``,
+    but at most ``1 - 2**-53``: only the top word's rounds up to 1.0."""
+    np.copyto(out, words.view(np.int64), casting="unsafe")  # exact, and faster, read as int64
+    out += 0.5
+    out *= 2.0**-53
+    if out.max() == 1.0:  # a read-only scan costs less than clamping every draw
+        np.minimum(out, 1 - 2.0**-53, out=out)
+    return out
 
 
 def normal_block(

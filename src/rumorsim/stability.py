@@ -1,5 +1,6 @@
-"""Equilibrium classification, the linearized (E, I) delay subsystem, and
-empirical mean-square stability verification.
+"""The model's theory beside the lab that checks it: equilibrium
+classification, the mean-square margin, the well-posedness bounds, and
+empirical mean-square verification of the linearized (E, I) subsystem.
 
 Setting the drift to zero forces the exposed, spreader, and skeptical
 classes to vanish (the spreader outflow ``gamma * I`` admits no positive
@@ -14,25 +15,26 @@ Linearizing there with S frozen at N gives the delay subsystem
     dI = (sigma_act * E - (gamma + rho) * I)     dt + n_I * I dW_I
 
 whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
-whenever :func:`~rumorsim.model.stochastic_margin` is positive (see its
-derivation).  This module estimates that second moment over an ensemble,
-integrated by the streaming kernel of :mod:`rumorsim.integrator`, and
-issues an empirical verdict instead of re-deriving the analysis.  Margin
-and verdict are about this subsystem: neither covers the full model's
-paths whose S wanders above ``N / R0``.  The README section
-"Multiplicative, not additive, noise" gives the chance of that before a
-horizon.
+whenever :func:`stochastic_margin` is positive (see its derivation);
+:func:`simulate_linearized` estimates it over an ensemble on the
+integrator's streaming kernel and issues an empirical verdict.  Neither
+covers the full model's paths whose S wanders above ``N / R0``:
+:func:`crossing_probability` gives the chance of that before a horizon.
+Growth and Lipschitz constants of the drift on a ball, with sampled
+verifiers, and a Gronwall envelope of the squared norm certify
+well-posedness and the absence of blow-up.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import EnsembleSummary, _warn_if_unconverged
-from .errors import NumericsError
+from .errors import ConfigurationError, NumericsError
 from .integrator import (
     IntegratorConfig,
     Trajectory,
@@ -43,10 +45,13 @@ from .integrator import (
     recorded_times,
     write_table,
 )
-from .model import POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, drift, stochastic_margin
+from .model import (
+    COUNT, NONNEGATIVE, POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, drift, reproduction_number,
+)
 from .rng import derive_seed
 
 __all__ = [
+    "BoundCheckReport",
     "DECAY_RATIO",
     "GROWTH_RATIO",
     "DecayVerdict",
@@ -55,8 +60,16 @@ __all__ = [
     "FinalSizeReport",
     "MeanSquareDecayReport",
     "classify_equilibrium",
+    "crossing_probability",
     "final_size",
+    "generator_growth_constant",
+    "growth_bound_constant",
+    "lipschitz_constant",
+    "second_moment_envelope",
     "simulate_linearized",
+    "stochastic_margin",
+    "verify_growth_bound",
+    "verify_lipschitz_bound",
     "write_decay_csv",
 ]
 
@@ -120,6 +133,260 @@ def classify_equilibrium(x: StateVector, p: ModelParams, tol: float = 1e-9) -> E
         conservation_residual=conservation,
         tolerance=tol,
     )
+
+
+def stochastic_margin(p: ModelParams) -> float:
+    """Margin of the sufficient mean-square stability condition
+
+        (1 - n_E**2 / (2 * sigma_act)) * (1 - n_I**2 / (2 * (gamma + rho))) > R0,
+
+    which guarantees exponential mean-square decay of the linearized (E, I)
+    subsystem for every delay; a negative margin proves nothing by itself.
+
+    Derivation: write the subsystem as ``dx = (A x + B x(t - tau)) dt +
+    diag(n_E E, n_I I) dW`` with ``A = [[-sigma_act, 0], [sigma_act,
+    -(gamma + rho)]]`` and ``B = beta N e1 e2^T``, and take the
+    Lyapunov-Krasovskii functional ``V = x^T P x + int_{t - tau}^t x^T Q x
+    ds`` with ``P = diag(p1, 1)`` and ``Q = diag(q1, q2)``.  ``LV < 0``
+    holds when ``[[A^T P + P A + diag(n_E**2 p1, n_I**2) + Q, P B], [B^T P,
+    -Q]]`` is negative definite.  Its Schur complement, with ``q1 -> 0``, is
+    negative definite when ``(c1 p1 - p1**2 (beta N)**2 / q2) (c2 - q2) >
+    sigma_act**2``, ``c1 = 2 sigma_act - n_E**2`` and ``c2 = 2 (gamma + rho)
+    - n_I**2``; the best ``p1 = c1 q2 / (2 (beta N)**2)`` and ``q2 = c2 / 2``
+    turn it into ``c1 c2 > 4 beta N sigma_act``, the condition above.
+
+    Returns ``(1 - n_I**2 / (2 * (gamma + rho))) - R0`` where that is at
+    most zero (``n_E`` cannot make it positive), and the condition's left
+    side minus ``R0`` otherwise, which is never larger.  So the margin is
+    positive exactly when the condition holds, and at ``n_E = 0`` it has
+    the bits of the ``n_E``-free form.  At the default rates with ``beta =
+    0.045`` (R0 0.3), ``n_E = 1`` and every other intensity 0 it is -1.3:
+    the self-term ``n_E**2 - 2 * sigma_act`` of ``E[E^2]`` is +0.5.
+    """
+    try:
+        spread = p.noise.i**2  # not i * i, which differs in the last bit for some i
+    except OverflowError:
+        spread = math.inf
+    damping = 1.0 - spread / (2.0 * p.removal_rate)
+    margin = damping - reproduction_number(p)
+    if not margin > 0.0:
+        return margin
+    return (1.0 - p.noise.e * p.noise.e / (2.0 * p.sigma_act)) * damping - reproduction_number(p)
+
+
+def crossing_probability(r0: float, n_s: float, horizon: float) -> float:
+    """Probability that the effective reproduction number ``R0 S_t / N``
+    reaches 1 before ``horizon``, for S the geometric Brownian motion
+    ``log(S_t / N) = n_S W_t - n_S**2 t / 2`` that S follows on the
+    rumor-free set from ``S = N``.
+
+    The reflection principle for Brownian motion with drift gives, with
+    ``a = ln(1 / R0)`` and ``Phi`` the standard normal CDF,
+
+        P = Phi((-a - n_S**2 T / 2) / (n_S sqrt(T))) + R0 Phi((-a + n_S**2 T / 2) / (n_S sqrt(T)))
+
+    evaluated as ``Phi(-a / s - s / 2) + R0 Phi(-a / s + s / 2)`` with
+    ``s = n_S sqrt(T)``, so that no finite input overflows.  It is 1 for
+    ``R0 >= 1``, 0 for ``R0 < 1`` at ``n_S = 0``, and tends to ``R0`` as
+    ``T`` grows: the chance that a path leaves the region that
+    :func:`stochastic_margin` and :func:`simulate_linearized` cover.
+    """
+    values = check(
+        "crossing", {"r0": POSITIVE, "n_s": NONNEGATIVE, "horizon": POSITIVE}, r0=r0, n_s=n_s, horizon=horizon
+    )
+    r0, spread = values["r0"], values["n_s"] * math.sqrt(values["horizon"])
+    if r0 >= 1.0:
+        return 1.0
+    if spread == 0.0:
+        return 0.0
+    # Phi(x) = erfc(-x / sqrt(2)) / 2
+    a, root2 = -math.log(r0) / spread, math.sqrt(2.0)
+    return (math.erfc((a + spread / 2.0) / root2) + r0 * math.erfc((a - spread / 2.0) / root2)) / 2.0
+
+
+def growth_bound_constant(p: ModelParams, radius: float) -> float:
+    """Explicit constant K(R) with ``|b|^2 + |g|^2 <= K (1 + |x|^2 + |y|^2)``
+    for all nonnegative ``x, y`` with norms at most ``radius``.
+
+    Derivation (triangle plus Young inequalities, componentwise): with
+    ``|x_1| <= R`` the squared drift components are bounded by
+
+        b1^2 <= beta^2 R^2 y_3^2
+        b2^2 <= 2 beta^2 R^2 y_3^2 + 2 sigma_act^2 x_2^2
+        b3^2 <= 2 sigma_act^2 x_2^2 + 2 (gamma+rho)^2 x_3^2
+        b4^2 = gamma^2 x_3^2
+        b5^2 <= 2 rho^2 x_3^2 + 2 theta^2 x_5^2
+        b6^2 = theta^2 x_5^2
+
+    so ``|b|^2 <= C_b (|x|^2 + |y|^2)`` with ``C_b`` the largest collected
+    coefficient, and the diagonal diffusion satisfies
+    ``|g|^2 <= max(noise)^2 |x|^2``.  The bound is restricted to a ball
+    because the transmission term is quadratic: the ratio grows linearly
+    in the radius and no radius-free constant exists.
+    """
+    radius = check("growth_bound", {"radius": POSITIVE}, radius=radius)["radius"]
+    # squares as float products, which overflow to +inf where ** raises
+    br, gr, noise = p.beta * radius, p.removal_rate, p.noise.max_intensity
+    drift_coeff = max(
+        3.0 * (br * br),
+        4.0 * (p.sigma_act * p.sigma_act),
+        2.0 * (gr * gr) + p.gamma * p.gamma + 2.0 * (p.rho * p.rho),
+        3.0 * (p.theta * p.theta),
+    )
+    return drift_coeff + noise * noise
+
+
+def lipschitz_constant(p: ModelParams, radius: float) -> float:
+    """Explicit constant L(R) with
+    ``|b(x,y) - b(x',y')| <= L (|x-x'| + |y-y'|)`` on the radius-R ball.
+
+    Each flow appears in exactly two drift components, so the l1 norm of
+    the component differences is bounded by ``2 max(beta R, sigma_act,
+    gamma+rho, theta)`` times the l1 norms of the state differences;
+    ``sqrt(6)`` converts l1 to the Euclidean norm used in the estimate.
+    """
+    radius = check("lipschitz_bound", {"radius": POSITIVE}, radius=radius)["radius"]
+    return math.sqrt(6.0) * 2.0 * max(
+        p.beta * radius, p.sigma_act, p.removal_rate, p.theta
+    )
+
+
+@dataclass(frozen=True)
+class BoundCheckReport:
+    """Outcome of a sampled bound verification."""
+
+    max_ratio: float
+    bound: float
+    passed: bool
+    sample_count: int
+    radius: float
+
+
+def _sample_nonnegative_ball(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
+    # Directions from folded normals (uniform over the nonnegative part of
+    # the sphere), radii pushed toward the boundary where the bounds are
+    # tightest.
+    direction = np.abs(rng.standard_normal((count, 6)))
+    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * rng.random(count) ** (1.0 / 6.0)
+    return direction / norms * radii[:, None]
+
+
+def _check_sampled_bound(constant, p, sample_count, radius, rng_seed, points, terms) -> BoundCheckReport:
+    """Compare ``constant(p, radius)`` with the largest ratio over
+    ``sample_count`` draws of ``points`` nonnegative points in the radius
+    ball, drawn in chunks in argument order; ``terms`` gives each draw's
+    numerator and denominator, and draws with a zero denominator are
+    skipped.  A constant, term or ratio beyond the float range would make
+    the report vacuous, so it raises :class:`ConfigurationError`."""
+    sample_count = check("sampled_bound", {"sample_count": COUNT}, sample_count=sample_count)["sample_count"]
+    bound = constant(p, radius)
+    rng = np.random.default_rng(rng_seed)
+    max_ratio = 0.0
+    remaining = sample_count
+    # overflow is detected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining > 0:
+            chunk = min(remaining, 1 << 17)
+            num, den = terms(*[_sample_nonnegative_ball(rng, chunk, radius) for _ in range(points)])
+            valid = den > 0.0
+            ratios = num[valid] / den[valid]
+            if not (math.isfinite(bound) and np.isfinite(num).all() and np.isfinite(den).all()
+                    and np.isfinite(ratios).all()):
+                raise ConfigurationError(
+                    f"sampled_bound: at radius {radius:g} the bound ({bound:g}) or a sampled ratio "
+                    f"overflows the float range; lower the radius or the rates"
+                )
+            if ratios.size:
+                max_ratio = max(max_ratio, float(np.max(ratios)))
+            remaining -= chunk
+    return BoundCheckReport(max_ratio, bound, max_ratio <= bound, sample_count, radius)
+
+
+def verify_growth_bound(
+    p: ModelParams, sample_count: int, radius: float, rng_seed: int
+) -> BoundCheckReport:
+    """Sample the growth ratio ``(|b|^2 + |g|^2) / (1 + |x|^2 + |y|^2)``
+    over random nonnegative pairs in the radius ball and compare its
+    maximum against :func:`growth_bound_constant`.
+    """
+
+    def terms(x, y):
+        b, g = drift(x, y, p), p.noise.as_array() * x
+        num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
+        return num, 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
+
+    return _check_sampled_bound(growth_bound_constant, p, sample_count, radius, rng_seed, 2, terms)
+
+
+def verify_lipschitz_bound(
+    p: ModelParams, sample_count: int, radius: float, rng_seed: int
+) -> BoundCheckReport:
+    """Sample ``|b(x,y) - b(x',y')| / (|x-x'| + |y-y'|)`` over random
+    nonnegative pairs in the radius ball and compare its maximum against
+    :func:`lipschitz_constant`.
+    """
+
+    def terms(x, y, x2, y2):
+        num = np.linalg.norm(drift(x, y, p) - drift(x2, y2, p), axis=1)
+        return num, np.linalg.norm(x - x2, axis=1) + np.linalg.norm(y - y2, axis=1)
+
+    return _check_sampled_bound(lipschitz_constant, p, sample_count, radius, rng_seed, 4, terms)
+
+
+def generator_growth_constant(p: ModelParams) -> float:
+    """Constant C in the squared-norm generator estimate
+    ``LV <= C (1 + |X(t)|^2 + |X(t-tau)|^2)`` with ``V = |X|^2``.
+
+    Derived by Young's inequality on the cross terms over the nonnegative
+    region with the delayed spreader density bounded by the population
+    scale (which holds for projected density simulations): collecting
+    coefficients per squared component gives
+
+        S:  beta N + n_S^2        E:  beta N + sigma_act + n_E^2
+        I:  sigma_act + gamma + rho + n_I^2
+        R:  gamma + n_R^2         Ig: rho + theta + n_Ig^2
+        F:  theta + n_F^2
+
+    and C is their maximum.
+    """
+    bn = p.beta * p.population
+    n = p.noise
+    # squares as float products, which overflow to +inf where ** raises
+    return max(
+        bn + n.s * n.s,
+        bn + p.sigma_act + n.e * n.e,
+        p.sigma_act + p.gamma + p.rho + n.i * n.i,
+        p.gamma + n.r * n.r,
+        p.rho + p.theta + n.ig * n.ig,
+        p.theta + n.f * n.f,
+    )
+
+
+def second_moment_envelope(
+    p: ModelParams,
+    initial_sq_norm: float,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Gronwall envelope ``(V0 + C t) * exp(2 C t)`` dominating the
+    expected squared norm of non-exploding solutions.
+
+    ``C`` comes from :func:`generator_growth_constant`; the delayed squared
+    norm is assumed bounded by the current one.  The envelope is deliberately crude - its role
+    is to certify the absence of blow-up, not to be tight.  Values whose
+    logarithm exceeds the float range saturate at ~8e307 instead of
+    overflowing to infinity; so does every ``t > 0`` when ``C`` is
+    infinite, where ``t = 0`` keeps ``V0``.
+    """
+    v0 = check("envelope", {"initial_sq_norm": NONNEGATIVE}, initial_sq_norm=initial_sq_norm)["initial_sq_norm"]
+    t = np.asarray(times, dtype=float)
+    c = generator_growth_constant(p)
+    if c == math.inf:  # C t is NaN at t = 0
+        return np.where(t == 0.0, v0, np.exp(709.0))
+    with np.errstate(divide="ignore"):  # log(0) = -inf at V0 = t = 0, where the envelope is 0
+        log_env = np.log(v0 + c * t) + 2.0 * c * t
+    return np.exp(np.minimum(log_env, 709.0))
 
 
 @dataclass(frozen=True)

@@ -149,3 +149,18 @@ def linearized_second_moment(p, e0, i0, h, n_steps, k, stride, seeds):
             recorded.append(x)
     states = np.array(recorded)
     return (np.square(states[:, 0]) + np.square(states[:, 1])).mean(axis=1)
+
+
+def weak_noise_ratios(mean_at, eps):
+    """``(2 m(e) - 3 m(2 e) + m(4 e)) / (2 m(e / 2) - 3 m(e) + m(2 e))`` for
+    ``m = mean_at`` at ``e = 2 eps`` and ``e = eps``, each noise level run
+    once.  Where ``m`` is a polynomial in the noise level (fixed draws, no
+    projection), both differences cancel its zero-noise value and its
+    linear term exactly, leaving ``6 e^2 c + O(e^3)``, so each ratio tends
+    to 4 at order ``e``, with no Monte Carlo tolerance."""
+    m = [np.asarray(mean_at(eps * 2.0**k)) for k in range(-1, 4)]  # eps / 2 .. 8 eps
+
+    def ratio(j):  # e = eps * 2**(j - 1)
+        return (2 * m[j] - 3 * m[j + 1] + m[j + 2]) / (2 * m[j - 1] - 3 * m[j] + m[j + 1])
+
+    return ratio(2), ratio(1)

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import final_size_exact
+from oracles import final_size_exact, weak_noise_ratios
 from rumorsim import (
     FinalSizeHorizonWarning,
     GridMismatchError,
     HistoryFunction,
     IntegratorConfig,
+    NoiseIntensities,
     NumericsError,
     SweepCell,
     SweepResult,
@@ -103,6 +104,25 @@ class TestRunSweep:
         # same R0 at different delays must not reuse the same stream
         result = run_sweep(small_spec())
         assert result.cell(0.0, 0.5).final_mean != result.cell(10.0, 0.5).final_mean
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_weak_noise_order_of_the_final_mean(self):
+        # as for the ensemble's terminal mean: each cell's final_mean is a
+        # polynomial in the noise level for its fixed draws, on 1,000 runs
+        # per cell (the config's default seed)
+        template = default_params(r0=2.0)
+        cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False, record_stride=500)
+
+        def final_means(level):
+            noisy = dataclasses.replace(template, noise=NoiseIntensities.uniform(level))
+            spec = SweepSpec(
+                taus=(0.0, 5.0), r0_values=(2.0,), run_count=1000, base_seed=777, template=noisy, integrator=cfg,
+            )
+            return [cell.final_mean for cell in run_sweep(spec).cells]
+
+        coarse, fine = (np.abs(r - 4.0) for r in weak_noise_ratios(final_means, 0.0025))
+        assert np.all(fine < 0.1), fine
+        assert np.all(fine < coarse), (coarse, fine)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -579,11 +579,36 @@ def _fresh_json(code):
 # the modules every CLI process loads, whichever subcommand it runs; the
 # package itself lists as ""
 CLI_MODULES = {"", "cli", "config", "ensemble", "errors", "integrator", "model", "numtext", "rng", "svg"}
+# the model's theory: the margin, the well-posedness bounds and their verifiers, the envelope
+THEORY = (
+    "BoundCheckReport", "_check_sampled_bound", "_sample_nonnegative_ball", "generator_growth_constant",
+    "growth_bound_constant", "lipschitz_constant", "second_moment_envelope", "stochastic_margin",
+    "verify_growth_bound", "verify_lipschitz_bound",
+)
 
 
 class TestLazyImports:
     def test_cli_import_loads_neither_the_sweep_nor_the_lab(self):
         assert _fresh_json("import rumorsim.cli\nprint(json.dumps(loaded()))") == sorted(CLI_MODULES)
+
+    def test_the_theory_is_defined_beside_the_lab_alone(self):
+        seen = _fresh_json(
+            f"""
+            def homes():
+                return sorted({{
+                    m for m, module in list(sys.modules.items()) if m.split(".")[0] == "rumorsim"
+                    for name in {THEORY!r} if name in vars(module)
+                }})
+            import rumorsim.cli
+            cli = homes()
+            import rumorsim, rumorsim.stability
+            lab = homes()
+            exported = [name for name in rumorsim.__all__ if name in {THEORY!r}]
+            same = all(getattr(rumorsim, name) is getattr(rumorsim.stability, name) for name in exported)
+            print(json.dumps([cli, lab, len(exported), same]))
+            """
+        )
+        assert seen == [[], ["rumorsim.stability"], 7, True]
 
     @pytest.mark.parametrize(
         "command, extra",

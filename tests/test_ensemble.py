@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 import rumorsim.ensemble
 
-from oracles import quantile_band, sample_std
+from oracles import quantile_band, sample_std, weak_noise_ratios
 from rumorsim import (
     FinalSizeHorizonWarning,
     HistoryFunction,
@@ -145,6 +147,23 @@ class TestNoiseScaling:
         t_peak_mean = s.times[int(s.mean[:, 2].argmax())]
         t_peak_std = s.times[int(s.std[:, 2].argmax())]
         assert abs(t_peak_std - t_peak_mean) <= 0.2 * s.times[-1]
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    def test_weak_noise_order_of_the_terminal_mean(self):
+        # common seeds across the noise levels and no projection make each
+        # run a polynomial in the level; the ratio's O(eps) coefficient is a
+        # sample quantity, small at 1,000 runs (the config's default seed)
+        p = default_params(tau=5.0, r0=2.0)
+        hist = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False, record_stride=500)
+
+        def terminal_mean(level):
+            noisy = replace(p, noise=NoiseIntensities.uniform(level))
+            return run_ensemble(noisy, hist, cfg, 1000, 12345).summary.mean[-1]
+
+        coarse, fine = (np.abs(r - 4.0) for r in weak_noise_ratios(terminal_mean, 0.0025))
+        assert np.all(fine < 0.1), fine
+        assert np.all(fine < coarse), (coarse, fine)
 
 
 class TestMetrics:

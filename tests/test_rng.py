@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from test_cli import run_python
 
-from rumorsim.rng import derive_seed, increment_chunks, mix64, normal_block, seed_array, wiener_increments
+from rumorsim.rng import (
+    _open_uniforms, derive_seed, increment_chunks, mix64, ndtri, normal_block, seed_array, wiener_increments,
+)
 
 
 def test_same_seed_and_step_is_identical():
@@ -112,6 +114,20 @@ def test_mix64_is_stable():
     assert mix64(0) == 0
     assert mix64(1) == 6238072747940578789
     assert mix64(0x9E3779B97F4A7C15) == 16294208416658607535
+
+
+def test_only_the_top_word_is_clamped_below_one():
+    # (m + 0.5) * 2**-53 rounds to 1.0 at m = 2**53 - 1 alone, whose normal is +inf
+    words = np.array([0, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    unclamped = (words.astype(float) + 0.5) * 2.0**-53
+    uniforms = _open_uniforms(words, np.empty(words.size))
+    assert unclamped[-1] == 1.0 and uniforms[-1] == 1.0 - 2.0**-53
+    assert uniforms[:-1].tobytes() == unclamped[:-1].tobytes()
+    assert np.isfinite(ndtri(uniforms)).all()
+    words = np.random.default_rng(7).integers(0, 2**53 - 1, 200_000, dtype=np.uint64)
+    uniforms = _open_uniforms(words, np.empty(words.size))
+    assert uniforms.tobytes() == ((words.astype(float) + 0.5) * 2.0**-53).tobytes()
+    assert 0.0 < uniforms.min() and uniforms.max() < 1.0
 
 
 def test_invalid_block_arguments():

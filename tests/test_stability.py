@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import linear_cascade, linearized_second_moment, rk4_path
 from rumorsim import (
+    ConfigurationError,
     DecayVerdict,
     EquilibriumClass,
     FinalSizeHorizonWarning,
@@ -15,6 +16,7 @@ from rumorsim import (
     NumericsError,
     StateVector,
     classify_equilibrium,
+    crossing_probability,
     default_initial_state,
     default_params,
     final_size,
@@ -289,3 +291,62 @@ class TestDecayCsv:
         assert lines[2].startswith("# fitted_rate=")
         assert lines[4] == "t,ms_estimate"
         assert len(lines) == 5 + report.times.size
+
+
+class TestLinearizationOracle:
+    @pytest.mark.parametrize("tau, r0", [(0.0, 0.8), (10.0, 0.5)])
+    def test_the_model_near_the_rumor_free_point_is_the_lab(self, tau, r0):
+        # without noise, the model from (N - 2 eps, eps, eps, 0, 0, 0) follows
+        # eps times the lab's path from e0 = i0 = 1 up to O(eps^2), so the
+        # relative gap of (E^2 + I^2) / eps^2 to the lab's estimate is O(eps)
+        # and halves with eps
+        p = default_params(tau=tau, r0=r0, noise_level=0.0)
+        cfg = IntegratorConfig(0.1, 200.0, projection_enabled=False, record_stride=10)
+        lab = simulate_linearized(p, 1.0, 1.0, cfg, 1, 0).ms_estimate
+        gaps = []
+        for eps in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
+            start = StateVector(p.population - 2.0 * eps, eps, eps, 0.0, 0.0, 0.0)
+            states = integrate(p, HistoryFunction.constant(start), cfg, 0).states
+            scaled = (states[:, 1] ** 2 + states[:, 2] ** 2) / eps**2
+            gaps.append(np.max(np.abs(scaled - lab) / lab))
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((1.9 <= ratios) & (ratios <= 2.1)), (gaps, ratios)
+
+
+class TestCrossingProbability:
+    @pytest.mark.parametrize(
+        "r0, n_s, horizon, expected",
+        [(0.8, 0.01, 200.0, 0.102), (0.8, 0.01, 800.0, 0.383), (0.95, 0.01, 200.0, 0.698), (0.8, 0.05, 200.0, 0.664)],
+    )
+    def test_the_readme_values(self, r0, n_s, horizon, expected):
+        assert crossing_probability(r0, n_s, horizon) == pytest.approx(expected, abs=5e-4)
+
+    @pytest.mark.parametrize("r0", [0.3, 0.8, 0.95])
+    def test_tends_to_r0_as_the_horizon_grows(self, r0):
+        values = [crossing_probability(r0, 0.01, horizon) for horizon in (1e2, 1e4, 1e6, 1e8)]
+        assert values == sorted(values) and values[0] < values[-1]
+        assert values[-1] == pytest.approx(r0, rel=1e-12)
+
+    def test_is_one_from_the_threshold_on(self):
+        assert crossing_probability(1.0, 0.01, 200.0) == 1.0
+        assert crossing_probability(2.0, 0.0, 200.0) == 1.0
+        # and the formula reaches it continuously from below
+        assert crossing_probability(1.0 - 1e-9, 0.01, 200.0) == pytest.approx(1.0, abs=1e-6)
+
+    def test_tends_to_zero_with_the_noise(self):
+        values = [crossing_probability(0.8, n_s, 200.0) for n_s in (0.01, 0.005, 0.002, 0.001)]
+        assert values == sorted(values, reverse=True) and values[-1] < 1e-50
+        assert crossing_probability(0.8, 0.0, 200.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 0.01, 200.0), "crossing.r0: must be > 0, got 0"),
+            ((0.8, -0.01, 200.0), "crossing.n_s: must be >= 0, got -0.01"),
+            ((0.8, 0.01, float("nan")), "crossing.horizon: must be finite"),
+            ((True, 0.01, 200.0), "crossing.r0: must be a number"),
+        ],
+    )
+    def test_bad_inputs_raise_typed_errors(self, args, message):
+        with pytest.raises(ConfigurationError, match=message):
+            crossing_probability(*args)
