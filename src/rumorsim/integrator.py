@@ -6,8 +6,8 @@ One streaming kernel, :func:`euler_maruyama`, integrates batches of runs
 of the full model and of the linearized stability subsystem, updating a
 component-major ``(components, runs)`` state in place.  The model's one
 entry, :func:`stream_model`, takes a batch as a list of ``(params, runs)``
-cells, which may differ in delay, rates and noise, and picks its stepper
-by run count.  Memory scales with what is recorded.
+cells, which may differ in delay, rates and noise, draws its increments
+and picks its stepper by run count.  Memory scales with what is recorded.
 
 The delay must land on the step grid (``tau = k * h`` exactly, within a
 1e-9 relative rounding allowance): the delayed spreader value at step
@@ -221,26 +221,23 @@ def block_rows(cfg: IntegratorConfig, values_per_row: int) -> int:
     return max(1, min(cfg.recorded_count, _STATS_BLOCK_VALUES // values_per_row))
 
 
-def _non_finite(step: int, h: float, run: int, seed) -> NumericsError:
-    return NumericsError(
-        f"non-finite state at step {step} (t={step * h:g}) in run index {run} (seed {seed})",
-        step=step,
-        run=run,
-    )
+def _non_finite(step: int, h: float, run: int) -> NumericsError:
+    return NumericsError(f"non-finite state at step {step} (t={step * h:g}) in run index {run}", step=step, run=run)
 
 
 def euler_maruyama(
-    drift, start, delays, delayed_column, noise, seeds, cfg, staged, reduce, project
+    drift, start, delays, delayed_column, noise, increments, cfg, staged, reduce, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
-    sqrt(h) Z(n)`` for one run per seed, ``Z(n)`` its counter stream at
-    step ``n``, on a ``(components, runs)`` state, with ``noise`` one
-    intensity per component or one per component and run; the operation
+    dW(n)`` on a ``(components, runs)`` state, with ``noise`` one intensity
+    per component or one per component and run, and ``dW(n)`` plane ``n``
+    of ``increments``: C-contiguous ``(steps, components, runs)`` chunks,
+    read in order and only if some intensity is above zero.  The operation
     order fixes the bits of every output.  ``drift(x, out)`` binds the
     state and a drift buffer once and returns ``step(d)``, which writes the
     drift at ``x`` into ``out``; the state is then updated in place.
 
-    ``delays`` splits the runs, in seed order, into groups ``(runs,
+    ``delays`` splits the runs, in order, into groups ``(runs,
     early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
     ``early[n]`` for the first ``k = len(early)`` steps.  A group with
     ``k > 0`` keeps its own ring of ``k + 1`` rows holding ``D(n .. n +
@@ -266,9 +263,8 @@ def euler_maruyama(
     the state with itself, non-finite whenever an entry is, and only when
     it is non-finite are the entries scanned one by one.
     """
-    seeds = seed_array(seeds)
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
-    n_comp, n_runs = len(noise), seeds.size
+    n_comp, n_runs = len(noise), sum(runs for runs, _ in delays)
     x = np.empty((n_comp, n_runs))  # the state, updated in place
     x[...] = np.reshape(start, (n_comp, 1))
     dx = np.empty_like(x)
@@ -300,8 +296,7 @@ def euler_maruyama(
     projection_counts = np.zeros(n_runs, dtype=np.int64)
     noise = np.broadcast_to(np.reshape(noise, (n_comp, -1)), (n_comp, n_runs)).copy()
     noisy = bool(np.any(noise > 0.0))
-    # drawn only when read
-    planes = itertools.chain.from_iterable(increment_chunks(seeds, n_comp, n_steps, h, _NOISE_CHUNK_DRAWS))
+    planes = itertools.chain.from_iterable(increments)  # drawn only when read
     dt, zero = np.array(float(h)), np.array(0.0)
     multiply, add, top = np.multiply, np.add, bits.argmax
 
@@ -327,7 +322,7 @@ def euler_maruyama(
                 if not math.isfinite(flat.dot(flat)):
                     bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
                     if bad.size:
-                        raise _non_finite(step + 1, h, int(bad[0]), seeds[bad[0]])
+                        raise _non_finite(step + 1, h, int(bad[0]))
             # each copy is an assignment, the bits of np.copyto without its dispatch
             for slots, size, source in writes:
                 slots[step % size][...] = source  # D(step + k + 1)
@@ -349,12 +344,14 @@ def stream_model(
     consecutive group of runs in seed order; every run starts from
     ``history(0)``.  Consecutive cells of one delay form one delay group of
     the kernel, and each rate and the noise intensities go to it as one
-    value where every cell agrees and one value per run otherwise.
+    value where every cell agrees and one value per run otherwise, and
+    both steppers read the increments it draws from the seeds.
 
     One seed is stepped in Python floats by :func:`_stream_one`, where
     numpy's per-call cost would dominate six-element steps, and two or more
     by :func:`euler_maruyama`; both take the same operations in the same
     order, so a run has the same bits, clamp count and error either way.
+    The error's text ends in ``(seed S)``, the run's ``uint64`` seed.
     """
     params, runs = zip(*cells)
     if sum(runs) != len(seeds):  # a run past the cells would read a D(n) never written
@@ -368,19 +365,22 @@ def stream_model(
             # guard against rounding a hair past the sampled span
             lags = np.clip(lags, -history.span, 0.0)
         delays.append((sum(n for _, n in group), history(lags)[:, 2]))
-    if len(seeds) == 1:
-        return _stream_one(params[0], history(0.0), delays[0][1], cfg, seeds, staged, reduce)
 
     def per_run(values):  # one value where every cell agrees, else one per run
         values = np.array(values)
         return values[0] if (values == values[0]).all() else np.repeat(values, runs, axis=0).T
 
     rates = [per_run(rate) for rate in zip(*[(p.beta, p.gamma, p.rho, p.sigma_act, p.theta) for p in params])]
-    return euler_maruyama(
-        functools.partial(_drift_with_delayed_i, rates),
-        history(0.0), delays, 2, per_run([p.noise.as_array() for p in params]), seeds, cfg, staged, reduce,
-        cfg.projection_enabled,
-    )
+    noise, seeds = per_run([p.noise.as_array() for p in params]), seed_array(seeds)
+    dw = increment_chunks(seeds, 6, cfg.step_count, cfg.step_size, _NOISE_CHUNK_DRAWS)
+    try:
+        if seeds.size > 1:
+            drift = functools.partial(_drift_with_delayed_i, rates)
+            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, staged, reduce, cfg.projection_enabled)
+        (early,) = [early for n, early in delays if n]  # a cell may hold no runs
+        return _stream_one(rates, history(0.0), early, noise, dw, cfg, staged, reduce, cfg.projection_enabled)
+    except NumericsError as exc:
+        raise NumericsError(f"{exc} (seed {seeds[exc.run]})", step=exc.step, run=exc.run) from exc
 
 
 def _clamped(v: float) -> float:
@@ -388,21 +388,19 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`euler_maruyama` for the model and one seed, in Python floats,
-    with the kernel's operations in its order; ``early`` holds the delayed
-    spreader values of the first ``len(early)`` steps.  Each recorded row
-    is packed in place into ``staged``, through a byte view of its
-    ``(rows, 6)`` reshape, so a block whose rows are not six contiguous
-    doubles raises :class:`ValueError` before the first step."""
-    seeds = seed_array(seeds)
+def _stream_one(rates, start, early, noise, increments, cfg, staged, reduce, project) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`euler_maruyama` for the model's drift on its ``rates`` and one
+    run, in Python floats, with the kernel's operations in its order;
+    ``early`` holds the delayed spreader values of the first ``len(early)``
+    steps.  Each recorded row is packed in place into ``staged``, through a
+    byte view of its ``(rows, 6)`` reshape, so a block whose rows are not
+    six contiguous doubles raises :class:`ValueError` before the first step."""
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
-    beta, gamma, rho, sigma, theta = p.beta, p.gamma, p.rho, p.sigma_act, p.theta
-    ns, ne, ni, nr, nig, nf = noise = p.noise.as_array().tolist()
-    noisy, project = any(n > 0.0 for n in noise), cfg.projection_enabled
+    beta, gamma, rho, sigma, theta = (np.ravel(rate).item() for rate in rates)
+    ns, ne, ni, nr, nig, nf = noise = np.ravel(noise).tolist()
+    noisy = any(n > 0.0 for n in noise)
     six = struct.Struct("6d")
-    chunks = increment_chunks(seeds, 6, n_steps, h, _NOISE_CHUNK_DRAWS)
-    draws = itertools.chain.from_iterable(map(six.iter_unpack, chunks))
+    draws = itertools.chain.from_iterable(map(six.iter_unpack, increments))
     # bytes of each staged row; a copy would lose them, and rows that are not
     # six contiguous doubles have no such view, so either raises here
     row_bytes = np.reshape(staged, (len(staged), 6), copy=False).view(np.uint8)
@@ -429,7 +427,7 @@ def _stream_one(p, start, early, cfg, seeds, staged, reduce) -> tuple[np.ndarray
             clamps += 1
             s, e, i, r, ig, f = map(_clamped, (s, e, i, r, ig, f))
         if not math.isfinite(s + e + i + r + ig + f) and not all(map(math.isfinite, (s, e, i, r, ig, f))):
-            raise _non_finite(step + 1, h, 0, seeds[0])
+            raise _non_finite(step + 1, h, 0)
         ring[slot] = i  # D(step + k + 1)
         if (step + 1) % stride == 0:
             row = (step + 1) // stride

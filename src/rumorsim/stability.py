@@ -36,6 +36,7 @@ import numpy as np
 from .ensemble import EnsembleSummary, _warn_if_unconverged
 from .errors import ConfigurationError, NumericsError
 from .integrator import (
+    _NOISE_CHUNK_DRAWS,
     IntegratorConfig,
     Trajectory,
     block_rows,
@@ -48,7 +49,7 @@ from .integrator import (
 from .model import (
     COUNT, NONNEGATIVE, POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, drift, reproduction_number,
 )
-from .rng import derive_seed
+from .rng import derive_seed, increment_chunks, seed_array
 
 __all__ = [
     "BoundCheckReport",
@@ -476,11 +477,10 @@ def simulate_linearized(
 
     early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
-    seeds = [derive_seed(base_seed, j) for j in range(run_count)]
+    seeds = seed_array([derive_seed(base_seed, j) for j in range(run_count)])
+    increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size, _NOISE_CHUNK_DRAWS)
     try:
-        euler_maruyama(
-            drift, (e0, i0), [(run_count, early)], 1, noise_pair, seeds, cfg, staged, reduce, False,
-        )
+        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, staged, reduce, False)
     except NumericsError as exc:
         raise NumericsError(
             f"linearized second moment overflowed at step {exc.step} "

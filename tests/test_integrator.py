@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import compartment_rhs, rk4_path
+from oracles import compartment_rhs, rk4_path, weak_noise_ratios
 from strategies import RUNNABLE_CONFIGS
 from rumorsim import (
     ConfigFileError,
@@ -37,6 +38,7 @@ from rumorsim.config import from_dict
 from rumorsim.integrator import (
     _INF_BITS,
     _NOISE_CHUNK_DRAWS,
+    _stream_one,
     block_rows,
     check_memory,
     delay_steps,
@@ -45,7 +47,8 @@ from rumorsim.integrator import (
     write_table,
     write_trajectory_csv,
 )
-from rumorsim.rng import normal_block
+from rumorsim.model import _drift_with_delayed_i
+from rumorsim.rng import increment_chunks, normal_block, seed_array
 
 
 def zero_noise(tau=0.0, r0=2.0):
@@ -471,29 +474,88 @@ class TestKernel:
         # eps for fixed draws, so 2 m(eps) - 3 m(2 eps) + m(4 eps) of the
         # terminal means cancels the zero-noise path and the O(eps) term
         # exactly, leaving 6 eps^2 B + O(eps^3): its ratio at eps and eps / 2
-        # tends to 4 at order eps, with no Monte Carlo tolerance
+        # tends to 4 at order eps.  The O(eps) coefficient is a sample
+        # quantity, so the five levels run as cells of one batch of 1,000
+        # runs each
         p = default_params(tau=5.0, r0=2.0)
         history = HistoryFunction.constant(default_initial_state(p))
-        cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False)
-        seeds = range(200)
-
-        def terminal_means(eps):
-            cells = [
-                (dataclasses.replace(p, noise=NoiseIntensities.uniform(level)), len(seeds))
-                for level in (eps, 2 * eps, 4 * eps, eps / 2)
-            ]
-            rows = np.empty((cfg.recorded_count, 6, len(cells) * len(seeds)))
-            stream_model(cells, history, cfg, list(seeds) * len(cells), rows, lambda first, count: None)
-            for c, cell in enumerate(cells):
-                alone = np.empty((cfg.recorded_count, 6, len(seeds)))
-                stream_model([cell], history, cfg, seeds, alone, lambda first, count: None)
-                assert np.array_equal(rows[..., c * len(seeds) : (c + 1) * len(seeds)], alone), cell
-            m1, m2, m4, m_half = rows[-1].reshape(6, len(cells), len(seeds)).mean(axis=2).T
-            return (2 * m1 - 3 * m2 + m4) / (2 * m_half - 3 * m1 + m2)
-
-        coarse, fine = np.abs(terminal_means(0.005) - 4.0), np.abs(terminal_means(0.0025) - 4.0)
+        cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False, record_stride=10)
+        seeds, eps = range(1000), 0.0025
+        levels = [eps * 2.0**k for k in range(-1, 4)]  # the levels weak_noise_ratios reads
+        cells = [(dataclasses.replace(p, noise=NoiseIntensities.uniform(level)), len(seeds)) for level in levels]
+        rows = np.empty((cfg.recorded_count, 6, len(cells) * len(seeds)))
+        stream_model(cells, history, cfg, list(seeds) * len(cells), rows, lambda first, count: None)
+        for c, cell in enumerate(cells):
+            alone = np.empty((cfg.recorded_count, 6, len(seeds)))
+            stream_model([cell], history, cfg, seeds, alone, lambda first, count: None)
+            assert np.array_equal(rows[..., c * len(seeds) : (c + 1) * len(seeds)], alone), cell
+        means = dict(zip(levels, rows[-1].reshape(6, len(cells), len(seeds)).mean(axis=2).T))
+        coarse, fine = (np.abs(r - 4.0) for r in weak_noise_ratios(means.__getitem__, eps))
         assert np.all(fine < 0.1), fine
         assert np.all(fine < coarse), (coarse, fine)
+
+    @pytest.mark.parametrize("project", [True, False])
+    def test_both_model_steppers_take_the_same_steps_on_the_same_increments(self, project):
+        # hand-made increments in uneven chunks, and no seed: the float
+        # stepper and a one-run kernel on the model's drift give the same
+        # bits, staged rows and clamp count, with a delay ring and noise
+        # strong enough that projected steps clamp
+        p = default_params(tau=0.5, r0=2.5, noise_level=1.5)
+        cfg = IntegratorConfig(0.1, 30.0, projection_enabled=project, record_stride=3)
+        rates = [p.beta, p.gamma, p.rho, p.sigma_act, p.theta]
+        start = default_initial_state(p).as_array()
+        early = np.linspace(0.001, 0.02, delay_steps(p.tau, cfg))
+        draws = np.random.default_rng(5).standard_normal((cfg.step_count, 6, 1)) * math.sqrt(cfg.step_size)
+        chunks = np.array_split(draws, 7)
+
+        def run(stepper, *operands):
+            staged, rows = np.empty((4, 6, 1)), []
+            terminal, counts = stepper(
+                *operands, p.noise.as_array(), chunks, cfg, staged,
+                lambda first, count: rows.append(staged[:count].copy()), project,
+            )
+            return np.concatenate(rows), terminal, counts
+
+        one = run(_stream_one, rates, start, early)
+        batch = run(euler_maruyama, functools.partial(_drift_with_delayed_i, rates), start, [(1, early)], 2)
+        assert one[0].shape == (cfg.recorded_count, 6, 1)
+        for got, want in zip(one, batch):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert bool(one[2][0] > 0) == project
+
+    def test_a_batch_error_names_the_failing_runs_seed(self):
+        # the steppers name the step and the run index; stream_model adds
+        # the run's seed, reduced to uint64, on the one-run and batch paths
+        bad = ModelParams(beta=1e155, sigma_act=0.25, gamma=0.1, rho=0.05, theta=0.1,
+                          noise=NoiseIntensities.zero(), population=1.005)
+        hist = HistoryFunction.constant(StateVector(1.0, 0, 0.005, 0, 0, 0))
+        cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
+
+        def failure(cells, seeds):
+            with np.errstate(over="ignore"), pytest.raises(NumericsError) as failed:
+                stream_model(cells, hist, cfg, seeds, np.empty((1, 6, len(seeds))), lambda first, count: None)
+            return failed.value
+
+        alone = failure([(bad, 1)], [2**64 + 13])
+        batch = failure([(dataclasses.replace(bad, beta=0.25), 2), (bad, 2)], [11, 12, 2**64 + 13, 14])
+        where = f"non-finite state at step {alone.step} (t={alone.step * cfg.step_size:g})"
+        assert (alone.run, str(alone)) == (0, f"{where} in run index 0 (seed 13)")
+        assert (batch.step, batch.run, str(batch)) == (alone.step, 2, f"{where} in run index 2 (seed 13)")
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_a_cell_of_no_runs_changes_no_run(self, empty_first):
+        # the one-run path takes its delay and rates from the cell that holds the run
+        p = default_params(tau=0.0, r0=2.0, noise_level=0.3)
+        q = dataclasses.replace(p, tau=5.0, beta=1.5 * p.beta)
+        history = HistoryFunction.constant(default_initial_state(p))
+        cfg = IntegratorConfig(0.1, 20.0)
+
+        def rows(cells):
+            staged = np.empty((cfg.recorded_count, 6, 1))
+            stream_model(cells, history, cfg, [7], staged, lambda first, count: None)
+            return staged.tobytes()
+
+        assert rows([(p, 0), (q, 1)] if empty_first else [(q, 1), (p, 0)]) == rows([(q, 1)])
 
     def test_probe_reports_the_failure_an_exact_scan_finds_first(self):
         self._assert_probe_matches_scan(project=False, k=0)
@@ -528,15 +590,14 @@ class TestKernel:
             first_step.append(step or np.inf)
         step = min(first_step)
         assert step < max(s for s in first_step if s < np.inf)
-        seeds = [101 + j for j in range(rates.size)]
         with pytest.raises(NumericsError) as failed:
             euler_maruyama(
-                drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), seeds,
+                drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), (),
                 cfg, np.empty((1, 2, rates.size)), lambda first, count: None, project,
             )
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
-        assert f"in run index {failed.value.run} (seed {seeds[failed.value.run]})" in str(failed.value)
+        assert str(failed.value).endswith(f" (t={step:g}) in run index {failed.value.run}")
 
     def test_finite_states_whose_sum_overflows_do_not_fail(self):
         def drift(x, out):
@@ -547,7 +608,7 @@ class TestKernel:
             return step
 
         terminal, _ = euler_maruyama(
-            drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), range(3),
+            drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), (),
             IntegratorConfig(1.0, 5.0), np.empty((1, 2, 3)), lambda first, count: None, True,
         )
         assert np.all(terminal == 1e308)
@@ -583,7 +644,7 @@ class TestKernel:
         expected = outcomes[project]
         try:
             terminal, counts = euler_maruyama(
-                drift, (first, value), [(3, [])], 0, np.zeros(2), range(3),
+                drift, (first, value), [(3, [])], 0, np.zeros(2), (),
                 IntegratorConfig(1.0, 3.0), np.empty((1, 2, 3)), lambda first, count: None, project,
             )
         except NumericsError as exc:
@@ -592,6 +653,65 @@ class TestKernel:
         assert terminal.tobytes() == np.array([[first] * 3, [expected] * 3]).tobytes()
         clamped = project and np.signbit(value) and value != 0.0
         assert counts.tolist() == [int(clamped)] * 3
+
+
+class TestStrongOrder:
+    """Euler-Maruyama converges at strong order 1/2 (Buckwar 2000, J.
+    Comput. Appl. Math. 125; Higham 2001, SIAM Rev. 43): the kernel steps
+    one set of paths at ``h = m h_ref``, each coarse increment the sum of
+    ``m`` consecutive fine ones of each seed's counter stream, and the
+    error ``E|X_h(T) - X_ref(T)|`` against the path at ``h_ref`` falls
+    with a fitted log-log slope near 1/2.  The delay lies on every grid."""
+
+    H_REF, MS, HORIZON, TAU, RUNS = 0.0125, (8, 16, 32, 64), 8.0, 1.6, 1000
+
+    def slope(self, drift, start, delayed_column, noise):
+        fine_steps = round(self.HORIZON / self.H_REF)
+        seeds = seed_array(range(self.RUNS))
+        fine = np.concatenate(list(increment_chunks(seeds, len(start), fine_steps, self.H_REF, _NOISE_CHUNK_DRAWS)))
+
+        def terminal(m):
+            cfg = IntegratorConfig(m * self.H_REF, self.HORIZON, projection_enabled=False)
+            coarse = fine.reshape(fine_steps // m, m, *fine.shape[1:]).sum(axis=1)
+            early = np.full(delay_steps(self.TAU, cfg), start[delayed_column])
+            x, _ = euler_maruyama(
+                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg,
+                np.empty((1, len(start), self.RUNS)), lambda first, count: None, False,
+            )
+            return x
+
+        reference = terminal(1)
+        errors = [np.linalg.norm(terminal(m) - reference, axis=0).mean() for m in self.MS]
+        return np.polyfit(np.log(np.array(self.MS) * self.H_REF), np.log(errors), 1)[0], reference
+
+    def test_linearized_pair(self):
+        # (E, I)' = (bN I(t - tau) - sigma E, sigma E - (gamma + rho) I), written here
+        p = default_params(tau=self.TAU, r0=2.0)
+        bn, sigma, removal = p.beta * p.population, p.sigma_act, p.removal_rate
+
+        def drift(x, out):
+            def step(i_delayed):
+                out[0] = bn * i_delayed - sigma * x[0]
+                out[1] = sigma * x[0] - removal * x[1]
+
+            return step
+
+        slope, _ = self.slope(drift, (0.01, 0.01), 1, np.array([0.4, 0.4]))
+        assert 0.4 <= slope <= 0.6, slope
+
+    def test_full_model_without_projection(self):
+        p = default_params(tau=self.TAU, r0=2.0, noise_level=0.3)
+        rates = [p.beta, p.gamma, p.rho, p.sigma_act, p.theta]
+        start = default_initial_state(p).as_array()
+        drift = functools.partial(_drift_with_delayed_i, rates)
+        slope, reference = self.slope(drift, start, 2, p.noise.as_array())
+        assert 0.4 <= slope <= 0.6, slope
+        # the fine increments are the ones stream_model draws for these seeds
+        cfg = IntegratorConfig(self.H_REF, self.HORIZON, projection_enabled=False)
+        rows = np.empty((1, 6, self.RUNS))
+        history = HistoryFunction.constant(default_initial_state(p))
+        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), rows, lambda first, count: None)
+        assert terminal.tobytes() == reference.tobytes()
 
 
 def _bits_of(*values):
@@ -654,7 +774,7 @@ class TestStepScreens:
         start = (1e200, -3e200) if width % 2 == 0 else (1e200,)
         runs = width // len(start)
         terminal, counts = euler_maruyama(
-            drift, start, [(runs, [])], 0, np.zeros(len(start)), range(runs),
+            drift, start, [(runs, [])], 0, np.zeros(len(start)), (),
             IntegratorConfig(1.0, 3.0), np.empty((1, len(start), runs)), lambda first, count: None, False,
         )
         assert terminal.tobytes() == np.repeat(np.reshape(start, (-1, 1)), runs, axis=1).tobytes()

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from rumorsim import (
     simulate_linearized,
     stochastic_margin,
 )
+from rumorsim.integrator import block_rows, stream_model
 from rumorsim.rng import derive_seed
 from rumorsim.stability import write_decay_csv
 
@@ -293,6 +297,25 @@ class TestDecayCsv:
         assert len(lines) == 5 + report.times.size
 
 
+class TestSNoiseGap:
+    def test_s_noise_alone_turns_the_mean_square_to_growth(self):
+        # the certificate and the lab freeze S at N; with n_S > 0 the
+        # rumor-free S wanders, R0 S / N crosses 1 on some paths, and the
+        # sample mean of E^2 + I^2 grows where the frozen-S model decays
+        p = default_params(tau=5.0, r0=0.8)
+        cfg = IntegratorConfig(0.1, 800.0, projection_enabled=False, record_stride=8000)
+        eps, runs = 1e-8, 1000
+        history = HistoryFunction.constant(StateVector(p.population - 2 * eps, eps, eps, 0, 0, 0))
+        cells = [(s_noise_only(p, 0.01), runs), (s_noise_only(p, 0.0), 1)]
+        rows = np.empty((2, 6, runs + 1))
+        seeds = [derive_seed(777, k) for k in range(runs + 1)]
+        stream_model(cells, history, cfg, seeds, rows, lambda first, count: None)
+        squares = rows[:, 1] ** 2 + rows[:, 2] ** 2
+        noisy, quiet = squares[:, :runs].mean(axis=1), squares[:, runs]
+        assert noisy[1] / noisy[0] > 1.0
+        assert quiet[1] / quiet[0] < 1e-9
+
+
 class TestLinearizationOracle:
     @pytest.mark.parametrize("tau, r0", [(0.0, 0.8), (10.0, 0.5)])
     def test_the_model_near_the_rumor_free_point_is_the_lab(self, tau, r0):
@@ -313,7 +336,41 @@ class TestLinearizationOracle:
         assert np.all((1.9 <= ratios) & (ratios <= 2.1)), (gaps, ratios)
 
 
+def s_noise_only(p, n_s):
+    return dataclasses.replace(p, noise=NoiseIntensities(s=n_s, e=0, i=0, r=0, ig=0, f=0))
+
+
 class TestCrossingProbability:
+    @pytest.mark.parametrize(
+        "horizon, runs, cases",
+        [(200.0, 4000, [(0.05, 0.8), (0.01, 0.95), (0.01, 0.8)]), (800.0, 2000, [(0.01, 0.8)])],
+    )
+    def test_the_kernel_crosses_as_often_as_the_formula_says(self, horizon, runs, cases):
+        # with E = I = 0 and S0 = N each Euler-Maruyama S path is N times a
+        # product of (1 + n_S sqrt(h) Z), and R0 enters only the threshold
+        # R0 max S / N >= 1; a path watched once a step crosses as the
+        # continuous one does with its barrier raised by 0.5826 n_S sqrt(h)
+        # (Broadie, Glasserman & Kou 1997), that is, with R0 scaled by
+        # exp(-0.5826 n_S sqrt(h))
+        p = default_params(noise_level=0.0)
+        levels = sorted({n_s for n_s, _ in cases})
+        cells = [(s_noise_only(p, n_s), runs) for n_s in levels]
+        cfg = IntegratorConfig(0.1, horizon)
+        staged = np.empty((block_rows(cfg, 6 * runs * len(cells)), 6, runs * len(cells)))
+        peak = np.full(runs * len(cells), -np.inf)
+
+        def reduce(first, count):  # each run's largest S, as run_sweep tracks I
+            np.maximum(peak, staged[:count, 0].max(axis=0), out=peak)
+
+        history = HistoryFunction.constant(StateVector(p.population, 0, 0, 0, 0, 0))
+        seeds = [derive_seed(31, j) for j in range(runs * len(cells))]
+        stream_model(cells, history, cfg, seeds, staged, reduce)
+        peaks = dict(zip(levels, peak.reshape(len(cells), runs) / p.population))
+        for n_s, r0 in cases:
+            crossed = np.mean(r0 * peaks[n_s] >= 1.0)
+            expected = crossing_probability(r0 * math.exp(-0.5826 * n_s * math.sqrt(cfg.step_size)), n_s, horizon)
+            assert abs(crossed - expected) <= 4.0 * math.sqrt(expected * (1.0 - expected) / runs), (n_s, r0, crossed)
+
     @pytest.mark.parametrize(
         "r0, n_s, horizon, expected",
         [(0.8, 0.01, 200.0, 0.102), (0.8, 0.01, 800.0, 0.383), (0.95, 0.01, 200.0, 0.698), (0.8, 0.05, 200.0, 0.664)],
