@@ -88,7 +88,7 @@ _DEFAULTS = RunConfig(
     EnsembleSettings(), StabilitySettings(), SweepSettings(), OutputSettings(),
 )
 
-# Each block's rules live beside the code they govern; a seed is any integer.
+# The sweep's and the lab's rules are in model.py, the others beside their code; a seed is any integer.
 _SCHEMA = {
     "model": MODEL_RULES,
     "initial": COMPARTMENT_RULES,

@@ -45,7 +45,7 @@ from .model import (
     _drift_with_delayed_i,
     store_checked,
 )
-from .rng import increment_chunks, seed_array
+from .rng import chunk_values, increment_chunks, seed_array
 
 __all__ = [
     "IntegratorConfig",
@@ -57,11 +57,6 @@ __all__ = [
 ]
 
 _GRID_RTOL = 1e-9
-
-# Noise is drawn in step chunks of about this many draws, which keeps a
-# chunk and the temporaries of its generation in cache; on the benchmark's
-# wide batches a whole-horizon block costs about twice as much per draw.
-_NOISE_CHUNK_DRAWS = 32_768
 
 # No batch may take more path-steps (runs x steps) than this, so that every
 # input ends; it is 2,500 times the 4 M path-steps of the largest
@@ -77,7 +72,6 @@ _STATS_BLOCK_VALUES = 131_072
 # +inf's bits: an entry whose bits, read unsigned, are below them is finite, sign bit clear
 _INF_BITS = 0x7FF0000000000000
 
-CSV_FLOAT_FORMAT = "%.9g"
 # CSV rows are formatted and written about this many cells at a time
 _CSV_CHUNK_CELLS = 4096
 
@@ -182,14 +176,13 @@ def check_memory(cfg: IntegratorConfig, cells, components: int, held_values: int
     than the machine's physical memory, or take more than
     ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
     :func:`euler_maruyama`, with its delay rings at ``k + 1`` values per
-    run of a cell (``D(n)`` at ``k = 0``) and six drift scratch rows per
-    run (the most a drift binds), to the ``held_values`` values the caller
-    keeps.
+    run of a cell (``D(n)`` at ``k = 0``), six drift scratch rows per run
+    (the most a drift binds) and the noise chunk that :mod:`rumorsim.rng`
+    sizes, to the ``held_values`` values the caller keeps.
     """
     runs = sum(n for _, n in cells)
     rings = sum((delay_steps(p.tau, cfg) + 1) * n for p, n in cells)
-    noise_chunk = 2 * max(components * runs, _NOISE_CHUNK_DRAWS)
-    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + noise_chunk)
+    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + chunk_values(components, runs))
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -372,7 +365,7 @@ def stream_model(
 
     rates = [per_run(rate) for rate in zip(*[(p.beta, p.gamma, p.rho, p.sigma_act, p.theta) for p in params])]
     noise, seeds = per_run([p.noise.as_array() for p in params]), seed_array(seeds)
-    dw = increment_chunks(seeds, 6, cfg.step_count, cfg.step_size, _NOISE_CHUNK_DRAWS)
+    dw = increment_chunks(seeds, 6, cfg.step_count, cfg.step_size)
     try:
         if seeds.size > 1:
             drift = functools.partial(_drift_with_delayed_i, rates)
@@ -499,14 +492,14 @@ def _cell_texts(column: np.ndarray) -> list[str]:
 def write_table(path, header, columns, meta=None) -> None:
     """Write a CSV table an array at a time.
 
-    ``columns`` holds one sequence per ``header`` name.  Floats print with
-    ``CSV_FLOAT_FORMAT`` (``nan`` and ``inf`` as such) through the exact
+    ``columns`` holds one sequence per ``header`` name.  Floats print in
+    ``numtext.GENERAL_FORMAT`` (``nan`` and ``inf`` as such) through the exact
     array formatter of :mod:`rumorsim.numtext`, with a per-cell fallback to
     ``%``; integers and booleans print as integers, and text csv-quoted
     where it needs quoting.  Rows are written in chunks of about
     ``_CSV_CHUNK_CELLS`` cells, so memory follows the chunk, not the table.
     Each ``meta`` item becomes a ``# key=value`` line above the header,
-    with a float value in ``CSV_FLOAT_FORMAT``.
+    with a float value in ``numtext.GENERAL_FORMAT``.
     """
     columns = [np.asarray(column) for column in columns]
     floats = [j for j, column in enumerate(columns) if column.dtype.kind == "f"]
@@ -514,7 +507,7 @@ def write_table(path, header, columns, meta=None) -> None:
     chunk = max(1, _CSV_CHUNK_CELLS // max(1, len(columns)))
     with open(path, "w", newline="\n") as fh:
         for key, value in (meta or {}).items():
-            fh.write(f"# {key}={CSV_FLOAT_FORMAT % value if isinstance(value, float) else value}\n")
+            fh.write(f"# {key}={numtext.GENERAL_FORMAT % value if isinstance(value, float) else value}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, min(map(len, columns), default=0), chunk):
             part = slice(start, start + chunk)

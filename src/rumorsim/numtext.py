@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+GENERAL_FORMAT, FIXED_FORMAT = "%.9g", "%.3f"  # CSV and SVG; the tables below fix them: not settings
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 _J = np.arange(9)
 _EXPONENTS = np.arange(-14, 31)  # the decimal exponents x with |8 - x| <= 22
@@ -100,7 +101,7 @@ def records(values, sep, fixed=False):
         code = (x - _EXPONENTS[0]) * 9 + 8 - _TRAILING_ZEROS[low] - (low == 0) * _TRAILING_ZEROS[high]
     codes = words.view(np.uint8)
     keep = np.take(_FIXED_KEEP if fixed else _GENERAL_KEEP, 2 * code + np.signbit(v), axis=0)
-    texts = [("%.3f" if fixed else "%.9g") % u for u in v[fall].tolist()]
+    texts = [(FIXED_FORMAT if fixed else GENERAL_FORMAT) % u for u in v[fall].tolist()]
     if texts:
         text_codes, text_keep = strings(texts, 0, 28)
         width = text_codes.shape[1] - 1

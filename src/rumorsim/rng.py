@@ -100,6 +100,11 @@ _U_S27 = np.uint64(27)
 _U_S31 = np.uint64(31)
 _U_S11 = np.uint64(11)
 
+# Increments are drawn in step chunks of about this many draws, which keeps a
+# chunk and the temporaries of its generation in cache; on the benchmark's
+# wide batches a whole-horizon block costs about twice as much per draw.
+_NOISE_CHUNK_DRAWS = 32_768
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer on a Python integer, reduced mod 2**64."""
@@ -208,17 +213,21 @@ def normal_block(
     return block[:, 0] if np.ndim(seed) == 0 else block
 
 
-def increment_chunks(seeds: np.ndarray, n_components: int, n_steps: int, step_size: float, chunk_draws: int):
+def chunk_values(n_components: int, runs: int) -> int:
+    """The most values drawing a chunk of :func:`increment_chunks` holds: two arrays of its draws."""
+    return 2 * max(n_components * runs, _NOISE_CHUNK_DRAWS)
+
+
+def increment_chunks(seeds: np.ndarray, n_components: int, n_steps: int, step_size: float):
     """``normal_block(seeds, n_steps, n_components).transpose(0, 2, 1) *
     np.sqrt(step_size)`` for ``uint64`` seeds, bit for bit, drawn lazily in
-    C-contiguous chunks of about ``chunk_draws`` draws; each seed's key is
-    hashed once for the whole stream."""
+    C-contiguous chunks of about ``_NOISE_CHUNK_DRAWS`` draws (at least one
+    step); each seed's key is hashed once for the whole stream."""
     keys = _stream_keys(seeds)
-    chunk = max(1, chunk_draws // (n_components * keys.size))
-    scale = np.sqrt(step_size)
+    chunk = max(1, _NOISE_CHUNK_DRAWS // (n_components * keys.size))
     for step in range(0, n_steps, chunk):
         dw = _normals(keys, step, min(chunk, n_steps - step), n_components)
-        dw *= scale
+        dw *= np.sqrt(step_size)
         yield dw
         del dw  # before the next chunk is drawn
 

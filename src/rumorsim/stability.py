@@ -16,18 +16,19 @@ Linearizing there with S frozen at N gives the delay subsystem
 
 whose second moment ``E[E^2 + I^2]`` decays exponentially for every delay
 whenever :func:`stochastic_margin` is positive (see its derivation);
-:func:`simulate_linearized` estimates it over an ensemble on the
-integrator's streaming kernel and issues an empirical verdict.  Neither
-covers the full model's paths whose S wanders above ``N / R0``:
-:func:`crossing_probability` gives the chance of that before a horizon.
-Growth and Lipschitz constants of the drift on a ball, with sampled
-verifiers, and a Gronwall envelope of the squared norm certify
-well-posedness and the absence of blow-up.
+:func:`simulate_linearized` estimates it over an ensemble, stepping the
+drift ``_linearized_drift`` on the integrator's kernel, and issues an
+empirical verdict.  Neither covers the full model's paths whose S wanders
+above ``N / R0``: :func:`crossing_probability` gives the chance of that
+before a horizon.  Growth and Lipschitz constants of the drift on a ball,
+with sampled verifiers, and a Gronwall envelope of the squared norm
+certify well-posedness and the absence of blow-up.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ import numpy as np
 from .ensemble import EnsembleSummary, _warn_if_unconverged
 from .errors import ConfigurationError, NumericsError
 from .integrator import (
-    _NOISE_CHUNK_DRAWS,
     IntegratorConfig,
     Trajectory,
     block_rows,
@@ -421,6 +421,24 @@ def _fit_decay_rate(times: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.polyfit(times[window], np.log(estimate[window]), 1)[0])
 
 
+def _linearized_drift(p: ModelParams, x, out):
+    # The lab's drift, bound like ``model._drift_with_delayed_i`` but to ``(2, runs)``
+    # arrays: ``step(D)`` writes ``(bN D - sigma E, sigma E - (gamma + rho) I)`` as
+    # head - tail of the flows (transmission, activation, removal), full rows throughout.
+    rates = np.repeat([[p.sigma_act], [p.removal_rate]], x.shape[1], axis=1)
+    bn = np.full(x.shape[1], p.beta * p.population)
+    flows = np.empty((3, x.shape[1]))
+    transmission, head, tail = flows[0], flows[:2], flows[1:]
+    multiply, subtract = np.multiply, np.subtract
+
+    def step(i_delayed):
+        multiply(rates, x, tail)
+        multiply(bn, i_delayed, transmission)
+        subtract(head, tail, out)
+
+    return step
+
+
 def simulate_linearized(
     p: ModelParams,
     e0: float,
@@ -451,23 +469,6 @@ def simulate_linearized(
     # one block of (E, I) rows, and the estimate with its times
     check_memory(cfg, [(p, run_count)], 2, 2 * run_count * block + 2 * rows)
 
-    # (bN * D - sigma * E, sigma * E - (gamma + rho) * I) as head - tail of
-    # the flows (transmission, activation, removal), full rows throughout
-    rates = np.repeat([[p.sigma_act], [p.removal_rate]], run_count, axis=1)
-    bn = np.full(run_count, p.beta * p.population)
-    flows = np.empty((3, run_count))
-    transmission, head, tail = flows[0], flows[:2], flows[1:]
-
-    def drift(x, out):
-        multiply, subtract = np.multiply, np.subtract
-
-        def step(i_delayed):
-            multiply(rates, x, tail)
-            multiply(bn, i_delayed, transmission)
-            subtract(head, tail, out)
-
-        return step
-
     staged = np.empty((block, 2, run_count))
     ms_estimate = np.empty(rows)
 
@@ -478,7 +479,8 @@ def simulate_linearized(
     early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
     seeds = seed_array([derive_seed(base_seed, j) for j in range(run_count)])
-    increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size, _NOISE_CHUNK_DRAWS)
+    increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size)
+    drift = functools.partial(_linearized_drift, p)
     try:
         euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, staged, reduce, False)
     except NumericsError as exc:

@@ -75,7 +75,7 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _coord(v: float) -> str:
-    return f"{v:.3f}"
+    return numtext.FIXED_FORMAT % v
 
 
 def _points(xs, ys: np.ndarray) -> str:

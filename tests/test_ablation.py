@@ -24,7 +24,7 @@ from rumorsim import (
     run_ensemble,
     run_sweep,
 )
-from rumorsim.ablation import read_sweep_csv, write_deviation_csv, write_sweep_csv
+from rumorsim.ablation import DeviationReport, read_sweep_csv, write_deviation_csv, write_sweep_csv
 from rumorsim.rng import derive_seed
 
 
@@ -325,6 +325,20 @@ class TestMalformedInputs:
         path.write_text("# run_count=many\ntau,R0,beta,peak_mean,peak_std,final_mean,final_std\n")
         with pytest.raises(RumorSimError, match="malformed"):
             read_sweep_csv(path)
+
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (lambda: SweepResult(cells=(), run_count=1, base_seed=0).cell(5.0, 0.5),
+             "no sweep cell at tau=5.0, R0=0.5"),
+            (lambda: DeviationReport(rows=(), run_count=1).row(5.0, 0.5), "no deviation row at tau=5.0, R0=0.5"),
+        ],
+        ids=["sweep-cell", "deviation-row"],
+    )
+    def test_a_cell_off_the_grid_raises_key_error(self, lookup, message):
+        with pytest.raises(KeyError) as raised:
+            lookup()
+        assert raised.value.args == (message,)
 
 
 class TestCsvRoundTrip:

@@ -72,6 +72,11 @@ class TestConfidenceBand:
         with pytest.raises(ValueError):
             confidence_band([1.0, 2.0], 0.95, method="bogus")
 
+    @pytest.mark.parametrize("values", [3.25, np.float64(3.25), np.array(3.25)], ids=["float", "numpy-scalar", "0-d"])
+    def test_a_scalar_sample_raises(self, values):
+        with pytest.raises(ValueError, match="^values must be at least one-dimensional$"):
+            confidence_band(values, 0.95)
+
 
 class TestDeterministicCollapse:
     def test_zero_noise_runs_are_identical(self):

@@ -37,7 +37,7 @@ from rumorsim import (
 from rumorsim.config import from_dict
 from rumorsim.integrator import (
     _INF_BITS,
-    _NOISE_CHUNK_DRAWS,
+    Trajectory,
     _stream_one,
     block_rows,
     check_memory,
@@ -48,7 +48,8 @@ from rumorsim.integrator import (
     write_trajectory_csv,
 )
 from rumorsim.model import _drift_with_delayed_i
-from rumorsim.rng import increment_chunks, normal_block, seed_array
+from rumorsim.rng import _NOISE_CHUNK_DRAWS, increment_chunks, normal_block, seed_array
+from rumorsim.stability import _linearized_drift
 
 
 def zero_noise(tau=0.0, r0=2.0):
@@ -417,6 +418,20 @@ class TestNumericGuards:
         with np.errstate(over="ignore"), pytest.raises(NumericsError, match="non-finite"):
             integrate(p, hist, cfg, 1)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Trajectory(np.zeros(3), np.zeros((3, 5)), 0), r"states must be \(len\(times\), 6\)"),
+            (lambda: Trajectory(np.zeros(3), np.zeros((2, 6)), 0), r"states must be \(len\(times\), 6\)"),
+            (lambda: simulate_paths(zero_noise(), HistoryFunction.constant(default_initial_state(zero_noise())),
+                                    IntegratorConfig(0.1, 1.0), []), "at least one seed is required"),
+        ],
+        ids=["trajectory-width", "trajectory-rows", "no-seeds"],
+    )
+    def test_malformed_inputs_raise(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
 
 class TestKernel:
     def test_mixed_delay_batch_equals_per_delay_batches(self):
@@ -668,7 +683,7 @@ class TestStrongOrder:
     def slope(self, drift, start, delayed_column, noise):
         fine_steps = round(self.HORIZON / self.H_REF)
         seeds = seed_array(range(self.RUNS))
-        fine = np.concatenate(list(increment_chunks(seeds, len(start), fine_steps, self.H_REF, _NOISE_CHUNK_DRAWS)))
+        fine = np.concatenate(list(increment_chunks(seeds, len(start), fine_steps, self.H_REF)))
 
         def terminal(m):
             cfg = IntegratorConfig(m * self.H_REF, self.HORIZON, projection_enabled=False)
@@ -685,18 +700,9 @@ class TestStrongOrder:
         return np.polyfit(np.log(np.array(self.MS) * self.H_REF), np.log(errors), 1)[0], reference
 
     def test_linearized_pair(self):
-        # (E, I)' = (bN I(t - tau) - sigma E, sigma E - (gamma + rho) I), written here
+        # the lab's kernel: (E, I)' = (bN I(t - tau) - sigma E, sigma E - (gamma + rho) I)
         p = default_params(tau=self.TAU, r0=2.0)
-        bn, sigma, removal = p.beta * p.population, p.sigma_act, p.removal_rate
-
-        def drift(x, out):
-            def step(i_delayed):
-                out[0] = bn * i_delayed - sigma * x[0]
-                out[1] = sigma * x[0] - removal * x[1]
-
-            return step
-
-        slope, _ = self.slope(drift, (0.01, 0.01), 1, np.array([0.4, 0.4]))
+        slope, _ = self.slope(functools.partial(_linearized_drift, p), (0.01, 0.01), 1, np.array([0.4, 0.4]))
         assert 0.4 <= slope <= 0.6, slope
 
     def test_full_model_without_projection(self):
@@ -908,6 +914,25 @@ class TestMemory:
         tiny_steps = IntegratorConfig(1e-300, 200.0)
         with pytest.raises(ConfigurationError, match="GiB"):
             check_memory(tiny_steps, [(default_params(), 1)], 6, tiny_steps.recorded_count * 6)
+
+    # with the second cell's 3 runs the batches hold 5,461 and 5,462 runs,
+    # either side of 32,768 / 6, and 16,384 and 16,385, at and past 32,768 / 2
+    @pytest.mark.parametrize("runs", [1, 5_458, 5_459, 16_381, 16_382, 100_000])
+    @pytest.mark.parametrize("components", [2, 6])
+    def test_estimate_is_the_buffers_rings_and_two_noise_chunks(self, monkeypatch, components, runs):
+        # the estimate, to the byte: the held values, the kernel's 3 * components
+        # + 9 rows per run, each cell's ring of k + 1 rows and two arrays of
+        # max(components * runs, 32,768) draws; the batch fits a machine of
+        # exactly that many bytes and not one of a byte less
+        cfg = IntegratorConfig(0.1, 10.0)
+        cells = [(default_params(tau=0.0), runs), (default_params(tau=0.5), 3)]
+        total = runs + 3
+        held = 8 * (7 + total * (3 * components + 9) + (runs + 6 * 3) + 2 * max(components * total, 32_768))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held}.get)
+        check_memory(cfg, cells, components, 7)
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held - 1}.get)
+        with pytest.raises(ConfigurationError, match="GiB of physical memory"):
+            check_memory(cfg, cells, components, 7)
 
     def test_work_bound_holds_where_memory_is_unknown(self, monkeypatch):
         def unknown(name):

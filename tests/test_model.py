@@ -437,3 +437,35 @@ class TestHistoryFunction:
             short.validate_for(p)
         # a constant history extends to any delay
         HistoryFunction.constant(a).validate_for(p)
+
+
+_ONE = [1.0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ModelParams(0.3, 0.25, 0.1, 0.05, 0.1, noise=0.01), TypeError,
+         "noise must be a NoiseIntensities instance"),
+        (lambda: drift(np.ones(5), np.ones(5), default_params()), ValueError,
+         r"state arrays must have 6 trailing components, got shape \(5,\)"),
+        (lambda: HistoryFunction(np.array([-1.0, 0.0]), np.ones((3, 6))), ValueError,
+         r"history samples must be an \(m, 6\) array aligned with the grid"),
+        (lambda: HistoryFunction(np.array([[0.0]]), np.ones((1, 6))), ValueError,
+         r"history samples must be an \(m, 6\) array aligned with the grid"),
+        (lambda: HistoryFunction(np.array([-1.0, -0.5]), np.array([_ONE, _ONE])), ValueError,
+         "history grid must end at 0"),
+        (lambda: HistoryFunction(np.array([-1.0, -1.0, 0.0]), np.array([_ONE] * 3)), ValueError,
+         "history grid must be strictly increasing"),
+        (lambda: HistoryFunction(np.array([-1.0, 0.0]), np.array([_ONE, [np.nan, 0, 0, 0, 0, 0]])), ValueError,
+         "history samples must be finite"),
+        (lambda: HistoryFunction.constant(np.array([_ONE, _ONE])), ValueError,
+         "constant history takes a single state"),
+        (lambda: HistoryFunction.sampled([_ONE], span=1.0), ValueError, "sampled history needs at least two states"),
+    ],
+    ids=["noise-type", "state-width", "grid-vs-samples", "grid-not-1d", "grid-end", "grid-order", "finite",
+         "constant-one-state", "sampled-two-states"],
+)
+def test_malformed_model_inputs_raise(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()

@@ -49,12 +49,12 @@ _STREAM_SEEDS = {
 
 @pytest.mark.parametrize("n_components", [1, 2, 6])
 @pytest.mark.parametrize("seeds", list(_STREAM_SEEDS))
-def test_increment_chunks_equal_normal_block_run_by_run(seeds, n_components):
+def test_increment_chunks_equal_normal_block_run_by_run(seeds, n_components, monkeypatch):
     # chunks of 7 steps; the windows start inside a chunk and cross its ends
     seeds = seed_array(_STREAM_SEEDS[seeds])
     assert (seeds < 2**63).any() and (seeds >= 2**63).any() or seeds.size == 1
-    chunk_draws = 8 * n_components * seeds.size - 1  # rounds down to 7 steps
-    chunks = list(increment_chunks(seeds, n_components, 40, 1.0, chunk_draws))
+    monkeypatch.setattr("rumorsim.rng._NOISE_CHUNK_DRAWS", 8 * n_components * seeds.size - 1)  # 7 steps
+    chunks = list(increment_chunks(seeds, n_components, 40, 1.0))
     assert [c.shape[0] for c in chunks] == [7] * 5 + [5]
     assert all(c.flags.c_contiguous and c.shape[1:] == (n_components, seeds.size) for c in chunks)
     stream = np.concatenate(chunks).view(np.uint64)
@@ -64,9 +64,10 @@ def test_increment_chunks_equal_normal_block_run_by_run(seeds, n_components):
             assert np.array_equal(stream[offset : offset + steps, :, j], window.view(np.uint64))
 
 
-def test_increments_are_draws_times_root_step():
+def test_increments_are_draws_times_root_step(monkeypatch):
     seeds = seed_array([2**63 - 1, 2**63 + 5, 3])
-    stream = np.concatenate(list(increment_chunks(seeds, 6, 30, 0.01, 100)))
+    monkeypatch.setattr("rumorsim.rng._NOISE_CHUNK_DRAWS", 100)  # chunks of 5 steps
+    stream = np.concatenate(list(increment_chunks(seeds, 6, 30, 0.01)))
     want = normal_block(seeds, 30, 6).transpose(0, 2, 1) * np.sqrt(0.01)
     assert np.array_equal(stream.view(np.uint64), want.view(np.uint64))
 

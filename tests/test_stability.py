@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -28,9 +29,9 @@ from rumorsim import (
     simulate_linearized,
     stochastic_margin,
 )
-from rumorsim.integrator import block_rows, stream_model
-from rumorsim.rng import derive_seed
-from rumorsim.stability import write_decay_csv
+from rumorsim.integrator import block_rows, delay_steps, euler_maruyama, stream_model
+from rumorsim.rng import derive_seed, increment_chunks, seed_array
+from rumorsim.stability import _linearized_drift, write_decay_csv
 
 
 def linear_params(r0, noise_i=0.0, noise_e=0.0, tau=0.0):
@@ -38,6 +39,18 @@ def linear_params(r0, noise_i=0.0, noise_e=0.0, tau=0.0):
         beta=0.15 * r0, sigma_act=0.25, gamma=0.10, rho=0.05, theta=0.10, tau=tau,
         noise=NoiseIntensities(s=0, e=noise_e, i=noise_i, r=0, ig=0, f=0),
     )
+
+
+def lab_paths(p, start, cfg, runs, increments):
+    """The lab's recorded ``(rows, 2, runs)`` (E, I) paths from ``start``
+    and a constant history, its kernel stepped on ``increments``."""
+    rows = np.empty((cfg.recorded_count, 2, runs))
+    early = np.full(delay_steps(p.tau, cfg), start[1])
+    euler_maruyama(
+        functools.partial(_linearized_drift, p), start, [(runs, early)], 1, np.array([p.noise.e, p.noise.i]),
+        increments, cfg, rows, lambda first, count: None, False,
+    )
+    return rows
 
 
 class TestClassifyEquilibrium:
@@ -183,25 +196,6 @@ class TestLinearizedSimulation:
             simulate_linearized(p, 0.005, 0.005, short_cfg, 0, 1)
 
 
-class _Captured(Exception):
-    pass
-
-
-def lab_drift(p, run_count):
-    """The drift ``simulate_linearized`` hands the kernel, caught before any step."""
-    captured = []
-
-    def spy(drift, *args):
-        captured.append(drift)
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("rumorsim.stability.euler_maruyama", spy)
-        with pytest.raises(_Captured):
-            simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 1.0), run_count, 1)
-    return captured[0]
-
-
 _RATES = st.sampled_from([1e-300, 0.05, 0.25, 1.0, 3.0, 1e200, 1e300])
 _STATES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e200, -1e200, 1e308, -1e308, np.inf, -np.inf]) | st.floats()
 
@@ -226,7 +220,7 @@ class TestLinearizedDrift:
         x = np.array([data.draw(states), data.draw(states)])
         delayed = np.array(data.draw(states))
         out = np.empty_like(x)
-        step = lab_drift(p, run_count)(x, out)
+        step = _linearized_drift(p, x, out)
         with np.errstate(over="ignore", invalid="ignore"):
             step(delayed)
             want = np.empty_like(x)
@@ -334,6 +328,60 @@ class TestLinearizationOracle:
             gaps.append(np.max(np.abs(scaled - lab) / lab))
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all((1.9 <= ratios) & (ratios <= 2.1)), (gaps, ratios)
+
+    def noisy_gaps(self, n_s):
+        # the lab from e0 = i0 = 1 on the model's own E and I draws (stream
+        # components 1 and 2), against the model from (N - 2 eps, eps, eps):
+        # the largest relative gap, over runs and rows, of each run's
+        # (E^2 + I^2) / eps^2 to the lab's E^2 + I^2 of the same seed
+        p = dataclasses.replace(
+            default_params(tau=5.0, r0=0.8), noise=NoiseIntensities(s=n_s, e=0.05, i=0.05, r=0, ig=0, f=0)
+        )
+        cfg = IntegratorConfig(0.1, 100.0, projection_enabled=False, record_stride=10)
+        seeds = seed_array(range(200))
+        draws = increment_chunks(seeds, 6, cfg.step_count, cfg.step_size)
+        lab = lab_paths(p, (1.0, 1.0), cfg, seeds.size, [np.ascontiguousarray(chunk[:, 1:3]) for chunk in draws])
+        lab_squares = lab[:, 0] ** 2 + lab[:, 1] ** 2
+        gaps = []
+        for eps in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
+            history = HistoryFunction.constant(StateVector(p.population - 2.0 * eps, eps, eps, 0.0, 0.0, 0.0))
+            rows = np.empty((cfg.recorded_count, 6, seeds.size))
+            stream_model([(p, seeds.size)], history, cfg, seeds, rows, lambda first, count: None)
+            scaled = (rows[:, 1] ** 2 + rows[:, 2] ** 2) / eps**2
+            gaps.append(np.max(np.abs(scaled / lab_squares - 1.0)))
+        return np.array(gaps)
+
+    def test_with_noise_the_model_is_the_lab_run_by_run(self):
+        # with S frozen (n_S = 0) the two differ only through S = N - O(eps)
+        # in the transmission term, so the gap is O(eps) and halves with eps
+        gaps = self.noisy_gaps(0.0)
+        ratios = gaps[:-1] / gaps[1:]
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2)), (gaps, ratios)
+
+    def test_s_noise_keeps_the_gap_open_at_every_eps(self):
+        # with n_S > 0 each path's S wanders off N whatever eps is: the gap
+        # TestSNoiseGap shows in the mean, path by path
+        gaps = self.noisy_gaps(0.01)
+        assert np.all(gaps > 1.0), gaps
+
+
+class TestLabMean:
+    def test_the_sample_mean_follows_the_zero_noise_path(self):
+        # with zero-mean multiplicative noise independent of the state it
+        # scales, E[X(n + 1)] = E[X(n)] + (A E[X(n)] + B E[X(n - k)]) h: the
+        # Euler mean obeys the noise-free recursion exactly, so each recorded
+        # row's sample mean lies within a few standard errors of the one
+        # zero-noise path
+        p = linear_params(r0=2.0, noise_i=0.3, noise_e=0.3, tau=5.0)
+        cfg = IntegratorConfig(0.1, 50.0, record_stride=10)
+        runs, start = 2000, (0.01, 0.01)
+        seeds = seed_array([derive_seed(0, j) for j in range(runs)])
+        noisy = lab_paths(p, start, cfg, runs, increment_chunks(seeds, 2, cfg.step_count, cfg.step_size))
+        quiet = lab_paths(dataclasses.replace(p, noise=NoiseIntensities.zero()), start, cfg, 1, ())[..., 0]
+        assert np.all(noisy[0] == 0.01)
+        mean, se = noisy[1:].mean(axis=2), noisy[1:].std(axis=2, ddof=1) / math.sqrt(runs)
+        z = (mean - quiet[1:]) / se
+        assert np.all(np.abs(z) <= 5.0), np.abs(z).max()
 
 
 def s_noise_only(p, n_s):

@@ -79,6 +79,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             Series(label="x", times=np.array([]), values=np.array([]))
 
+    @pytest.mark.parametrize(
+        "values, band, message",
+        [
+            (np.zeros(2), None, "values must align with times"),
+            (np.array([0.0, np.inf, 0.0]), None, "non-finite data"),
+            (np.zeros(3), (np.zeros(3), np.array([0.0, np.nan, 0.0])), "non-finite band"),
+        ],
+        ids=["misaligned-values", "non-finite-values", "non-finite-band"],
+    )
+    def test_malformed_series_raise(self, values, band, message):
+        with pytest.raises(ValueError, match=f"^series 'x': {message}$"):
+            Series(label="x", times=np.arange(3.0), values=values, band=band)
+
 
 class TestBandGeometry:
     def test_band_polygon_encloses_mean_polyline(self):
