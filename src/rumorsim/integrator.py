@@ -353,10 +353,8 @@ def stream_model(
         history.validate_for(p)
     delays = []  # (runs, early) of each delay group
     for tau, group in itertools.groupby(cells, lambda cell: cell[0].tau):
-        lags = np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau
-        if not history.is_constant:
-            # guard against rounding a hair past the sampled span
-            lags = np.clip(lags, -history.span, 0.0)
+        # the clip guards against rounding a hair past the sampled span
+        lags = np.clip(np.arange(delay_steps(tau, cfg)) * cfg.step_size - tau, -history.span, 0.0)
         delays.append((sum(n for _, n in group), history(lags)[:, 2]))
 
     def per_run(values):  # one value where every cell agrees, else one per run

@@ -340,20 +340,23 @@ def reproduction_number(p: ModelParams) -> float:
 
 
 class HistoryFunction:
-    """Initial trajectory segment on ``[-span, 0]``.
+    """Initial trajectory segment on ``[-span, 0]``: states sampled on an
+    increasing grid ending at 0, read by linear interpolation.
 
-    Two forms are supported: a constant history (one state, extended to
-    any span) and a sampled history (uniform grid on ``[-span, 0]``,
-    linear interpolation between samples).  Samples must be componentwise
-    nonnegative; whether they sum to the population is checked against
-    concrete parameters by :meth:`validate_for`.
+    A constant history is the one-point grid ``[0]``, which reaches every
+    lag (``span`` is ``inf``).  Samples must be componentwise nonnegative;
+    whether they sum to the population is checked against concrete
+    parameters by :meth:`validate_for`.  The object keeps copies of the
+    grid and samples it is given.
     """
 
     def __init__(self, xi_grid: np.ndarray, samples: np.ndarray):
-        xi_grid = np.asarray(xi_grid, dtype=float)
-        samples = np.asarray(samples, dtype=float)
+        xi_grid = np.array(xi_grid, dtype=float)
+        samples = np.array(samples, dtype=float)
         if xi_grid.ndim != 1 or samples.shape != (xi_grid.size, 6):
             raise ValueError("history samples must be an (m, 6) array aligned with the grid")
+        if xi_grid.size == 0:
+            raise ValueError("history grid must hold at least one point")
         if xi_grid[-1] != 0.0:
             raise ValueError("history grid must end at 0")
         if xi_grid.size > 1 and np.any(np.diff(xi_grid) <= 0.0):
@@ -389,30 +392,19 @@ class HistoryFunction:
 
     @property
     def span(self) -> float:
-        return float(-self._xi[0])
+        return math.inf if self.is_constant else float(-self._xi[0])
 
     def __call__(self, xi) -> np.ndarray:
         """Evaluate the history at lag(s) ``xi <= 0``."""
         xi_arr = np.asarray(xi, dtype=float)
-        if np.any(xi_arr > 1e-12) or (
-            not self.is_constant and np.any(xi_arr < self._xi[0] - 1e-12)
-        ):
-            raise ValueError(
-                f"history defined on [{-self.span:g}, 0], evaluated outside"
-            )
-        if self.is_constant:
-            out = np.broadcast_to(self._samples[0], xi_arr.shape + (6,)).copy()
-        else:
-            out = np.stack(
-                [np.interp(xi_arr, self._xi, self._samples[:, c]) for c in range(6)],
-                axis=-1,
-            )
-        return out
+        if not np.all((-self.span - 1e-12 <= xi_arr) & (xi_arr <= 1e-12)):
+            raise ValueError(f"history defined on [{-self.span:g}, 0], evaluated outside")
+        return np.stack([np.interp(xi_arr, self._xi, column) for column in self._samples.T], axis=-1)
 
     def validate_for(self, p: ModelParams) -> None:
         """Check the history is usable with ``p``: the span covers the
         delay and every sample sums to the population."""
-        if not self.is_constant and self.span < p.tau * (1.0 - 1e-12):
+        if self.span < p.tau * (1.0 - 1e-12):
             raise ValueError(
                 f"history span {self.span:g} does not cover the delay {p.tau:g}"
             )

@@ -41,7 +41,7 @@ _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
 
 @dataclass(frozen=True)
 class Series:
-    """A labeled time series, optionally with a (lower, upper) band."""
+    """A labeled time series, optionally with a (lower, upper) band; it holds copies of its arrays."""
 
     label: str
     times: np.ndarray
@@ -49,8 +49,8 @@ class Series:
     band: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError(f"series {self.label!r}: times must be a non-empty 1-D array")
         if values.shape != times.shape:
@@ -58,7 +58,7 @@ class Series:
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError(f"series {self.label!r}: non-finite data")
         if self.band is not None:
-            lo, hi = (np.asarray(b, dtype=float) for b in self.band)
+            lo, hi = (np.array(b, dtype=float) for b in self.band)
             if lo.shape != times.shape or hi.shape != times.shape:
                 raise ValueError(f"series {self.label!r}: band must align with times")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):

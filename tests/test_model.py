@@ -395,11 +395,19 @@ class TestArgumentChecks:
 
 class TestHistoryFunction:
     def test_constant_history_everywhere(self):
-        x = StateVector(0.995, 0, 0.005, 0, 0, 0)
+        # the one-point grid: every lag reads the state bit for bit
+        x = StateVector(0.5, 0.2, -0.0, 0.1, 0.1, 0.1)
         h = HistoryFunction.constant(x)
-        np.testing.assert_array_equal(h(0.0), x.as_array())
-        np.testing.assert_array_equal(h(-123.0), x.as_array())
+        tau = 7.25
+        for lag in (0.0, -123.0, -tau, -1e300):
+            assert h(lag).tobytes() == x.as_array().tobytes()
+        assert h(np.array([0.0, -tau, -1e300])).tobytes() == np.tile(x.as_array(), (3, 1)).tobytes()
         assert h.is_constant
+        assert h.span == math.inf
+        for delay in (0.0, tau, 1e300):
+            h.validate_for(replace(default_params(), tau=delay))
+        with pytest.raises(ValueError, match=r"^history defined on \[-inf, 0\], evaluated outside$"):
+            h(0.5)
 
     def test_sampled_history_interpolates_linearly(self):
         a = StateVector(1.0, 0, 0.0, 0, 0, 0)
@@ -438,6 +446,19 @@ class TestHistoryFunction:
         # a constant history extends to any delay
         HistoryFunction.constant(a).validate_for(p)
 
+    def test_history_keeps_copies_of_its_inputs(self):
+        grid, samples = np.array([-2.0, 0.0]), np.array([[0.9, 0, 0.1, 0, 0, 0], [0.8, 0, 0.2, 0, 0, 0]])
+        state = np.array([0.995, 0, 0.005, 0, 0, 0])
+        sampled, constant = HistoryFunction(grid, samples), HistoryFunction.constant(state)
+        lags = np.array([0.0, -0.5, -2.0])
+        before = sampled(lags), constant(lags)
+        grid[0], samples[:, 2], state[2] = -1.0, np.nan, np.nan
+        np.testing.assert_array_equal(sampled(lags), before[0])
+        np.testing.assert_array_equal(constant(lags), before[1])
+        assert sampled.span == 2.0
+        sampled.validate_for(default_params(tau=2.0))
+        constant.validate_for(default_params())
+
 
 _ONE = [1.0, 0, 0, 0, 0, 0]
 
@@ -453,6 +474,8 @@ _ONE = [1.0, 0, 0, 0, 0, 0]
          r"history samples must be an \(m, 6\) array aligned with the grid"),
         (lambda: HistoryFunction(np.array([[0.0]]), np.ones((1, 6))), ValueError,
          r"history samples must be an \(m, 6\) array aligned with the grid"),
+        (lambda: HistoryFunction(np.array([]), np.empty((0, 6))), ValueError,
+         "history grid must hold at least one point"),
         (lambda: HistoryFunction(np.array([-1.0, -0.5]), np.array([_ONE, _ONE])), ValueError,
          "history grid must end at 0"),
         (lambda: HistoryFunction(np.array([-1.0, -1.0, 0.0]), np.array([_ONE] * 3)), ValueError,
@@ -463,8 +486,8 @@ _ONE = [1.0, 0, 0, 0, 0, 0]
          "constant history takes a single state"),
         (lambda: HistoryFunction.sampled([_ONE], span=1.0), ValueError, "sampled history needs at least two states"),
     ],
-    ids=["noise-type", "state-width", "grid-vs-samples", "grid-not-1d", "grid-end", "grid-order", "finite",
-         "constant-one-state", "sampled-two-states"],
+    ids=["noise-type", "state-width", "grid-vs-samples", "grid-not-1d", "grid-empty", "grid-end", "grid-order",
+         "finite", "constant-one-state", "sampled-two-states"],
 )
 def test_malformed_model_inputs_raise(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):

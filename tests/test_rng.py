@@ -181,12 +181,17 @@ def test_cli_import_loads_ndtri_without_scipy_special_then_leaves_it_importable(
 
 
 def test_ndtri_is_scipy_specials_when_that_is_imported_first():
+    # the loaded package must stay registered: a stand-in put over it and
+    # removed again would take the real ``scipy.special`` out of sys.modules
     seen = _fresh_python(
         """
-        import json
+        import json, sys
         import scipy.special
         import rumorsim.rng
-        print(json.dumps(rumorsim.rng.ndtri is scipy.special.ndtri))
+        print(json.dumps({
+            "same": rumorsim.rng.ndtri is scipy.special.ndtri,
+            "registered": sys.modules.get("scipy.special") is scipy.special,
+        }))
         """
     )
-    assert seen is True
+    assert seen == {"same": True, "registered": True}

@@ -92,6 +92,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^series 'x': {message}$"):
             Series(label="x", times=np.arange(3.0), values=values, band=band)
 
+    def test_series_keeps_copies_of_its_arrays(self):
+        times, values, lower, upper = np.arange(3.0), np.array([1.0, 2.0, 1.5]), np.zeros(3), np.full(3, 3.0)
+        series = Series(label="x", times=times, values=values, band=(lower, upper))
+        before = render_svg([series])
+        for array in (times, values, lower, upper):
+            array[1] = np.nan
+        assert render_svg([series]) == before
+        assert "nan" not in before
+
 
 class TestBandGeometry:
     def test_band_polygon_encloses_mean_polyline(self):
