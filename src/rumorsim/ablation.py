@@ -146,13 +146,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
     start = spec.initial_state or default_initial_state(spec.template)
     peak = np.full(len(seeds), -np.inf)
-    staged = np.empty((block, 6, runs))
 
-    def reduce(first, count):
-        np.maximum(peak, np.maximum.reduce(staged[:count, 2]), out=peak)
+    def reduce(first, recorded):
+        np.maximum(peak, np.maximum.reduce(recorded[:, 2]), out=peak)
 
     try:
-        terminal, _ = stream_model(cells, HistoryFunction.constant(start), cfg, seeds, staged, reduce)
+        terminal, _ = stream_model(cells, HistoryFunction.constant(start), cfg, seeds, block, reduce)
     except NumericsError as exc:
         c, r = divmod(exc.run, n)
         raise NumericsError(

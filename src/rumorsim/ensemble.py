@@ -9,11 +9,11 @@ the batch is bit-identical to integrating the runs one at a time, and the
 summary statistics do not depend on any scheduling order.  The
 statistics are reduced per block of recorded rows as the kernel hands
 them over, so an ensemble holds one block of ``runs x rows x 6`` values
-twice (the staged rows, which the band sorts in place, and a runs-major
-copy) and the rows it writes, never the whole path set; every statistic
-is elementwise or reduces over the runs of one row, so the blocks change
-no bit of it.  Sweeps reduce each run's peak and terminal state
-instead.
+twice (the block the kernel allocates, whose rows the band sorts in
+place, and a runs-major copy) and the rows it writes, never the whole
+path set; every statistic is elementwise or reduces over the runs of one
+row, so the blocks change no bit of it.  Sweeps reduce each run's peak
+and terminal state instead.
 """
 
 from __future__ import annotations
@@ -259,29 +259,28 @@ def run_ensemble(
     merges across blocks keeping its first occurrence, and the final size
     comes from the terminal state.  The mean, peaks and ddof=1 std are
     read from a runs-major copy of each block, the std's squared
-    deviations overwriting it; the staged rows, which the kernel never
-    reads again, are then sorted along their runs for the band.
+    deviations overwriting it; the band then sorts, in place, the rows
+    the stepper allocated and handed over, which it never reads again.
     """
     check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
     rows = cfg.recorded_count
-    # the staged block and the slab hold two copies of each row
+    # the stepper's block and the slab hold two copies of each row
     block = block_rows(cfg, 2 * run_count * 6)
     held = 2 * run_count * block * 6 + rows * (4 * 6 + 1)  # the blocks, the outputs and times
     cells = [(p, run_count)]
     check_memory(cfg, cells, 6, held)
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
-    staged = np.empty((block, 6, run_count))
     slab = np.empty((run_count, block, 6))
     mean = np.empty((rows, 6))
     std, lower, upper = (np.full((rows, 6), np.nan) for _ in range(3))
     peak_values = np.full(run_count, -np.inf)
     peak_rows = np.zeros(run_count, dtype=np.intp)
 
-    def reduce(first, count):
+    def reduce(first, recorded):
         # runs-major, so the mean sums each row's values in run order
-        values, span = slab[:, :count], slice(first, first + count)
-        values[...] = staged[:count].transpose(2, 0, 1)
+        values, span = slab[:, : len(recorded)], slice(first, first + len(recorded))
+        values[...] = recorded.transpose(2, 0, 1)
         mean[span] = values.mean(axis=0)
         spreader = values[:, :, 2]
         block_peak = spreader.max(axis=1)
@@ -289,12 +288,10 @@ def run_ensemble(
         peak_values[higher] = block_peak[higher]
         peak_rows[higher] = first + spreader.argmax(axis=1)[higher]
         if run_count >= 2:
-            # the kernel reads no staged row again, so the band sorts them in place
-            std[span], lower[span], upper[span] = _spread_and_band(
-                values, mean[span], ci_level, ci_method, staged[:count]
-            )
+            # the stepper reads no handed row again, so the band sorts them in place
+            std[span], lower[span], upper[span] = _spread_and_band(values, mean[span], ci_level, ci_method, recorded)
 
-    terminal, _ = stream_model(cells, history, cfg, seeds, staged, reduce)
+    terminal, _ = stream_model(cells, history, cfg, seeds, block, reduce)
     times = recorded_times(cfg)
     metrics = OutbreakMetrics(
         peak_values=peak_values,
@@ -304,16 +301,7 @@ def run_ensemble(
 
     _warn_if_unconverged(terminal[2], p.population)
 
-    summary = EnsembleSummary(
-        times=times,
-        mean=mean,
-        std=std,
-        lower=lower,
-        upper=upper,
-        run_count=run_count,
-        ci_level=ci_level,
-        ci_method=ci_method,
-    )
+    summary = EnsembleSummary(times, mean, std, lower, upper, run_count, ci_level, ci_method)
     return EnsembleResult(summary=summary, metrics=metrics)
 
 

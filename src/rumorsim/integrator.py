@@ -178,7 +178,7 @@ def check_memory(cfg: IntegratorConfig, cells, components: int, held_values: int
     :func:`euler_maruyama`, with its delay rings at ``k + 1`` values per
     run of a cell (``D(n)`` at ``k = 0``), six drift scratch rows per run
     (the most a drift binds) and the noise chunk that :mod:`rumorsim.rng`
-    sizes, to the ``held_values`` values the caller keeps.
+    sizes, to the ``held_values`` the caller counts, the record block too.
     """
     runs = sum(n for _, n in cells)
     rings = sum((delay_steps(p.tau, cfg) + 1) * n for p, n in cells)
@@ -219,7 +219,7 @@ def _non_finite(step: int, h: float, run: int) -> NumericsError:
 
 
 def euler_maruyama(
-    drift, start, delays, delayed_column, noise, increments, cfg, staged, reduce, project
+    drift, start, delays, delayed_column, noise, increments, cfg, block, reduce, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
     dW(n)`` on a ``(components, runs)`` state, with ``noise`` one intensity
@@ -237,11 +237,13 @@ def euler_maruyama(
     k)``, so the rings hold ``(k + 1) * runs`` values per group; a group
     with ``k = 0`` keeps none and reads its own state row.  With one group
     the drift reads that row in place; with several, each step first
-    gathers the groups' rows into one ``D(n)`` row.  Recorded row
-    ``r`` (the start, then every ``cfg.record_stride``-th state) is copied
-    into ``staged[r % len(staged)]``, a caller-owned ``(rows, components,
-    runs)`` block, and ``reduce(first, count)`` is called on every full
-    block and the last one.  With ``project``, negative components are
+    gathers the groups' rows into one ``D(n)`` row.  Recorded row ``r``
+    (the start, then every ``cfg.record_stride``-th state) goes to row
+    ``r % block`` of a ``(block, components, runs)`` array the kernel
+    allocates, and ``reduce(first, rows)`` is handed the filled rows of
+    each full block and of the last one, from row ``first``.  The kernel
+    never reads a handed row again: ``reduce`` may overwrite the rows,
+    and copies what it keeps.  With ``project``, negative components are
     clamped to zero after each step.  Returns the terminal state and the
     per-run count of clamped steps; raises :class:`NumericsError` with
     ``step`` and ``run`` set for the lowest run index at the earliest
@@ -282,10 +284,8 @@ def euler_maruyama(
         rows = [np.empty(n_runs)]
         gathers = [(rows[0][cols], slots, len(slots)) for cols, slots, _ in groups]
     ring_rows = len(rows)
-    block, last = len(staged), cfg.recorded_count - 1
-    np.copyto(staged[0], x)
-    if block == 1:  # the start is never the last row
-        reduce(0, 1)
+    staged = np.empty((block, n_comp, n_runs))
+    staged[0] = x
     projection_counts = np.zeros(n_runs, dtype=np.int64)
     noise = np.broadcast_to(np.reshape(noise, (n_comp, -1)), (n_comp, n_runs)).copy()
     noisy = bool(np.any(noise > 0.0))
@@ -322,23 +322,25 @@ def euler_maruyama(
             if (step + 1) % stride == 0:
                 row = (step + 1) // stride
                 j = row % block
+                if j == 0:  # the block before this row is full
+                    reduce(row - block, staged)
                 staged[j] = x
-                if j == block - 1 or row == last:
-                    reduce(row - j, j + 1)
+        last = cfg.recorded_count - 1
+        reduce(last - last % block, staged[: last % block + 1])
     return x, projection_counts
 
 
 def stream_model(
-    cells, history: HistoryFunction, cfg: IntegratorConfig, seeds, staged, reduce
+    cells, history: HistoryFunction, cfg: IntegratorConfig, seeds, block, reduce
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`euler_maruyama` for the model, one run per seed, recording
-    into ``staged`` and calling ``reduce`` as it does.  ``cells`` is a
-    sequence of ``(params, runs)`` pairs, a :class:`ModelParams` for each
-    consecutive group of runs in seed order; every run starts from
-    ``history(0)``.  Consecutive cells of one delay form one delay group of
-    the kernel, and each rate and the noise intensities go to it as one
-    value where every cell agrees and one value per run otherwise, and
-    both steppers read the increments it draws from the seeds.
+    """:func:`euler_maruyama` for the model, one run per seed; either
+    stepper allocates its own ``block`` of rows for ``reduce``.  ``cells``
+    is a sequence of ``(params, runs)`` pairs, a :class:`ModelParams` for
+    each consecutive group of runs in seed order; every run starts from
+    ``history(0)``.  Consecutive cells of one delay form one delay group
+    of the kernel, and each rate and the noise intensities go to it as
+    one value where every cell agrees and one value per run otherwise,
+    and both steppers read the increments it draws from the seeds.
 
     One seed is stepped in Python floats by :func:`_stream_one`, where
     numpy's per-call cost would dominate six-element steps, and two or more
@@ -367,9 +369,9 @@ def stream_model(
     try:
         if seeds.size > 1:
             drift = functools.partial(_drift_with_delayed_i, rates)
-            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, staged, reduce, cfg.projection_enabled)
+            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, block, reduce, cfg.projection_enabled)
         (early,) = [early for n, early in delays if n]  # a cell may hold no runs
-        return _stream_one(rates, history(0.0), early, noise, dw, cfg, staged, reduce, cfg.projection_enabled)
+        return _stream_one(rates, history(0.0), early, noise, dw, cfg, block, reduce, cfg.projection_enabled)
     except NumericsError as exc:
         raise NumericsError(f"{exc} (seed {seeds[exc.run]})", step=exc.step, run=exc.run) from exc
 
@@ -379,27 +381,22 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _stream_one(rates, start, early, noise, increments, cfg, staged, reduce, project) -> tuple[np.ndarray, np.ndarray]:
+def _stream_one(rates, start, early, noise, increments, cfg, block, reduce, project) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model's drift on its ``rates`` and one
     run, in Python floats, with the kernel's operations in its order;
     ``early`` holds the delayed spreader values of the first ``len(early)``
-    steps.  Each recorded row is packed in place into ``staged``, through a
-    byte view of its ``(rows, 6)`` reshape, so a block whose rows are not
-    six contiguous doubles raises :class:`ValueError` before the first step."""
+    steps.  Each recorded row is packed as six doubles into a buffer of
+    ``block`` rows, which ``reduce`` is handed as ``(rows, 6, 1)`` views."""
     h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
     beta, gamma, rho, sigma, theta = (np.ravel(rate).item() for rate in rates)
     ns, ne, ni, nr, nig, nf = noise = np.ravel(noise).tolist()
     noisy = any(n > 0.0 for n in noise)
     six = struct.Struct("6d")
     draws = itertools.chain.from_iterable(map(six.iter_unpack, increments))
-    # bytes of each staged row; a copy would lose them, and rows that are not
-    # six contiguous doubles have no such view, so either raises here
-    row_bytes = np.reshape(staged, (len(staged), 6), copy=False).view(np.uint8)
-    block, last = len(staged), cfg.recorded_count - 1
+    buf = bytearray(six.size * block)
+    staged = np.frombuffer(buf).reshape(block, 6, 1)  # the rows as reduce is handed them
     s, e, i, r, ig, f = start.tolist()
-    six.pack_into(row_bytes[0], 0, s, e, i, r, ig, f)
-    if block == 1:  # the start is never the last row
-        reduce(0, 1)
+    six.pack_into(buf, 0, s, e, i, r, ig, f)
     ring = array("d", [*early.tolist(), i])  # D(0 .. k)
     slots, clamps = len(ring), 0
     for step in range(n_steps):
@@ -423,9 +420,11 @@ def _stream_one(rates, start, early, noise, increments, cfg, staged, reduce, pro
         if (step + 1) % stride == 0:
             row = (step + 1) // stride
             j = row % block
-            six.pack_into(row_bytes[j], 0, s, e, i, r, ig, f)
-            if j == block - 1 or row == last:
-                reduce(row - j, j + 1)
+            if j == 0:  # the block before this row is full
+                reduce(row - block, staged)
+            six.pack_into(buf, six.size * j, s, e, i, r, ig, f)
+    last = cfg.recorded_count - 1
+    reduce(last - last % block, staged[: last % block + 1])
     return np.array([[s], [e], [i], [r], [ig], [f]]), np.array([clamps], dtype=np.int64)
 
 
@@ -446,12 +445,17 @@ def simulate_paths(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    cells = [(p, len(seeds))]
-    check_memory(cfg, cells, 6, len(seeds) * cfg.recorded_count * 6)
-    paths = np.empty((len(seeds), cfg.recorded_count, 6))
-    # one block of every row, staged straight into the paths
-    staged = paths.transpose(1, 2, 0)
-    _, projection_counts = stream_model(cells, history, cfg, seeds, staged, lambda first, count: None)
+    cells, block = [(p, len(seeds))], block_rows(cfg, 6 * len(seeds))
+    check_memory(cfg, cells, 6, 6 * len(seeds) * (cfg.recorded_count + block))  # the paths and one block
+    paths = None
+
+    def reduce(first, recorded):
+        nonlocal paths
+        if paths is None:  # at the first hand-over: a run of one block draws all its noise before it holds them
+            paths = np.empty((len(seeds), cfg.recorded_count, 6))
+        paths[:, first : first + len(recorded)] = recorded.transpose(2, 0, 1)
+
+    _, projection_counts = stream_model(cells, history, cfg, seeds, block, reduce)
     return recorded_times(cfg), paths, projection_counts
 
 

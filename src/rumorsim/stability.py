@@ -469,12 +469,11 @@ def simulate_linearized(
     # one block of (E, I) rows, and the estimate with its times
     check_memory(cfg, [(p, run_count)], 2, 2 * run_count * block + 2 * rows)
 
-    staged = np.empty((block, 2, run_count))
     ms_estimate = np.empty(rows)
 
-    def reduce(first, count):
-        squares = np.square(staged[:count], out=staged[:count])
-        ms_estimate[first : first + count] = squares.sum(axis=1).mean(axis=1)
+    def reduce(first, recorded):  # the kernel reads no row again, so they take their squares
+        squares = np.square(recorded, out=recorded)
+        ms_estimate[first : first + len(recorded)] = squares.sum(axis=1).mean(axis=1)
 
     early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
@@ -482,7 +481,7 @@ def simulate_linearized(
     increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size)
     drift = functools.partial(_linearized_drift, p)
     try:
-        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, staged, reduce, False)
+        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, block, reduce, False)
     except NumericsError as exc:
         raise NumericsError(
             f"linearized second moment overflowed at step {exc.step} "

@@ -153,9 +153,8 @@ def render_svg(
         return _tag("text", body, x=x, y=y, **anchored, font_family="sans-serif", font_size=size, **extra)
 
     colors = [PALETTE[idx % len(PALETTE)] for idx in range(len(series))]
-    # the x pixel records of each distinct time grid, formatted once
-    grids = {id(s.times): s.times for s in series}
-    xs = {key: numtext.records(sx(times), ord(","), fixed=True) for key, times in grids.items()}
+    # each series' x pixel records, shared by its band and its line
+    xs = [numtext.records(sx(s.times), ord(","), fixed=True) for s in series]
     out = [_tag("rect", x=0, y=0, width=_WIDTH, height=_HEIGHT, fill="#ffffff")]
     if title:
         out.append(text(title, _WIDTH / 2, 18, 14, "middle"))
@@ -173,15 +172,15 @@ def render_svg(
     out.append(text(y_label, 14, mid, 12, "middle", transform=f"rotate(-90 14 {_coord(mid)})"))
 
     # bands first so every line stays visible on top of every band
-    for s, color in zip(series, colors):
+    for s, color, px in zip(series, colors, xs):
         if s.band is not None:
-            (lo, hi), px = s.band, xs[id(s.times)]
+            lo, hi = s.band
             points = f"{_points(px, sy(hi))} {_points([r[::-1] for r in px], sy(lo[::-1]))}"
             out.append(
                 _tag("polygon", class_="band", points=points, fill=color, fill_opacity="0.25", stroke="none")
             )
-    for s, color in zip(series, colors):
-        points = _points(xs[id(s.times)], sy(s.values))
+    for s, color, px in zip(series, colors, xs):
+        points = _points(px, sy(s.values))
         out.append(
             _tag("polyline", class_="line", points=points, fill="none", stroke=color, stroke_width="1.5")
         )

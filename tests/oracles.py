@@ -2,7 +2,8 @@
 
 Everything here restates the mathematics from scratch (explicit formulas,
 classic fixed-step RK4, textbook order statistics) and deliberately does
-not call into the integration or statistics code it is used to verify.
+not call into the integration or statistics code it is used to verify;
+``recorder`` only keeps the rows a stepper hands over.
 """
 
 from __future__ import annotations
@@ -164,3 +165,14 @@ def weak_noise_ratios(mean_at, eps):
         return (2 * m[j] - 3 * m[j + 1] + m[j + 2]) / (2 * m[j - 1] - 3 * m[j] + m[j + 1])
 
     return ratio(2), ratio(1)
+
+
+def recorder(cfg, components, runs):
+    """A ``(recorded_count, components, runs)`` array and the ``reduce``
+    that copies every block of rows a stepper hands over into it."""
+    rows = np.full((cfg.recorded_count, components, runs), np.nan)
+
+    def keep(first, recorded):
+        rows[first : first + len(recorded)] = recorded
+
+    return rows, keep

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,13 @@ from rumorsim import (
     load_reference,
     run_ensemble,
     run_sweep,
+    simulate_paths,
 )
 from rumorsim.ablation import DeviationReport, read_sweep_csv, write_deviation_csv, write_sweep_csv
+from rumorsim.config import default_config, load_config
 from rumorsim.rng import derive_seed
+
+CALIBRATION = Path(__file__).resolve().parents[1] / "configs" / "reference_calibration.json"
 
 
 def small_spec(taus=(0.0, 10.0), r0s=(0.5, 2.0), runs=12, seed=5):
@@ -243,6 +249,47 @@ class TestExactFinalSize:
             order = np.polyfit(np.log(hs), np.log(gap), 1)[0]
             assert 0.9 <= order <= 1.1, (cell, gap)
             assert gap[-1] < 1e-3 * sizes[cell], (cell, gap)
+
+
+class TestReferenceCalibration:
+    """The seeding ``(0.99, 0.005, 0.005, 0, 0, 0)`` and ``sigma_act = 0.2``
+    of ``configs/reference_calibration.json``, recovered from the reference
+    table: in a subcritical cell the noise barely moves the statistics, the
+    final size follows the final-size relation, which fixes the seeding,
+    and the peak of I then fixes ``sigma_act``."""
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_zero_noise_subcritical_cells_lie_in_the_reference_band(self, calibrated):
+        # one zero-noise path per R0 < 1 cell, read as a sweep of the
+        # config's run count reads its means: the calibration puts every
+        # peak and final inside the band, the defaults every peak outside
+        cfg = load_config(CALIBRATION) if calibrated else default_config()
+        taus, r0s = cfg.sweep.taus, [r0 for r0 in cfg.sweep.r0_values if r0 < 1.0]
+        template = dataclasses.replace(cfg.model, noise=NoiseIntensities.zero())
+        spec = SweepSpec(taus, r0s, cfg.sweep.run_count, 0, template, cfg.integrator, cfg.initial)
+        cells = []
+        for tau, r0 in itertools.product(taus, r0s):
+            p = dataclasses.replace(template, tau=tau, beta=spec.beta_for(r0))
+            _, paths, _ = simulate_paths(p, HistoryFunction.constant(cfg.initial), cfg.integrator, [0])
+            peak, final = float(paths[0, :, 2].max()), float(paths[0, -1, 3] + paths[0, -1, 5])
+            cells.append(SweepCell(tau, r0, p.beta, peak, 0.0, final, 0.0))
+        result = SweepResult(tuple(cells), cfg.sweep.run_count, 0)
+        report = compare_to_reference(result, filter_reference(load_reference(), taus, r0s))
+        assert cfg.integrator.horizon == 200.0 and len(report.rows) == 6
+        if calibrated:
+            assert not report.flagged_rows, [row.note for row in report.flagged_rows]
+        else:
+            assert all(row.peak_flag for row in report.rows)
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize("seed", [777, 1])
+    def test_sweeps_under_the_calibration_flag_no_cell(self, seed):
+        cfg = load_config(CALIBRATION)
+        s = cfg.sweep
+        spec = SweepSpec(s.taus, s.r0_values, s.run_count, seed, cfg.model, cfg.integrator, cfg.initial)
+        report = compare_to_reference(run_sweep(spec), load_reference())
+        assert len(report.rows) == 18
+        assert not report.flagged_rows, [row.note for row in report.flagged_rows]
 
 
 class TestCompare:

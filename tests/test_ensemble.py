@@ -351,7 +351,7 @@ def set_block(monkeypatch, rows, values_per_row):
     monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", rows * values_per_row)
 
 
-# run_ensemble stages a block and copies it into a runs-major slab: 12 values per run and row
+# run_ensemble's stepper fills a block, which it copies into a runs-major slab: 12 values per run and row
 ENSEMBLE_VALUES_PER_RUN = 12
 
 
@@ -449,8 +449,8 @@ class TestBlockwiseStatistics:
     @pytest.mark.parametrize("stride", [1, 10])
     @pytest.mark.parametrize("run_count", [1, 2, 7])
     def test_outputs_never_read_a_staged_block_after_its_reduce(self, monkeypatch, ci_method, stride, run_count):
-        # the band sorts the staged rows in place, which is sound only if
-        # neither kernel reads a staged row once it is reduced
+        # the band sorts the handed rows in place, which is sound only if
+        # neither stepper reads a row once it is handed over
         p = default_params(tau=2.0, r0=2.0, noise_level=0.05)
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 20.0, record_stride=stride)
@@ -458,13 +458,13 @@ class TestBlockwiseStatistics:
         clean = run_ensemble(p, hist, cfg, run_count, 9, ci_method=ci_method)
         real, poisoned = rumorsim.ensemble.stream_model, []
 
-        def spy(p, history, cfg, seeds, staged, reduce, *args):
-            def reduce_then_poison(first, count):
-                reduce(first, count)
-                staged[...] = np.nan
-                poisoned.append(count)
+        def spy(p, history, cfg, seeds, block, reduce, *args):
+            def reduce_then_poison(first, recorded):
+                reduce(first, recorded)
+                recorded[...] = np.nan
+                poisoned.append(len(recorded))
 
-            return real(p, history, cfg, seeds, staged, reduce_then_poison, *args)
+            return real(p, history, cfg, seeds, block, reduce_then_poison, *args)
 
         monkeypatch.setattr("rumorsim.ensemble.stream_model", spy)
         result = run_ensemble(p, hist, cfg, run_count, 9, ci_method=ci_method)
@@ -476,17 +476,17 @@ class TestBlockwiseStatistics:
 
     @pytest.mark.parametrize("block", [None, 7, 20])
     def test_linearized_estimate_equals_whole_array_reference(self, monkeypatch, block):
-        # every row the kernel records, seen in its staged block before the reduce
+        # every row the kernel records, seen in its block before the reduce
         recorded = []
 
         def spy(*args):
-            *head, staged, reduce, project = args
+            *head, block, reduce, project = args
 
-            def seen(first, count):
-                recorded.extend(staged[:count].copy())
-                reduce(first, count)
+            def seen(first, rows):
+                recorded.extend(rows.copy())
+                reduce(first, rows)
 
-            return euler_maruyama(*head, staged, seen, project)
+            return euler_maruyama(*head, block, seen, project)
 
         monkeypatch.setattr("rumorsim.stability.euler_maruyama", spy)
         runs, cfg = 5, IntegratorConfig(0.1, 20.0)

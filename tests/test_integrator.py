@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import compartment_rhs, rk4_path, weak_noise_ratios
+from oracles import compartment_rhs, recorder, rk4_path, weak_noise_ratios
 from strategies import RUNNABLE_CONFIGS
 from rumorsim import (
     ConfigFileError,
@@ -277,24 +277,28 @@ class TestOneRunPath:
         assert m.final_sizes.tobytes() == final.tobytes()
 
     def test_rows_pack_in_place_into_blocks_of_six_contiguous_doubles(self):
-        # any row stride takes the bits of a contiguous block; a block whose
-        # rows are not six contiguous doubles has no byte view and raises
+        # every block size hands over the bits of one whole block, in order,
+        # each row six contiguous doubles of a (rows, 6, 1) view
         p = default_params(tau=0.0, r0=2.0, noise_level=0.3)
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 5.0, record_stride=5)
-        whole = np.empty((cfg.recorded_count, 6, 1))
-        terminal, _ = stream_model([(p, 1)], hist, cfg, [9], whole, lambda first, count: None)
+
+        def run(block):
+            rows = []
+
+            def keep(first, recorded):
+                assert recorded.shape == (len(recorded), 6, 1) and recorded.flags.c_contiguous
+                assert first == sum(map(len, rows)) and 0 < len(recorded) <= block
+                rows.append(recorded.copy())
+
+            terminal, _ = stream_model([(p, 1)], hist, cfg, [9], block, keep)
+            return terminal, np.concatenate(rows)
+
+        terminal, whole = run(cfg.recorded_count)
         assert terminal.shape == (6, 1) and terminal.tobytes() == whole[-1].tobytes()
-        spaced, rows = np.full((6, 6, 1), np.nan)[::2], []
-        stream_model([(p, 1)], hist, cfg, [9], spaced, lambda first, count: rows.append(spaced[:count].copy()))
-        assert np.concatenate(rows).tobytes() == whole.tobytes()
-
-        def unread(first, count):
-            raise AssertionError("a block with no byte view was reduced")
-
-        for strided in (np.empty((3, 6, 2))[:, :, :1], np.empty((3, 12, 1))[:, ::2]):
-            with pytest.raises(ValueError):
-                stream_model([(p, 1)], hist, cfg, [9], strided, unread)
+        assert whole.shape == (cfg.recorded_count, 6, 1)
+        for block in (1, 2, 3, 4, cfg.recorded_count - 1):
+            assert run(block)[1].tobytes() == whole.tobytes(), block
 
     def test_memory_is_rows_ring_and_one_chunk(self):
         # 20,000 steps: no per-step state or increment is held
@@ -408,6 +412,19 @@ class TestRecording:
         )
         assert np.array_equal(coarse.states, full.states[::5])
 
+    @pytest.mark.parametrize("seeds", [[2], [2, 3, 4]])
+    def test_paths_do_not_depend_on_the_block_size(self, monkeypatch, params, initial_history, seeds):
+        # the paths are copied block by block from either stepper: blocks
+        # of 1, 4 and 7 of the 101 rows give the bytes of one whole block
+        cfg = IntegratorConfig(0.1, 50.0, record_stride=5)
+        whole = simulate_paths(params, initial_history, cfg, seeds)
+        assert block_rows(cfg, 6 * len(seeds)) == cfg.recorded_count == 101
+        for rows in (1, 4, 7):
+            monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", rows * 6 * len(seeds))
+            assert block_rows(cfg, 6 * len(seeds)) == rows
+            for got, want in zip(simulate_paths(params, initial_history, cfg, seeds), whole):
+                assert got.tobytes() == want.tobytes(), rows
+
 
 class TestNumericGuards:
     def test_nonfinite_state_raises(self):
@@ -447,8 +464,8 @@ class TestKernel:
         assert [delay_steps(tau, cfg) for tau in (0.0, 2.5, 5.0, 10.0, 50.0)] == [0, 25, 50, 100, cfg.step_count]
 
         def run(cells, seeds):
-            rows = np.empty((cfg.recorded_count, 6, len(seeds)))
-            terminal, counts = stream_model(cells, history, cfg, seeds, rows, lambda first, count: None)
+            rows, keep = recorder(cfg, 6, len(seeds))
+            terminal, counts = stream_model(cells, history, cfg, seeds, 3, keep)
             return rows, terminal, counts
 
         layouts = [
@@ -479,10 +496,9 @@ class TestKernel:
         cfg = IntegratorConfig(0.1, 1.0)
         p = default_params()
         cells = [(dataclasses.replace(p, tau=0.5 * j), n) for j, n in enumerate(runs)]
-        rows = np.empty((cfg.recorded_count, 6, 4))
         history = HistoryFunction.constant(default_initial_state(p))
         with pytest.raises(ValueError, match=f"the cells hold {sum(runs)} runs for 4 seeds"):
-            stream_model(cells, history, cfg, [1, 2, 3, 4], rows, lambda first, count: None)
+            stream_model(cells, history, cfg, [1, 2, 3, 4], cfg.recorded_count, lambda first, rows: None)
 
     def test_weak_noise_order_with_common_random_numbers(self):
         # with projection off each run is a polynomial in the noise level
@@ -498,23 +514,24 @@ class TestKernel:
         seeds, eps = range(1000), 0.0025
         levels = [eps * 2.0**k for k in range(-1, 4)]  # the levels weak_noise_ratios reads
         cells = [(dataclasses.replace(p, noise=NoiseIntensities.uniform(level)), len(seeds)) for level in levels]
-        rows = np.empty((cfg.recorded_count, 6, len(cells) * len(seeds)))
-        stream_model(cells, history, cfg, list(seeds) * len(cells), rows, lambda first, count: None)
+        rows, keep = recorder(cfg, 6, len(cells) * len(seeds))
+        stream_model(cells, history, cfg, list(seeds) * len(cells), cfg.recorded_count, keep)
         for c, cell in enumerate(cells):
-            alone = np.empty((cfg.recorded_count, 6, len(seeds)))
-            stream_model([cell], history, cfg, seeds, alone, lambda first, count: None)
+            alone, keep = recorder(cfg, 6, len(seeds))
+            stream_model([cell], history, cfg, seeds, cfg.recorded_count, keep)
             assert np.array_equal(rows[..., c * len(seeds) : (c + 1) * len(seeds)], alone), cell
         means = dict(zip(levels, rows[-1].reshape(6, len(cells), len(seeds)).mean(axis=2).T))
         coarse, fine = (np.abs(r - 4.0) for r in weak_noise_ratios(means.__getitem__, eps))
         assert np.all(fine < 0.1), fine
         assert np.all(fine < coarse), (coarse, fine)
 
-    @pytest.mark.parametrize("project", [True, False])
-    def test_both_model_steppers_take_the_same_steps_on_the_same_increments(self, project):
-        # hand-made increments in uneven chunks, and no seed: the float
-        # stepper and a one-run kernel on the model's drift give the same
-        # bits, staged rows and clamp count, with a delay ring and noise
-        # strong enough that projected steps clamp
+    @staticmethod
+    def _model_steppers(project):
+        """A run of each model stepper on hand-made increments in uneven
+        chunks, and no seed, with a delay ring and noise strong enough that
+        projected steps clamp: ``run(stepper, poison)`` returns the rows it
+        was handed, the terminal state and the clamp count; with ``poison``
+        its ``reduce`` fills the rows with NaN once it has copied them."""
         p = default_params(tau=0.5, r0=2.5, noise_level=1.5)
         cfg = IntegratorConfig(0.1, 30.0, projection_enabled=project, record_stride=3)
         rates = [p.beta, p.gamma, p.rho, p.sigma_act, p.theta]
@@ -522,21 +539,43 @@ class TestKernel:
         early = np.linspace(0.001, 0.02, delay_steps(p.tau, cfg))
         draws = np.random.default_rng(5).standard_normal((cfg.step_count, 6, 1)) * math.sqrt(cfg.step_size)
         chunks = np.array_split(draws, 7)
+        operands = {
+            _stream_one: (rates, start, early),
+            euler_maruyama: (functools.partial(_drift_with_delayed_i, rates), start, [(1, early)], 2),
+        }
 
-        def run(stepper, *operands):
-            staged, rows = np.empty((4, 6, 1)), []
-            terminal, counts = stepper(
-                *operands, p.noise.as_array(), chunks, cfg, staged,
-                lambda first, count: rows.append(staged[:count].copy()), project,
-            )
+        def run(stepper, poison=False):
+            rows = []
+
+            def keep(first, recorded):
+                rows.append(recorded.copy())
+                if poison:
+                    recorded[...] = np.nan
+
+            terminal, counts = stepper(*operands[stepper], p.noise.as_array(), chunks, cfg, 4, keep, project)
             return np.concatenate(rows), terminal, counts
 
-        one = run(_stream_one, rates, start, early)
-        batch = run(euler_maruyama, functools.partial(_drift_with_delayed_i, rates), start, [(1, early)], 2)
+        return cfg, run
+
+    @pytest.mark.parametrize("project", [True, False])
+    def test_both_model_steppers_take_the_same_steps_on_the_same_increments(self, project):
+        # the float stepper and a one-run kernel on the model's drift give
+        # the same bits, recorded rows and clamp count
+        cfg, run = self._model_steppers(project)
+        one, batch = run(_stream_one), run(euler_maruyama)
         assert one[0].shape == (cfg.recorded_count, 6, 1)
         for got, want in zip(one, batch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert bool(one[2][0] > 0) == project
+
+    @pytest.mark.parametrize("project", [True, False])
+    @pytest.mark.parametrize("stepper", [_stream_one, euler_maruyama])
+    def test_a_reduce_may_overwrite_the_rows_it_is_handed(self, stepper, project):
+        # neither stepper reads a row again once it is handed over, so
+        # overwriting every row changes no row, terminal bit or clamp count
+        _, run = self._model_steppers(project)
+        for got, want in zip(run(stepper, poison=True), run(stepper)):
+            assert not np.isnan(got).any() and got.tobytes() == want.tobytes()
 
     def test_a_batch_error_names_the_failing_runs_seed(self):
         # the steppers name the step and the run index; stream_model adds
@@ -548,7 +587,7 @@ class TestKernel:
 
         def failure(cells, seeds):
             with np.errstate(over="ignore"), pytest.raises(NumericsError) as failed:
-                stream_model(cells, hist, cfg, seeds, np.empty((1, 6, len(seeds))), lambda first, count: None)
+                stream_model(cells, hist, cfg, seeds, 1, lambda first, rows: None)
             return failed.value
 
         alone = failure([(bad, 1)], [2**64 + 13])
@@ -566,9 +605,9 @@ class TestKernel:
         cfg = IntegratorConfig(0.1, 20.0)
 
         def rows(cells):
-            staged = np.empty((cfg.recorded_count, 6, 1))
-            stream_model(cells, history, cfg, [7], staged, lambda first, count: None)
-            return staged.tobytes()
+            recorded, keep = recorder(cfg, 6, 1)
+            stream_model(cells, history, cfg, [7], cfg.recorded_count, keep)
+            return recorded.tobytes()
 
         assert rows([(p, 0), (q, 1)] if empty_first else [(q, 1), (p, 0)]) == rows([(q, 1)])
 
@@ -608,7 +647,7 @@ class TestKernel:
         with pytest.raises(NumericsError) as failed:
             euler_maruyama(
                 drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), (),
-                cfg, np.empty((1, 2, rates.size)), lambda first, count: None, project,
+                cfg, 1, lambda first, rows: None, project,
             )
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
@@ -624,7 +663,7 @@ class TestKernel:
 
         terminal, _ = euler_maruyama(
             drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), (),
-            IntegratorConfig(1.0, 5.0), np.empty((1, 2, 3)), lambda first, count: None, True,
+            IntegratorConfig(1.0, 5.0), 1, lambda first, rows: None, True,
         )
         assert np.all(terminal == 1e308)
 
@@ -660,7 +699,7 @@ class TestKernel:
         try:
             terminal, counts = euler_maruyama(
                 drift, (first, value), [(3, [])], 0, np.zeros(2), (),
-                IntegratorConfig(1.0, 3.0), np.empty((1, 2, 3)), lambda first, count: None, project,
+                IntegratorConfig(1.0, 3.0), 1, lambda first, rows: None, project,
             )
         except NumericsError as exc:
             assert (exc.step, exc.run) == expected
@@ -690,8 +729,7 @@ class TestStrongOrder:
             coarse = fine.reshape(fine_steps // m, m, *fine.shape[1:]).sum(axis=1)
             early = np.full(delay_steps(self.TAU, cfg), start[delayed_column])
             x, _ = euler_maruyama(
-                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg,
-                np.empty((1, len(start), self.RUNS)), lambda first, count: None, False,
+                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg, 1, lambda first, rows: None, False,
             )
             return x
 
@@ -714,9 +752,8 @@ class TestStrongOrder:
         assert 0.4 <= slope <= 0.6, slope
         # the fine increments are the ones stream_model draws for these seeds
         cfg = IntegratorConfig(self.H_REF, self.HORIZON, projection_enabled=False)
-        rows = np.empty((1, 6, self.RUNS))
         history = HistoryFunction.constant(default_initial_state(p))
-        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), rows, lambda first, count: None)
+        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), 1, lambda first, rows: None)
         assert terminal.tobytes() == reference.tobytes()
 
 
@@ -781,7 +818,7 @@ class TestStepScreens:
         runs = width // len(start)
         terminal, counts = euler_maruyama(
             drift, start, [(runs, [])], 0, np.zeros(len(start)), (),
-            IntegratorConfig(1.0, 3.0), np.empty((1, len(start), runs)), lambda first, count: None, False,
+            IntegratorConfig(1.0, 3.0), 1, lambda first, rows: None, False,
         )
         assert terminal.tobytes() == np.repeat(np.reshape(start, (-1, 1)), runs, axis=1).tobytes()
         assert not counts.any()

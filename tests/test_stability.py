@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_cascade, linearized_second_moment, rk4_path
+from oracles import linear_cascade, linearized_second_moment, recorder, rk4_path
 from rumorsim import (
     ConfigurationError,
     DecayVerdict,
@@ -44,11 +44,11 @@ def linear_params(r0, noise_i=0.0, noise_e=0.0, tau=0.0):
 def lab_paths(p, start, cfg, runs, increments):
     """The lab's recorded ``(rows, 2, runs)`` (E, I) paths from ``start``
     and a constant history, its kernel stepped on ``increments``."""
-    rows = np.empty((cfg.recorded_count, 2, runs))
+    rows, keep = recorder(cfg, 2, runs)
     early = np.full(delay_steps(p.tau, cfg), start[1])
     euler_maruyama(
         functools.partial(_linearized_drift, p), start, [(runs, early)], 1, np.array([p.noise.e, p.noise.i]),
-        increments, cfg, rows, lambda first, count: None, False,
+        increments, cfg, cfg.recorded_count, keep, False,
     )
     return rows
 
@@ -301,9 +301,9 @@ class TestSNoiseGap:
         eps, runs = 1e-8, 1000
         history = HistoryFunction.constant(StateVector(p.population - 2 * eps, eps, eps, 0, 0, 0))
         cells = [(s_noise_only(p, 0.01), runs), (s_noise_only(p, 0.0), 1)]
-        rows = np.empty((2, 6, runs + 1))
+        rows, keep = recorder(cfg, 6, runs + 1)
         seeds = [derive_seed(777, k) for k in range(runs + 1)]
-        stream_model(cells, history, cfg, seeds, rows, lambda first, count: None)
+        stream_model(cells, history, cfg, seeds, len(rows), keep)
         squares = rows[:, 1] ** 2 + rows[:, 2] ** 2
         noisy, quiet = squares[:, :runs].mean(axis=1), squares[:, runs]
         assert noisy[1] / noisy[0] > 1.0
@@ -345,8 +345,8 @@ class TestLinearizationOracle:
         gaps = []
         for eps in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
             history = HistoryFunction.constant(StateVector(p.population - 2.0 * eps, eps, eps, 0.0, 0.0, 0.0))
-            rows = np.empty((cfg.recorded_count, 6, seeds.size))
-            stream_model([(p, seeds.size)], history, cfg, seeds, rows, lambda first, count: None)
+            rows, keep = recorder(cfg, 6, seeds.size)
+            stream_model([(p, seeds.size)], history, cfg, seeds, cfg.recorded_count, keep)
             scaled = (rows[:, 1] ** 2 + rows[:, 2] ** 2) / eps**2
             gaps.append(np.max(np.abs(scaled / lab_squares - 1.0)))
         return np.array(gaps)
@@ -404,15 +404,14 @@ class TestCrossingProbability:
         levels = sorted({n_s for n_s, _ in cases})
         cells = [(s_noise_only(p, n_s), runs) for n_s in levels]
         cfg = IntegratorConfig(0.1, horizon)
-        staged = np.empty((block_rows(cfg, 6 * runs * len(cells)), 6, runs * len(cells)))
         peak = np.full(runs * len(cells), -np.inf)
 
-        def reduce(first, count):  # each run's largest S, as run_sweep tracks I
-            np.maximum(peak, staged[:count, 0].max(axis=0), out=peak)
+        def reduce(first, recorded):  # each run's largest S, as run_sweep tracks I
+            np.maximum(peak, recorded[:, 0].max(axis=0), out=peak)
 
         history = HistoryFunction.constant(StateVector(p.population, 0, 0, 0, 0, 0))
         seeds = [derive_seed(31, j) for j in range(runs * len(cells))]
-        stream_model(cells, history, cfg, seeds, staged, reduce)
+        stream_model(cells, history, cfg, seeds, block_rows(cfg, 6 * runs * len(cells)), reduce)
         peaks = dict(zip(levels, peak.reshape(len(cells), runs) / p.population))
         for n_s, r0 in cases:
             crossed = np.mean(r0 * peaks[n_s] >= 1.0)
