@@ -8,8 +8,8 @@ batch by the streaming kernel; because every state update is elementwise,
 the batch is bit-identical to integrating the runs one at a time, and the
 summary statistics do not depend on any scheduling order.  The
 statistics are reduced per block of recorded rows as the kernel hands
-them over, so an ensemble holds one block of ``runs x rows x 6`` values
-twice (the block the kernel allocates, whose rows the band sorts in
+them over, so an ensemble holds one block of recorded rows twice (the
+block the kernel sizes and allocates, whose rows the band sorts in
 place, and a runs-major copy) and the rows it writes, never the whole
 path set; every statistic is elementwise or reduces over the runs of one
 row, so the blocks change no bit of it.  Sweeps reduce each run's peak
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import InsufficientDataError
 from .integrator import (
     IntegratorConfig,
-    block_rows,
     check_memory,
     recorded_times,
     stream_model,
@@ -254,30 +253,29 @@ def run_ensemble(
     Emits :class:`FinalSizeHorizonWarning` when the ensemble-mean spreader
     mass at the horizon is still above ``EXTINCTION_FRACTION`` of the
     population.  The statistics are reduced per block of recorded rows
-    (see :func:`~rumorsim.integrator.block_rows`), so memory scales with
+    that the stepper sizes and hands over, so memory scales with
     ``run_count`` times one block plus the written rows; the per-run peak
     merges across blocks keeping its first occurrence, and the final size
     comes from the terminal state.  The mean, peaks and ddof=1 std are
-    read from a runs-major copy of each block, the std's squared
-    deviations overwriting it; the band then sorts, in place, the rows
-    the stepper allocated and handed over, which it never reads again.
+    read from a runs-major copy of each block, sized by the first, which
+    the squared deviations overwrite; the band then sorts in place the
+    rows the stepper handed over, which it never reads again.
     """
     check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
-    rows = cfg.recorded_count
-    # the stepper's block and the slab hold two copies of each row
-    block = block_rows(cfg, 2 * run_count * 6)
-    held = 2 * run_count * block * 6 + rows * (4 * 6 + 1)  # the blocks, the outputs and times
-    cells = [(p, run_count)]
-    check_memory(cfg, cells, 6, held)
+    rows, cells = cfg.recorded_count, [(p, run_count)]
+    check_memory(cfg, cells, 6, rows * (4 * 6 + 1))  # the outputs and times
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
-    slab = np.empty((run_count, block, 6))
+    slab = None
     mean = np.empty((rows, 6))
     std, lower, upper = (np.full((rows, 6), np.nan) for _ in range(3))
     peak_values = np.full(run_count, -np.inf)
     peak_rows = np.zeros(run_count, dtype=np.intp)
 
     def reduce(first, recorded):
+        nonlocal slab
+        if slab is None:  # the first block is the largest
+            slab = np.empty((run_count, len(recorded), 6))
         # runs-major, so the mean sums each row's values in run order
         values, span = slab[:, : len(recorded)], slice(first, first + len(recorded))
         values[...] = recorded.transpose(2, 0, 1)
@@ -291,7 +289,7 @@ def run_ensemble(
             # the stepper reads no handed row again, so the band sorts them in place
             std[span], lower[span], upper[span] = _spread_and_band(values, mean[span], ci_level, ci_method, recorded)
 
-    terminal, _ = stream_model(cells, history, cfg, seeds, block, reduce)
+    terminal, _ = stream_model(cells, history, cfg, seeds, reduce)
     times = recorded_times(cfg)
     metrics = OutbreakMetrics(
         peak_values=peak_values,

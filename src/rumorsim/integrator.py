@@ -63,11 +63,11 @@ _GRID_RTOL = 1e-9
 # documented workload.
 _MAX_PATH_STEPS = 10_000_000_000
 
-# Ensemble and stability statistics reduce the recorded rows in blocks of
-# about this many values, so no caller holds a path per run and row; of
-# budgets from 2**15 to 2**21 values, this one reduced the benchmark's
-# batches fastest, and smaller blocks pay more per call than they save.
-_STATS_BLOCK_VALUES = 131_072
+# The steppers hand recorded rows over in blocks of about this many values,
+# so no caller holds a path per run and row.  It gives an ensemble and its
+# one copy the 131,072 values that reduced the benchmark's batches fastest
+# of 2**15 to 2**21; smaller blocks pay more per call than they save.
+_STATS_BLOCK_VALUES = 65_536
 
 # +inf's bits: an entry whose bits, read unsigned, are below them is finite, sign bit clear
 _INF_BITS = 0x7FF0000000000000
@@ -177,12 +177,13 @@ def check_memory(cfg: IntegratorConfig, cells, components: int, held_values: int
     ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
     :func:`euler_maruyama`, with its delay rings at ``k + 1`` values per
     run of a cell (``D(n)`` at ``k = 0``), six drift scratch rows per run
-    (the most a drift binds) and the noise chunk that :mod:`rumorsim.rng`
-    sizes, to the ``held_values`` the caller counts, the record block too.
+    (the most a drift binds), the noise chunk that :mod:`rumorsim.rng`
+    sizes and the record block and a copy, to the caller's ``held_values``.
     """
     runs = sum(n for _, n in cells)
     rings = sum((delay_steps(p.tau, cfg) + 1) * n for p, n in cells)
-    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + chunk_values(components, runs))
+    blocks = 2 * block_rows(cfg, components * runs) * components * runs
+    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + chunk_values(components, runs) + blocks)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -209,7 +210,7 @@ def recorded_times(cfg: IntegratorConfig) -> np.ndarray:
 
 
 def block_rows(cfg: IntegratorConfig, values_per_row: int) -> int:
-    """Recorded rows per statistics block: as many as
+    """Recorded rows per block a stepper hands over: as many as
     ``_STATS_BLOCK_VALUES`` values hold, at least one and at most all."""
     return max(1, min(cfg.recorded_count, _STATS_BLOCK_VALUES // values_per_row))
 
@@ -219,7 +220,7 @@ def _non_finite(step: int, h: float, run: int) -> NumericsError:
 
 
 def euler_maruyama(
-    drift, start, delays, delayed_column, noise, increments, cfg, block, reduce, project
+    drift, start, delays, delayed_column, noise, increments, cfg, reduce, project
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
     dW(n)`` on a ``(components, runs)`` state, with ``noise`` one intensity
@@ -240,14 +241,14 @@ def euler_maruyama(
     gathers the groups' rows into one ``D(n)`` row.  Recorded row ``r``
     (the start, then every ``cfg.record_stride``-th state) goes to row
     ``r % block`` of a ``(block, components, runs)`` array the kernel
-    allocates, and ``reduce(first, rows)`` is handed the filled rows of
-    each full block and of the last one, from row ``first``.  The kernel
-    never reads a handed row again: ``reduce`` may overwrite the rows,
-    and copies what it keeps.  With ``project``, negative components are
-    clamped to zero after each step.  Returns the terminal state and the
-    per-run count of clamped steps; raises :class:`NumericsError` with
-    ``step`` and ``run`` set for the lowest run index at the earliest
-    non-finite step.
+    allocates, ``block = block_rows(cfg, components * runs)``, and
+    ``reduce(first, rows)`` is handed the filled rows of each full block
+    and of the last one, from row ``first``.  The kernel never reads a
+    handed row again: ``reduce`` may overwrite the rows, and copies what
+    it keeps.  With ``project``, negative components are clamped to zero
+    after each step.  Returns the terminal state and the per-run count of
+    clamped steps; raises :class:`NumericsError` with ``step`` and ``run``
+    set for the lowest run index at the earliest non-finite step.
 
     Every operand, view and ufunc is bound before the loop, and every call
     in it takes its output positionally.  One ``argmax`` screens a projected
@@ -283,7 +284,7 @@ def euler_maruyama(
     if len(groups) > 1:  # several: each step gathers their slots into one row
         rows = [np.empty(n_runs)]
         gathers = [(rows[0][cols], slots, len(slots)) for cols, slots, _ in groups]
-    ring_rows = len(rows)
+    ring_rows, block = len(rows), block_rows(cfg, n_comp * n_runs)
     staged = np.empty((block, n_comp, n_runs))
     staged[0] = x
     projection_counts = np.zeros(n_runs, dtype=np.int64)
@@ -331,10 +332,10 @@ def euler_maruyama(
 
 
 def stream_model(
-    cells, history: HistoryFunction, cfg: IntegratorConfig, seeds, block, reduce
+    cells, history: HistoryFunction, cfg: IntegratorConfig, seeds, reduce
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model, one run per seed; either
-    stepper allocates its own ``block`` of rows for ``reduce``.  ``cells``
+    stepper sizes and allocates its own block of rows for ``reduce``.  ``cells``
     is a sequence of ``(params, runs)`` pairs, a :class:`ModelParams` for
     each consecutive group of runs in seed order; every run starts from
     ``history(0)``.  Consecutive cells of one delay form one delay group
@@ -369,9 +370,9 @@ def stream_model(
     try:
         if seeds.size > 1:
             drift = functools.partial(_drift_with_delayed_i, rates)
-            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, block, reduce, cfg.projection_enabled)
+            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, reduce, cfg.projection_enabled)
         (early,) = [early for n, early in delays if n]  # a cell may hold no runs
-        return _stream_one(rates, history(0.0), early, noise, dw, cfg, block, reduce, cfg.projection_enabled)
+        return _stream_one(rates, history(0.0), early, noise, dw, cfg, reduce, cfg.projection_enabled)
     except NumericsError as exc:
         raise NumericsError(f"{exc} (seed {seeds[exc.run]})", step=exc.step, run=exc.run) from exc
 
@@ -381,13 +382,13 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _stream_one(rates, start, early, noise, increments, cfg, block, reduce, project) -> tuple[np.ndarray, np.ndarray]:
+def _stream_one(rates, start, early, noise, increments, cfg, reduce, project) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model's drift on its ``rates`` and one
     run, in Python floats, with the kernel's operations in its order;
     ``early`` holds the delayed spreader values of the first ``len(early)``
     steps.  Each recorded row is packed as six doubles into a buffer of
     ``block`` rows, which ``reduce`` is handed as ``(rows, 6, 1)`` views."""
-    h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
+    h, n_steps, stride, block = cfg.step_size, cfg.step_count, cfg.record_stride, block_rows(cfg, 6)
     beta, gamma, rho, sigma, theta = (np.ravel(rate).item() for rate in rates)
     ns, ne, ni, nr, nig, nf = noise = np.ravel(noise).tolist()
     noisy = any(n > 0.0 for n in noise)
@@ -445,8 +446,8 @@ def simulate_paths(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    cells, block = [(p, len(seeds))], block_rows(cfg, 6 * len(seeds))
-    check_memory(cfg, cells, 6, 6 * len(seeds) * (cfg.recorded_count + block))  # the paths and one block
+    cells = [(p, len(seeds))]
+    check_memory(cfg, cells, 6, 6 * len(seeds) * cfg.recorded_count)  # the paths
     paths = None
 
     def reduce(first, recorded):
@@ -455,7 +456,7 @@ def simulate_paths(
             paths = np.empty((len(seeds), cfg.recorded_count, 6))
         paths[:, first : first + len(recorded)] = recorded.transpose(2, 0, 1)
 
-    _, projection_counts = stream_model(cells, history, cfg, seeds, block, reduce)
+    _, projection_counts = stream_model(cells, history, cfg, seeds, reduce)
     return recorded_times(cfg), paths, projection_counts
 
 

@@ -39,7 +39,6 @@ from .errors import ConfigurationError, NumericsError
 from .integrator import (
     IntegratorConfig,
     Trajectory,
-    block_rows,
     check_memory,
     delay_steps,
     euler_maruyama,
@@ -456,24 +455,23 @@ def simulate_linearized(
     is applied: the subsystem is linear and the second moment is
     sign-blind, while clamping would distort it.
 
-    The second moment is reduced per block of recorded rows (see
-    :func:`~rumorsim.integrator.block_rows`), so memory scales with
-    ``run_count`` times one block plus the estimate, not with the recorded
-    paths.  Verdict: decay if the terminal estimate fell below
-    ``DECAY_RATIO`` times the initial one, growth if it rose above
-    ``GROWTH_RATIO`` times, inconclusive in between.
+    The second moment is reduced per block of recorded rows that the
+    kernel sizes and hands over, so memory scales with ``run_count`` times
+    one block plus the estimate, not with the recorded paths; a non-finite
+    state names its run and seed.  Verdict: decay if the terminal estimate
+    fell below ``DECAY_RATIO`` times the initial one, growth if it rose
+    above ``GROWTH_RATIO`` times, inconclusive in between.
     """
     check("stability", STABILITY_RULES, e0=e0, i0=i0, run_count=run_count)
     rows = cfg.recorded_count
-    block = block_rows(cfg, 2 * run_count)
-    # one block of (E, I) rows, and the estimate with its times
-    check_memory(cfg, [(p, run_count)], 2, 2 * run_count * block + 2 * rows)
+    check_memory(cfg, [(p, run_count)], 2, 2 * rows)  # the estimate and its times
 
     ms_estimate = np.empty(rows)
 
     def reduce(first, recorded):  # the kernel reads no row again, so they take their squares
-        squares = np.square(recorded, out=recorded)
-        ms_estimate[first : first + len(recorded)] = squares.sum(axis=1).mean(axis=1)
+        with np.errstate(over="ignore"):  # finite states whose squares overflow are reported below
+            squares = np.square(recorded, out=recorded)
+            ms_estimate[first : first + len(recorded)] = squares.sum(axis=1).mean(axis=1)
 
     early = np.full(delay_steps(p.tau, cfg), i0)
     noise_pair = np.array([p.noise.e, p.noise.i])
@@ -481,11 +479,11 @@ def simulate_linearized(
     increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size)
     drift = functools.partial(_linearized_drift, p)
     try:
-        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, block, reduce, False)
+        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, reduce, False)
     except NumericsError as exc:
         raise NumericsError(
-            f"linearized second moment overflowed at step {exc.step} "
-            f"(t={exc.step * cfg.step_size:g}); shorten the horizon"
+            f"linearized second moment overflowed at step {exc.step} (t={exc.step * cfg.step_size:g}) "
+            f"in run {exc.run} (seed {seeds[exc.run]}); shorten the horizon", step=exc.step, run=exc.run,
         ) from exc
 
     if not 0.0 < ms_estimate[0] < np.inf:  # no ratio to judge decay by

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -11,6 +12,15 @@ from rumorsim import (
     default_initial_state,
     default_params,
 )
+
+
+@pytest.fixture
+def seed_shift():
+    """Added to the base seed of each Monte Carlo test whose assertions
+    must hold for any seed set, so that each shift draws a disjoint set;
+    read from ``RUMORSIM_SEED_SHIFT``, and 0, which keeps every pinned
+    seed and bit, when that is unset."""
+    return int(os.environ.get("RUMORSIM_SEED_SHIFT", "0"))
 
 
 @pytest.fixture

@@ -158,7 +158,9 @@ def weak_noise_ratios(mean_at, eps):
     once.  Where ``m`` is a polynomial in the noise level (fixed draws, no
     projection), both differences cancel its zero-noise value and its
     linear term exactly, leaving ``6 e^2 c + O(e^3)``, so each ratio tends
-    to 4 at order ``e``, with no Monte Carlo tolerance."""
+    to 4 at order ``e``, with no Monte Carlo tolerance.  The least-squares
+    order of the three differences against ``log e``, over all five levels,
+    is ``log2(coarse * fine) / 2``; it tends to 2 at order ``e`` too."""
     m = [np.asarray(mean_at(eps * 2.0**k)) for k in range(-1, 4)]  # eps / 2 .. 8 eps
 
     def ratio(j):  # e = eps * 2**(j - 1)

@@ -276,7 +276,7 @@ class TestOneRunPath:
         assert m.peak_times.tobytes() == times[[np.argmax(row[:, 2])]].tobytes()
         assert m.final_sizes.tobytes() == final.tobytes()
 
-    def test_rows_pack_in_place_into_blocks_of_six_contiguous_doubles(self):
+    def test_rows_pack_in_place_into_blocks_of_six_contiguous_doubles(self, monkeypatch):
         # every block size hands over the bits of one whole block, in order,
         # each row six contiguous doubles of a (rows, 6, 1) view
         p = default_params(tau=0.0, r0=2.0, noise_level=0.3)
@@ -284,6 +284,7 @@ class TestOneRunPath:
         cfg = IntegratorConfig(0.1, 5.0, record_stride=5)
 
         def run(block):
+            monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", block * 6)
             rows = []
 
             def keep(first, recorded):
@@ -291,7 +292,7 @@ class TestOneRunPath:
                 assert first == sum(map(len, rows)) and 0 < len(recorded) <= block
                 rows.append(recorded.copy())
 
-            terminal, _ = stream_model([(p, 1)], hist, cfg, [9], block, keep)
+            terminal, _ = stream_model([(p, 1)], hist, cfg, [9], keep)
             return terminal, np.concatenate(rows)
 
         terminal, whole = run(cfg.recorded_count)
@@ -451,7 +452,7 @@ class TestNumericGuards:
 
 
 class TestKernel:
-    def test_mixed_delay_batch_equals_per_delay_batches(self):
+    def test_mixed_delay_batch_equals_per_delay_batches(self, monkeypatch):
         # groups of (tau, runs) in one batch, read from a sampled history:
         # k = 0, 25 and a delay capped at the horizon; delays out of order
         # with k = 0 between two rings; groups of one run; every group
@@ -465,7 +466,8 @@ class TestKernel:
 
         def run(cells, seeds):
             rows, keep = recorder(cfg, 6, len(seeds))
-            terminal, counts = stream_model(cells, history, cfg, seeds, 3, keep)
+            monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", 3 * 6 * len(seeds))
+            terminal, counts = stream_model(cells, history, cfg, seeds, keep)
             return rows, terminal, counts
 
         layouts = [
@@ -498,9 +500,9 @@ class TestKernel:
         cells = [(dataclasses.replace(p, tau=0.5 * j), n) for j, n in enumerate(runs)]
         history = HistoryFunction.constant(default_initial_state(p))
         with pytest.raises(ValueError, match=f"the cells hold {sum(runs)} runs for 4 seeds"):
-            stream_model(cells, history, cfg, [1, 2, 3, 4], cfg.recorded_count, lambda first, rows: None)
+            stream_model(cells, history, cfg, [1, 2, 3, 4], lambda first, rows: None)
 
-    def test_weak_noise_order_with_common_random_numbers(self):
+    def test_weak_noise_order_with_common_random_numbers(self, seed_shift):
         # with projection off each run is a polynomial in the noise level
         # eps for fixed draws, so 2 m(eps) - 3 m(2 eps) + m(4 eps) of the
         # terminal means cancels the zero-noise path and the O(eps) term
@@ -511,27 +513,29 @@ class TestKernel:
         p = default_params(tau=5.0, r0=2.0)
         history = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 50.0, projection_enabled=False, record_stride=10)
-        seeds, eps = range(1000), 0.0025
+        seeds, eps = range(1000 * seed_shift, 1000 * seed_shift + 1000), 0.0025
         levels = [eps * 2.0**k for k in range(-1, 4)]  # the levels weak_noise_ratios reads
         cells = [(dataclasses.replace(p, noise=NoiseIntensities.uniform(level)), len(seeds)) for level in levels]
         rows, keep = recorder(cfg, 6, len(cells) * len(seeds))
-        stream_model(cells, history, cfg, list(seeds) * len(cells), cfg.recorded_count, keep)
+        stream_model(cells, history, cfg, list(seeds) * len(cells), keep)
         for c, cell in enumerate(cells):
             alone, keep = recorder(cfg, 6, len(seeds))
-            stream_model([cell], history, cfg, seeds, cfg.recorded_count, keep)
+            stream_model([cell], history, cfg, seeds, keep)
             assert np.array_equal(rows[..., c * len(seeds) : (c + 1) * len(seeds)], alone), cell
         means = dict(zip(levels, rows[-1].reshape(6, len(cells), len(seeds)).mean(axis=2).T))
-        coarse, fine = (np.abs(r - 4.0) for r in weak_noise_ratios(means.__getitem__, eps))
-        assert np.all(fine < 0.1), fine
-        assert np.all(fine < coarse), (coarse, fine)
+        coarse, fine = weak_noise_ratios(means.__getitem__, eps)
+        assert np.all(np.abs(fine - 4.0) < 0.1), fine
+        assert np.all(np.abs(np.log2(coarse * fine) / 2 - 2.0) < 0.5), (coarse, fine)  # the order of all five levels
 
     @staticmethod
-    def _model_steppers(project):
+    def _model_steppers(project, monkeypatch):
         """A run of each model stepper on hand-made increments in uneven
         chunks, and no seed, with a delay ring and noise strong enough that
         projected steps clamp: ``run(stepper, poison)`` returns the rows it
-        was handed, the terminal state and the clamp count; with ``poison``
-        its ``reduce`` fills the rows with NaN once it has copied them."""
+        was handed, in blocks of 4, the terminal state and the clamp count;
+        with ``poison`` its ``reduce`` fills the rows with NaN once it has
+        copied them."""
+        monkeypatch.setattr("rumorsim.integrator._STATS_BLOCK_VALUES", 4 * 6)
         p = default_params(tau=0.5, r0=2.5, noise_level=1.5)
         cfg = IntegratorConfig(0.1, 30.0, projection_enabled=project, record_stride=3)
         rates = [p.beta, p.gamma, p.rho, p.sigma_act, p.theta]
@@ -552,16 +556,16 @@ class TestKernel:
                 if poison:
                     recorded[...] = np.nan
 
-            terminal, counts = stepper(*operands[stepper], p.noise.as_array(), chunks, cfg, 4, keep, project)
+            terminal, counts = stepper(*operands[stepper], p.noise.as_array(), chunks, cfg, keep, project)
             return np.concatenate(rows), terminal, counts
 
         return cfg, run
 
     @pytest.mark.parametrize("project", [True, False])
-    def test_both_model_steppers_take_the_same_steps_on_the_same_increments(self, project):
+    def test_both_model_steppers_take_the_same_steps_on_the_same_increments(self, project, monkeypatch):
         # the float stepper and a one-run kernel on the model's drift give
         # the same bits, recorded rows and clamp count
-        cfg, run = self._model_steppers(project)
+        cfg, run = self._model_steppers(project, monkeypatch)
         one, batch = run(_stream_one), run(euler_maruyama)
         assert one[0].shape == (cfg.recorded_count, 6, 1)
         for got, want in zip(one, batch):
@@ -570,10 +574,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("project", [True, False])
     @pytest.mark.parametrize("stepper", [_stream_one, euler_maruyama])
-    def test_a_reduce_may_overwrite_the_rows_it_is_handed(self, stepper, project):
+    def test_a_reduce_may_overwrite_the_rows_it_is_handed(self, stepper, project, monkeypatch):
         # neither stepper reads a row again once it is handed over, so
         # overwriting every row changes no row, terminal bit or clamp count
-        _, run = self._model_steppers(project)
+        _, run = self._model_steppers(project, monkeypatch)
         for got, want in zip(run(stepper, poison=True), run(stepper)):
             assert not np.isnan(got).any() and got.tobytes() == want.tobytes()
 
@@ -587,7 +591,7 @@ class TestKernel:
 
         def failure(cells, seeds):
             with np.errstate(over="ignore"), pytest.raises(NumericsError) as failed:
-                stream_model(cells, hist, cfg, seeds, 1, lambda first, rows: None)
+                stream_model(cells, hist, cfg, seeds, lambda first, rows: None)
             return failed.value
 
         alone = failure([(bad, 1)], [2**64 + 13])
@@ -606,7 +610,7 @@ class TestKernel:
 
         def rows(cells):
             recorded, keep = recorder(cfg, 6, 1)
-            stream_model(cells, history, cfg, [7], cfg.recorded_count, keep)
+            stream_model(cells, history, cfg, [7], keep)
             return recorded.tobytes()
 
         assert rows([(p, 0), (q, 1)] if empty_first else [(q, 1), (p, 0)]) == rows([(q, 1)])
@@ -647,7 +651,7 @@ class TestKernel:
         with pytest.raises(NumericsError) as failed:
             euler_maruyama(
                 drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), (),
-                cfg, 1, lambda first, rows: None, project,
+                cfg, lambda first, rows: None, project,
             )
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
@@ -663,7 +667,7 @@ class TestKernel:
 
         terminal, _ = euler_maruyama(
             drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), (),
-            IntegratorConfig(1.0, 5.0), 1, lambda first, rows: None, True,
+            IntegratorConfig(1.0, 5.0), lambda first, rows: None, True,
         )
         assert np.all(terminal == 1e308)
 
@@ -699,7 +703,7 @@ class TestKernel:
         try:
             terminal, counts = euler_maruyama(
                 drift, (first, value), [(3, [])], 0, np.zeros(2), (),
-                IntegratorConfig(1.0, 3.0), 1, lambda first, rows: None, project,
+                IntegratorConfig(1.0, 3.0), lambda first, rows: None, project,
             )
         except NumericsError as exc:
             assert (exc.step, exc.run) == expected
@@ -729,7 +733,7 @@ class TestStrongOrder:
             coarse = fine.reshape(fine_steps // m, m, *fine.shape[1:]).sum(axis=1)
             early = np.full(delay_steps(self.TAU, cfg), start[delayed_column])
             x, _ = euler_maruyama(
-                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg, 1, lambda first, rows: None, False,
+                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg, lambda first, rows: None, False,
             )
             return x
 
@@ -753,7 +757,7 @@ class TestStrongOrder:
         # the fine increments are the ones stream_model draws for these seeds
         cfg = IntegratorConfig(self.H_REF, self.HORIZON, projection_enabled=False)
         history = HistoryFunction.constant(default_initial_state(p))
-        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), 1, lambda first, rows: None)
+        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), lambda first, rows: None)
         assert terminal.tobytes() == reference.tobytes()
 
 
@@ -818,7 +822,7 @@ class TestStepScreens:
         runs = width // len(start)
         terminal, counts = euler_maruyama(
             drift, start, [(runs, [])], 0, np.zeros(len(start)), (),
-            IntegratorConfig(1.0, 3.0), 1, lambda first, rows: None, False,
+            IntegratorConfig(1.0, 3.0), lambda first, rows: None, False,
         )
         assert terminal.tobytes() == np.repeat(np.reshape(start, (-1, 1)), runs, axis=1).tobytes()
         assert not counts.any()
@@ -958,13 +962,16 @@ class TestMemory:
     @pytest.mark.parametrize("components", [2, 6])
     def test_estimate_is_the_buffers_rings_and_two_noise_chunks(self, monkeypatch, components, runs):
         # the estimate, to the byte: the held values, the kernel's 3 * components
-        # + 9 rows per run, each cell's ring of k + 1 rows and two arrays of
-        # max(components * runs, 32,768) draws; the batch fits a machine of
-        # exactly that many bytes and not one of a byte less
+        # + 9 rows per run, each cell's ring of k + 1 rows, two arrays of
+        # max(components * runs, 32,768) draws and the record block of about
+        # 65,536 values with one copy; the batch fits a machine of exactly
+        # that many bytes and not one of a byte less
         cfg = IntegratorConfig(0.1, 10.0)
         cells = [(default_params(tau=0.0), runs), (default_params(tau=0.5), 3)]
         total = runs + 3
+        block = max(1, min(cfg.recorded_count, 65_536 // (components * total)))
         held = 8 * (7 + total * (3 * components + 9) + (runs + 6 * 3) + 2 * max(components * total, 32_768))
+        held += 8 * 2 * block * components * total
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held}.get)
         check_memory(cfg, cells, components, 7)
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held - 1}.get)

@@ -29,7 +29,7 @@ from rumorsim import (
     simulate_linearized,
     stochastic_margin,
 )
-from rumorsim.integrator import block_rows, delay_steps, euler_maruyama, stream_model
+from rumorsim.integrator import delay_steps, euler_maruyama, stream_model
 from rumorsim.rng import derive_seed, increment_chunks, seed_array
 from rumorsim.stability import _linearized_drift, write_decay_csv
 
@@ -48,7 +48,7 @@ def lab_paths(p, start, cfg, runs, increments):
     early = np.full(delay_steps(p.tau, cfg), start[1])
     euler_maruyama(
         functools.partial(_linearized_drift, p), start, [(runs, early)], 1, np.array([p.noise.e, p.noise.i]),
-        increments, cfg, cfg.recorded_count, keep, False,
+        increments, cfg, keep, False,
     )
     return rows
 
@@ -158,8 +158,27 @@ class TestLinearizedSimulation:
         p = linear_params(r0=1e150, tau=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             advice = r"overflowed at step \d+ \(t=.*\); shorten the horizon"
-            with pytest.raises(NumericsError, match=advice):
+            with pytest.raises(NumericsError, match=advice) as failed:
                 simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 50.0), 3, 1)
+        run = failed.value.run
+        assert f") in run {run} (seed {derive_seed(1, run)}); " in str(failed.value)
+
+    def test_squares_beyond_the_float_range_need_no_caller_errstate(self, monkeypatch):
+        # every block reaches the lab's reduce only after the kernel has
+        # returned, outside its errstate: states that stay finite while
+        # their squares overflow still end in the lab's own error
+        def deferred(*args):
+            *head, reduce, project = args
+            handed = []
+            terminal = euler_maruyama(*head, lambda first, rows: handed.append((first, rows.copy())), project)
+            for first, rows in handed:
+                reduce(first, rows)
+            return terminal
+
+        monkeypatch.setattr("rumorsim.stability.euler_maruyama", deferred)
+        p = dataclasses.replace(default_params(), beta=0.0, sigma_act=1e6)
+        with pytest.raises(NumericsError, match=r"^linearized second moment overflowed at t=1\.7; shorten the horizon$"):
+            simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.05, 2.0), 200, 1)
 
     @pytest.mark.parametrize(
         "population, horizon, verdict", [(1, 20.0, DecayVerdict.DECAY), (2**64, 0.5, DecayVerdict.GROWTH)]
@@ -303,7 +322,7 @@ class TestSNoiseGap:
         cells = [(s_noise_only(p, 0.01), runs), (s_noise_only(p, 0.0), 1)]
         rows, keep = recorder(cfg, 6, runs + 1)
         seeds = [derive_seed(777, k) for k in range(runs + 1)]
-        stream_model(cells, history, cfg, seeds, len(rows), keep)
+        stream_model(cells, history, cfg, seeds, keep)
         squares = rows[:, 1] ** 2 + rows[:, 2] ** 2
         noisy, quiet = squares[:, :runs].mean(axis=1), squares[:, runs]
         assert noisy[1] / noisy[0] > 1.0
@@ -346,7 +365,7 @@ class TestLinearizationOracle:
         for eps in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
             history = HistoryFunction.constant(StateVector(p.population - 2.0 * eps, eps, eps, 0.0, 0.0, 0.0))
             rows, keep = recorder(cfg, 6, seeds.size)
-            stream_model([(p, seeds.size)], history, cfg, seeds, cfg.recorded_count, keep)
+            stream_model([(p, seeds.size)], history, cfg, seeds, keep)
             scaled = (rows[:, 1] ** 2 + rows[:, 2] ** 2) / eps**2
             gaps.append(np.max(np.abs(scaled / lab_squares - 1.0)))
         return np.array(gaps)
@@ -411,7 +430,7 @@ class TestCrossingProbability:
 
         history = HistoryFunction.constant(StateVector(p.population, 0, 0, 0, 0, 0))
         seeds = [derive_seed(31, j) for j in range(runs * len(cells))]
-        stream_model(cells, history, cfg, seeds, block_rows(cfg, 6 * runs * len(cells)), reduce)
+        stream_model(cells, history, cfg, seeds, reduce)
         peaks = dict(zip(levels, peak.reshape(len(cells), runs) / p.population))
         for n_s, r0 in cases:
             crossed = np.mean(r0 * peaks[n_s] >= 1.0)
