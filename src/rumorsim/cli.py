@@ -189,10 +189,7 @@ def _cmd_stability(cfg: RunConfig, output, args) -> None:
 
 def _cmd_ablate(cfg: RunConfig, output, args) -> None:
     """sweep the delay x reproduction-number grid"""
-    from .ablation import (
-        SweepSpec, compare_to_reference, filter_reference, load_reference, run_sweep, write_deviation_csv,
-        write_sweep_csv,
-    )
+    from .ablation import SweepSpec, run_sweep, write_sweep_csv
 
     sweep = cfg.sweep
     result = run_sweep(
@@ -208,16 +205,13 @@ def _cmd_ablate(cfg: RunConfig, output, args) -> None:
     )
     if cfg.output.wants_csv:
         write_sweep_csv(result, output("sweep.csv"))
-        reference = filter_reference(load_reference(), sweep.taus, sweep.r0_values)
         try:
-            report = compare_to_reference(result, reference)
+            _write_deviation(result, None, output)
         except GridMismatchError:
             print(
                 "note: sweep grid not covered by the bundled reference; deviation report skipped",
                 file=sys.stderr,
             )
-        else:
-            write_deviation_csv(report, output("deviation.csv"))
     if cfg.output.wants_svg:
         labels = [f"tau={tau:g}" for tau in sweep.taus]
         if len(set(labels)) < len(labels):  # delays alike to 6 significant digits
@@ -240,16 +234,19 @@ def _cmd_ablate(cfg: RunConfig, output, args) -> None:
 
 def _cmd_compare(cfg: RunConfig, output, args) -> None:
     """compare a sweep result CSV against a reference table"""
-    from .ablation import compare_to_reference, filter_reference, load_reference, read_sweep_csv, write_deviation_csv
+    from .ablation import read_sweep_csv
 
-    result = read_sweep_csv(args.result)
-    reference = load_reference(args.reference)
-    if args.reference is None:
-        reference = filter_reference(
-            reference,
-            {c.tau for c in result.cells},
-            {c.r0 for c in result.cells},
-        )
+    _write_deviation(read_sweep_csv(args.result), args.reference, output)
+
+
+def _write_deviation(result, reference_path, output) -> None:
+    """Compare ``result`` with the table at ``reference_path``, or with the
+    bundled one cut to the result's cells, and write ``deviation.csv``."""
+    from .ablation import compare_to_reference, filter_reference, load_reference, write_deviation_csv
+
+    reference = load_reference(reference_path)
+    if reference_path is None:
+        reference = filter_reference(reference, {c.tau for c in result.cells}, {c.r0 for c in result.cells})
     write_deviation_csv(compare_to_reference(result, reference), output("deviation.csv"))
 
 

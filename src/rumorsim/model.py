@@ -122,28 +122,13 @@ class _Reader:
             if value not in sorted(rule):  # a list: a JSON value may be unhashable
                 return self.reject(f"{path}: must be one of {sorted(rule)}, got {value!r}", default)
             return value
-        if isinstance(rule, list) and isinstance(rule[0], frozenset):
-            allowed = sorted(rule[0])
+        if isinstance(rule, list):  # each item read by the one rule, every bad one reported
             if not isinstance(value, (list, tuple)) or not value:
-                return self.reject(f"{path}: must be a non-empty list drawn from {allowed}", default)
-            picked = []
-            for item in value:
-                if item not in allowed:
-                    either = " or ".join(map(repr, allowed))
-                    self.errors.append(f"{path}: must contain only {either}, got {item!r}")
-                elif item not in picked:
-                    picked.append(item)
-            return tuple(picked) or default
-        if isinstance(rule, list):
-            if not isinstance(value, (list, tuple)) or not value:
-                return self.reject(f"{path}: must be a non-empty list of numbers", default)
-            items = []
-            for k, item in enumerate(value):
-                item = self.read(item, f"{path}[{k}]", rule[0], None)
-                if item is None:
-                    return default
-                items.append(item)
-            return tuple(items)
+                noun = f"drawn from {sorted(rule[0])}" if isinstance(rule[0], frozenset) else "of numbers"
+                return self.reject(f"{path}: must be a non-empty list {noun}", default)
+            before = len(self.errors)
+            items = tuple(self.read(item, f"{path}[{k}]", rule[0], None) for k, item in enumerate(value))
+            return items if len(self.errors) == before else default
         kind, bound, test = rule if isinstance(rule, tuple) else (rule, None, None)
         types, noun = _KINDS[kind]
         # JSON's true and false are Python ints, but neither numbers nor integers here

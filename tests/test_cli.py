@@ -667,6 +667,37 @@ class TestLazyImports:
         ]
 
 
+class TestListItems:
+    def test_every_bad_item_prints_its_own_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sweep": {"taus": [-1, "x", -2]}})
+        code, out, err = run_cli(capsys, "ablate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: sweep.taus[0]: must be >= 0, got -1",
+            "error: sweep.taus[1]: must be a number",
+            "error: sweep.taus[2]: must be >= 0, got -2",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_repeated_format_reruns_from_the_echo_byte_for_byte(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        cfg = write_config(
+            tmp_path,
+            {"ensemble": {"run_count": 3}, "integrator": {"horizon": 20.0}, "output": {"formats": ["csv", "csv"]}},
+        )
+        code, _, err = run_cli(capsys, "ensemble", "--config", str(cfg), "--out", str(out1))
+        assert code == 0, err
+        echoed = out1 / "effective_config.json"
+        assert json.loads(echoed.read_text())["output"]["formats"] == ["csv", "csv"]
+        code, _, err = run_cli(capsys, "ensemble", "--config", str(echoed), "--out", str(out2))
+        assert code == 0, err
+        names = sorted(path.name for path in out1.iterdir())
+        assert names == ["aggregate.csv", "effective_config.json", "metrics.csv", "summary.csv"]
+        assert names == sorted(path.name for path in out2.iterdir())
+        for name in ("aggregate.csv", "metrics.csv", "summary.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 class TestDeterminism:
     def test_rerun_from_echo_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

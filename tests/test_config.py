@@ -206,7 +206,7 @@ class TestViolationOrder:
             "sweep.seed: must be an integer",
             "output.other: unknown field",
             "output.directory: must be a non-empty string",
-            "output.formats: must contain only 'csv' or 'svg', got 'pdf'",
+            "output.formats[0]: must be one of ['csv', 'svg'], got 'pdf'",
             "initial: components must sum to the population (1), got 0.505",
             "integrator: horizon (200.05) must be an integer multiple of the step size (0.1); "
             "got ratio 2000.5",
@@ -237,6 +237,42 @@ class TestViolationOrder:
             "model.beta: must be a number",
             "integrator.horizon: must cover at least one step of size 1, got 1e-12",
         ]
+
+
+class TestListItems:
+    """Each item of a list is read by the list's item rule at ``path[k]``,
+    and every bad item is reported."""
+
+    def test_every_bad_number_is_reported_in_order(self):
+        with pytest.raises(ConfigFileError) as excinfo:
+            from_dict({"sweep": {"taus": [-1, "x", -2]}})
+        assert excinfo.value.violations == [
+            "sweep.taus[0]: must be >= 0, got -1",
+            "sweep.taus[1]: must be a number",
+            "sweep.taus[2]: must be >= 0, got -2",
+        ]
+
+    def test_the_library_names_every_bad_item(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            SweepSpec(taus=(-1.0, -2.0), r0_values=(1.0,), run_count=2, base_seed=1, template=default_params())
+        assert str(excinfo.value) == "sweep.taus[0]: must be >= 0, got -1; sweep.taus[1]: must be >= 0, got -2"
+
+    def test_every_bad_format_is_reported(self):
+        with pytest.raises(ConfigFileError) as excinfo:
+            from_dict({"output": {"formats": ["pdf", "x"]}})
+        assert excinfo.value.violations == [
+            "output.formats[0]: must be one of ['csv', 'svg'], got 'pdf'",
+            "output.formats[1]: must be one of ['csv', 'svg'], got 'x'",
+        ]
+
+    def test_a_repeated_format_is_kept_as_given(self, tmp_path):
+        cfg = from_dict({"output": {"formats": ["csv", "csv"]}})
+        assert cfg.output.formats == ("csv", "csv")
+        assert cfg.output.wants_csv and not cfg.output.wants_svg
+        path = tmp_path / "effective_config.json"
+        write_effective_config(cfg, path)
+        assert json.loads(path.read_text())["output"]["formats"] == ["csv", "csv"]
+        assert load_config(path) == cfg
 
 
 _P = default_params()
@@ -409,5 +445,5 @@ class TestOverrides:
             "--seed: must be an integer",
             "--runs: must be >= 1, got 0",
             "--out: must be a non-empty string",
-            "--format: must contain only 'csv' or 'svg', got 'pdf'",
+            "--format[0]: must be one of ['csv', 'svg'], got 'pdf'",
         ]

@@ -723,10 +723,13 @@ class TestStrongOrder:
 
     H_REF, MS, HORIZON, TAU, RUNS = 0.0125, (8, 16, 32, 64), 8.0, 1.6, 1000
 
-    def slope(self, drift, start, delayed_column, noise):
+    def seeds(self, shift):
+        """The runs' seeds at seed shift ``shift``, each shift a disjoint set."""
+        return range(self.RUNS * shift, self.RUNS * (shift + 1))
+
+    def slope(self, drift, start, delayed_column, noise, seeds):
         fine_steps = round(self.HORIZON / self.H_REF)
-        seeds = seed_array(range(self.RUNS))
-        fine = np.concatenate(list(increment_chunks(seeds, len(start), fine_steps, self.H_REF)))
+        fine = np.concatenate(list(increment_chunks(seed_array(seeds), len(start), fine_steps, self.H_REF)))
 
         def terminal(m):
             cfg = IntegratorConfig(m * self.H_REF, self.HORIZON, projection_enabled=False)
@@ -741,23 +744,24 @@ class TestStrongOrder:
         errors = [np.linalg.norm(terminal(m) - reference, axis=0).mean() for m in self.MS]
         return np.polyfit(np.log(np.array(self.MS) * self.H_REF), np.log(errors), 1)[0], reference
 
-    def test_linearized_pair(self):
+    def test_linearized_pair(self, seed_shift):
         # the lab's kernel: (E, I)' = (bN I(t - tau) - sigma E, sigma E - (gamma + rho) I)
         p = default_params(tau=self.TAU, r0=2.0)
-        slope, _ = self.slope(functools.partial(_linearized_drift, p), (0.01, 0.01), 1, np.array([0.4, 0.4]))
+        drift, seeds = functools.partial(_linearized_drift, p), self.seeds(seed_shift)
+        slope, _ = self.slope(drift, (0.01, 0.01), 1, np.array([0.4, 0.4]), seeds)
         assert 0.4 <= slope <= 0.6, slope
 
-    def test_full_model_without_projection(self):
+    def test_full_model_without_projection(self, seed_shift):
         p = default_params(tau=self.TAU, r0=2.0, noise_level=0.3)
         rates = [p.beta, p.gamma, p.rho, p.sigma_act, p.theta]
         start = default_initial_state(p).as_array()
-        drift = functools.partial(_drift_with_delayed_i, rates)
-        slope, reference = self.slope(drift, start, 2, p.noise.as_array())
+        drift, seeds = functools.partial(_drift_with_delayed_i, rates), self.seeds(seed_shift)
+        slope, reference = self.slope(drift, start, 2, p.noise.as_array(), seeds)
         assert 0.4 <= slope <= 0.6, slope
         # the fine increments are the ones stream_model draws for these seeds
         cfg = IntegratorConfig(self.H_REF, self.HORIZON, projection_enabled=False)
         history = HistoryFunction.constant(default_initial_state(p))
-        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, range(self.RUNS), lambda first, rows: None)
+        terminal, _ = stream_model([(p, self.RUNS)], history, cfg, seeds, lambda first, rows: None)
         assert terminal.tobytes() == reference.tobytes()
 
 
