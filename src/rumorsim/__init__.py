@@ -24,8 +24,7 @@ _EXPORTS = {
         "run_ensemble",
     ),
     "errors": (
-        "ConfigFileError", "ConfigurationError", "GridMismatchError", "InsufficientDataError", "NumericsError",
-        "RumorSimError",
+        "ConfigurationError", "GridMismatchError", "InsufficientDataError", "NumericsError", "RumorSimError",
     ),
     "integrator": ("IntegratorConfig", "Trajectory", "integrate", "simulate_paths"),
     "model": (

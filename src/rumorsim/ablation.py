@@ -30,7 +30,8 @@ import numpy as np
 
 from .ensemble import _run_spread, _warn_if_unconverged
 from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
-from .integrator import IntegratorConfig, check_memory, delay_steps, stream_model, write_table
+from .integrator import KEY_DECIMALS, IntegratorConfig, cell_key, check_memory, stream_model, write_table
+from .integrator import sweep_violations
 from .model import (
     NONNEGATIVE, SWEEP_RULES, HistoryFunction, ModelParams, StateVector, check, default_initial_state, store_checked,
 )
@@ -51,18 +52,12 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-_KEY_DECIMALS = 9
-
-
-def _cell_key(tau: float, r0: float) -> tuple[float, float]:
-    return (round(float(tau), _KEY_DECIMALS), round(float(r0), _KEY_DECIMALS))
-
 
 def _at_cell(items, tau: float, r0: float, what: str):
     """The item of ``items`` at the (tau, R0) cell."""
-    wanted = _cell_key(tau, r0)
+    wanted = cell_key(tau, r0)
     for item in items:
-        if _cell_key(item.tau, item.r0) == wanted:
+        if cell_key(item.tau, item.r0) == wanted:
             return item
     raise KeyError(f"no {what} at tau={tau}, R0={r0}")
 
@@ -81,10 +76,9 @@ class SweepSpec:
 
     def __post_init__(self):
         store_checked(self, "sweep", SWEEP_RULES, **{name: getattr(self, name) for name in SWEEP_RULES})
-        if len({_cell_key(t, r) for t in self.taus for r in self.r0_values}) < len(self.taus) * len(self.r0_values):
-            raise ConfigurationError(
-                f"sweep grid repeats a cell: taus and R0 values must each be distinct to {_KEY_DECIMALS} decimals"
-            )
+        errors = sweep_violations(self.taus, self.r0_values, self.integrator.step_size)
+        if errors:
+            raise ConfigurationError(errors)
 
     def beta_for(self, r0: float) -> float:
         return r0 * self.template.removal_rate / self.template.population
@@ -124,18 +118,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     All cells run as one batch of ``(params, runs)`` cells in grid order,
     the cells of each delay one group of runs with its own delay ring in
     the kernel, and the batch keeps each run's peak of ``I`` and terminal
-    state; the statistics equal ``run_ensemble`` ones exactly.  An
-    off-grid delay or a derived ``beta`` beyond the float range is
-    reported with its cell.  A non-finite state names the cell, the run
-    and its seed; of several failing runs, the one at the earliest step
-    across the grid is reported, the first in grid order on a tie.
+    state; the statistics equal ``run_ensemble`` ones exactly.  A derived
+    ``beta`` beyond the float range is reported with its cell.  A
+    non-finite state names the cell, the run and its seed; of several
+    failing runs, the one at the earliest step across the grid is
+    reported, the first in grid order on a tie.
     """
     n, cfg = spec.run_count, spec.integrator
     taus, r0s = spec.taus, spec.r0_values
     grid, cells = list(itertools.product(taus, r0s)), []
     for tau, r0 in grid:
         try:
-            delay_steps(tau, cfg)
             cells.append((replace(spec.template, tau=tau, beta=spec.beta_for(r0)), n))
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0:g}): {exc}") from exc
@@ -198,17 +191,17 @@ def _read_cells(source, name) -> tuple[dict, tuple[SweepCell, ...]]:
         cells = tuple(SweepCell(*(float(r[column]) for column in _COLUMNS)) for r in records)
     except (KeyError, TypeError, ValueError, csv.Error) as exc:
         raise RumorSimError(f"{name}: expected columns {','.join(_COLUMNS)} ({exc!r})") from exc
-    if len({_cell_key(c.tau, c.r0) for c in cells}) < len(cells):
-        raise RumorSimError(f"{name}: lists a (tau, R0) cell more than once, to {_KEY_DECIMALS} decimals")
+    if len({cell_key(c.tau, c.r0) for c in cells}) < len(cells):
+        raise RumorSimError(f"{name}: lists a (tau, R0) cell more than once, to {KEY_DECIMALS} decimals")
     return meta, cells
 
 
 def filter_reference(reference, taus, r0_values) -> tuple[SweepCell, ...]:
     """Subset a reference table to a grid."""
     # by axis: the product of a table's delays and R0 values can be huge
-    tau_keys = {_cell_key(tau, 0.0)[0] for tau in taus}
-    r0_keys = {_cell_key(0.0, r0)[1] for r0 in r0_values}
-    keyed = [(c, *_cell_key(c.tau, c.r0)) for c in reference]
+    tau_keys = {cell_key(tau, 0.0)[0] for tau in taus}
+    r0_keys = {cell_key(0.0, r0)[1] for r0 in r0_values}
+    keyed = [(c, *cell_key(c.tau, c.r0)) for c in reference]
     return tuple(c for c, tau, r0 in keyed if tau in tau_keys and r0 in r0_keys)
 
 
@@ -256,10 +249,10 @@ def compare_to_reference(result: SweepResult, reference) -> DeviationReport:
     hidden generating parameters make exact agreement impossible.
     Requires the reference to cover exactly the same (tau, R0) grid.
     """
-    ref_by_key = {_cell_key(c.tau, c.r0): c for c in reference}
-    result_keys = [_cell_key(c.tau, c.r0) for c in result.cells]
+    ref_by_key = {cell_key(c.tau, c.r0): c for c in reference}
+    result_keys = dict.fromkeys(cell_key(c.tau, c.r0) for c in result.cells)  # ordered, O(1) lookups
     missing = [k for k in result_keys if k not in ref_by_key]
-    extra = [k for k in ref_by_key if k not in set(result_keys)]
+    extra = [k for k in ref_by_key if k not in result_keys]
     if missing or extra:
         raise GridMismatchError(
             f"sweep and reference grids differ: missing from reference {missing}, "
@@ -268,7 +261,7 @@ def compare_to_reference(result: SweepResult, reference) -> DeviationReport:
     scale = 1.0 / math.sqrt(result.run_count)
     rows = []
     for cell in result.cells:
-        ref = ref_by_key[_cell_key(cell.tau, cell.r0)]
+        ref = ref_by_key[cell_key(cell.tau, cell.r0)]
         stats, notes = {}, []
         for stat, what in (("peak", "peak mean"), ("final", "final-size mean")):
             mean = getattr(cell, f"{stat}_mean")

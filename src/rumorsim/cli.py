@@ -37,7 +37,7 @@ from .config import (
     write_effective_config,
 )
 from .ensemble import run_ensemble, write_aggregate_csv, write_metrics_csv, write_summary_csv
-from .errors import ConfigFileError, GridMismatchError, NumericsError, RumorSimError
+from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorSimError
 from .integrator import integrate, write_table, write_trajectory_csv
 from .model import CSV_COMPARTMENTS, HistoryFunction, reproduction_number
 from .svg import Series, write_svg
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
             cfg = _resolve_config(args)
             output, written = _outputs(cfg)
             _COMMANDS[args.command](cfg, output, args)
-    except ConfigFileError as exc:
+    except ConfigurationError as exc:
         for violation in exc.violations:
             print(f"error: {_one_line(violation)}", file=sys.stderr)
         return 2

@@ -1,11 +1,11 @@
 """Run configuration: a single JSON file with nested blocks, validated in
 one pass, and echoed back with every default resolved.
 
-Validation collects *all* violations before raising, so a bad file can be
-fixed in one edit.  The echoed effective configuration is a pure function
-of the resolved settings (sorted keys, fixed formatting); loading the echo
-and running again reproduces identical outputs, which is how the CLI's
-determinism contract is exercised.
+Validation, the sweep grid's own rules included, raises one
+:class:`~rumorsim.errors.ConfigurationError` listing *all* violations, so
+a bad file is fixed in one edit.  The echoed configuration is a pure
+function of the resolved settings (sorted keys, fixed formatting); a run
+from the echo reproduces identical outputs (the CLI's determinism contract).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from .ensemble import ENSEMBLE_RULES
-from .errors import ConfigFileError
-from .integrator import INTEGRATOR_RULES, IntegratorConfig, grid_violations
+from .errors import ConfigurationError
+from .integrator import INTEGRATOR_RULES, IntegratorConfig, grid_violations, sweep_violations
 from .model import (
     COMPARTMENT_RULES, MODEL_RULES, STABILITY_RULES, SWEEP_RULES, ModelParams, StateVector, _Reader,
     default_initial_state, default_params,
@@ -106,17 +106,17 @@ _SCHEMA = {
 
 def from_dict(data: dict) -> RunConfig:
     """Build a validated configuration, filling defaults for every missing
-    field.  Raises :class:`ConfigFileError` carrying *every* violation.
+    field.  Raises :class:`ConfigurationError` carrying *every* violation.
     """
     if not isinstance(data, dict):
-        raise ConfigFileError(["config: top level must be an object"])
+        raise ConfigurationError("config: top level must be an object")
     reader = _Reader()
     reader.errors += [f"{key}: unknown block" for key in data if key not in _SCHEMA]
     blocks = {
         name: reader.block(data.get(name, {}), name, rules, getattr(_DEFAULTS, name))
         for name, rules in _SCHEMA.items()
     }
-    model, integ = blocks["model"], blocks["integrator"]
+    model, integ, sweep = blocks["model"], blocks["integrator"], blocks["sweep"]
 
     # cross-field contracts, checked here so one pass reports everything
     initial_sum, population = sum(blocks["initial"].values()), model["population"]
@@ -125,9 +125,12 @@ def from_dict(data: dict) -> RunConfig:
             f"initial: components must sum to the population ({population:g}), got {initial_sum:g}"
         )
     reader.errors += grid_violations(integ["step_size"], integ["horizon"], integ["record_stride"], model["tau"])
+    # only delays the file gives must be on its step grid; a list left out or broken reads as the default object
+    taus = () if sweep["taus"] is _DEFAULTS.sweep.taus else sweep["taus"]
+    reader.errors += sweep_violations(taus, sweep["r0_values"], integ["step_size"])
 
     if reader.errors:
-        raise ConfigFileError(reader.errors)
+        raise ConfigurationError(reader.errors)
     return RunConfig(**{name: replace(getattr(_DEFAULTS, name), **values) for name, values in blocks.items()})
 
 
@@ -142,13 +145,13 @@ def load_config(path) -> RunConfig:
             raw = fh.read()
     except (OSError, ValueError) as exc:
         # a path with a NUL byte raises ValueError: it names no file
-        raise ConfigFileError([f"config: cannot read {path}: {exc}"]) from exc
+        raise ConfigurationError(f"config: cannot read {path}: {exc}") from exc
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an integer longer than
         # Python converts, or nesting deeper than the decoder recurses
-        raise ConfigFileError([f"config: invalid JSON in {path}: {exc}"]) from exc
+        raise ConfigurationError(f"config: invalid JSON in {path}: {exc}") from exc
     return from_dict(data)
 
 
@@ -175,7 +178,7 @@ def apply_overrides(
     ensemble and sweep blocks (the flag wins wherever it is meaningful),
     ``runs`` to the stability block too.  Each value is read by the rule of
     the fields it sets, as a config file's would be; raises
-    :class:`ConfigFileError` naming the flag of every value that breaks it."""
+    :class:`ConfigurationError` naming the flag of every value that breaks it."""
     reader, blocks = _Reader(), {}
     for flag, value, fields in (
         ("--seed", seed, [("ensemble", "seed"), ("sweep", "seed")]),
@@ -189,5 +192,5 @@ def apply_overrides(
             for block, name in fields:
                 blocks.setdefault(block, {})[name] = value
     if reader.errors:
-        raise ConfigFileError(reader.errors)
+        raise ConfigurationError(reader.errors)
     return replace(cfg, **{block: replace(getattr(cfg, block), **values) for block, values in blocks.items()})

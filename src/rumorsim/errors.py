@@ -8,7 +8,6 @@ __all__ = [
     "NumericsError",
     "InsufficientDataError",
     "GridMismatchError",
-    "ConfigFileError",
 ]
 
 
@@ -17,8 +16,13 @@ class RumorSimError(Exception):
 
 
 class ConfigurationError(RumorSimError, ValueError):
-    """A run configuration violates a structural contract (grid alignment,
-    delay not on the step grid, invalid record stride, ...)."""
+    """Settings that break their rules, from a config file, a flag or a
+    constructor: ``violations`` lists every breach, not just the first, so
+    a file is fixed in one pass; the message is their ``"; "`` join."""
+
+    def __init__(self, violations: str | list[str]):
+        self.violations = [violations] if isinstance(violations, str) else list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 class NumericsError(RumorSimError, ArithmeticError):
@@ -37,15 +41,3 @@ class InsufficientDataError(RumorSimError, ValueError):
 
 class GridMismatchError(RumorSimError, ValueError):
     """A sweep result and a reference table cover different (tau, R0) grids."""
-
-
-class ConfigFileError(RumorSimError, ValueError):
-    """A configuration file failed validation.
-
-    Carries every violation found, not just the first, so a user can fix
-    a file in one pass.
-    """
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _GRID_RTOL = 1e-9
+KEY_DECIMALS = 9
 
 # No batch may take more path-steps (runs x steps) than this, so that every
 # input ends; it is 2,500 times the 4 M path-steps of the largest
@@ -115,6 +116,27 @@ def grid_violations(step_size: float, horizon: float, record_stride: int, tau: f
     return errors
 
 
+def cell_key(tau: float, r0: float) -> tuple[float, float]:
+    """A sweep cell's key: two cells are one if they agree to ``KEY_DECIMALS`` decimals."""
+    return (round(float(tau), KEY_DECIMALS), round(float(r0), KEY_DECIMALS))
+
+
+def sweep_violations(taus, r0_values, step_size: float) -> list[str]:
+    """Every breach of a sweep grid's own rules, in a config file's words:
+    a repeated cell (an axis repeats a key), and each off-grid delay."""
+    errors = []
+    if any(len({cell_key(v, 0.0) for v in axis}) < len(axis) for axis in (taus, r0_values)):
+        errors.append(
+            f"sweep grid repeats a cell: taus and R0 values must each be distinct to {KEY_DECIMALS} decimals"
+        )
+    for k, tau in enumerate(taus):
+        try:
+            steps_on_grid(tau, step_size, "tau")
+        except ConfigurationError as exc:
+            errors.append(f"sweep.taus[{k}]: {exc}")
+    return errors
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, horizon, projection switch, and recording stride.
@@ -133,7 +155,7 @@ class IntegratorConfig:
         store_checked(self, "integrator", INTEGRATOR_RULES, **vars(self))
         errors = grid_violations(self.step_size, self.horizon, self.record_stride)
         if errors:
-            raise ConfigurationError("; ".join(errors))
+            raise ConfigurationError(errors)
 
     @property
     def step_count(self) -> int:

@@ -154,7 +154,7 @@ def check(path: str, rules: dict, **values) -> dict:
     reader = _Reader()
     read = reader.block(values, path, {name: rules[name] for name in values}, SimpleNamespace(**values))
     if reader.errors:
-        raise ConfigurationError("; ".join(reader.errors))
+        raise ConfigurationError(reader.errors)
     return read
 
 

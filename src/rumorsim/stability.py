@@ -46,7 +46,8 @@ from .integrator import (
     write_table,
 )
 from .model import (
-    COUNT, NONNEGATIVE, POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, drift, reproduction_number,
+    COUNT, NONNEGATIVE, POSITIVE, STABILITY_RULES, ModelParams, StateVector, check, diffusion, drift,
+    reproduction_number,
 )
 from .rng import derive_seed, increment_chunks, seed_array
 
@@ -313,7 +314,7 @@ def verify_growth_bound(
     """
 
     def terms(x, y):
-        b, g = drift(x, y, p), p.noise.as_array() * x
+        b, g = drift(x, y, p), diffusion(x, p)
         num = np.sum(b * b, axis=1) + np.sum(g * g, axis=1)
         return num, 1.0 + np.sum(x * x, axis=1) + np.sum(y * y, axis=1)
 

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import final_size_exact, weak_noise_ratios
 from rumorsim import (
+    ConfigurationError,
     FinalSizeHorizonWarning,
     GridMismatchError,
     HistoryFunction,
@@ -137,6 +138,13 @@ class TestRunSweep:
             small_spec(r0s=(0.5, 0.0))
         with pytest.raises(ValueError):
             small_spec(runs=0)
+
+    def test_an_off_grid_delay_is_named_by_its_index(self):
+        with pytest.raises(ConfigurationError) as failed:
+            small_spec(taus=(0.05,))
+        assert failed.value.violations == [
+            "sweep.taus[0]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5"
+        ]
 
 
 class TestBatchedSweep:

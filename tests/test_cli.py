@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from strategies import CONFIGS, RUNNABLE_CONFIGS
 
 import rumorsim
-from rumorsim import FinalSizeHorizonWarning, SweepSpec, load_reference, run_sweep
+from rumorsim import ConfigurationError, FinalSizeHorizonWarning, SweepSpec, load_reference, run_sweep
 from rumorsim.cli import main
 from rumorsim.config import load_config
 from rumorsim.integrator import IntegratorConfig
@@ -396,6 +397,33 @@ class TestAblate:
         assert code == 2 and out == ""
         assert err == "error: sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "stability", "ablate"])
+    def test_a_bad_sweep_grid_fails_every_subcommand_before_writing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"sweep": {"taus": [0.05, 0.05]}})
+        argv = [command, "--config", str(cfg), "--runs", "2", "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        off_grid = "tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5"
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals",
+            f"error: sweep.taus[0]: {off_grid}",
+            f"error: sweep.taus[1]: {off_grid}",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "stability", "ablate"])
+    def test_default_delays_off_the_step_grid_fail_only_ablate(self, tmp_path, capsys, command):
+        # a step of 2 misses the default sweep delay 5, which only ablate runs
+        cfg = write_config(tmp_path, {"integrator": {"step_size": 2.0}})
+        argv = [command, "--config", str(cfg), "--runs", "2", "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        if command != "ablate":
+            assert code == 0, err
+        else:
+            assert (code, out) == (2, "")
+            off_grid = "tau (5) must be an integer multiple of the step size (2); got ratio 2.5"
+            assert err == f"error: sweep.taus[1]: {off_grid}\n"
+
     @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
     def test_delays_alike_to_six_digits_keep_distinct_labels(self, tmp_path, capsys):
         # both delays print as 1e+06 to 6 significant digits
@@ -451,6 +479,33 @@ class TestCompare:
         lines = (tmp_path / "cmp_out" / "deviation.csv").read_text().splitlines()
         assert len(lines) == 2 + 2  # metadata + header + two cells
 
+    def test_compare_differs_from_ablate_only_by_the_printed_means(self, tmp_path, capsys):
+        # compare reads the sweep's means as sweep.csv prints them, to 9
+        # significant digits, so its relative deviations may differ from
+        # ablate's by that rounding; every other field is the same
+        code, _, err = run_cli(capsys, "ablate", "--runs", "2", "--out", str(tmp_path / "a"))
+        assert code == 0, err
+        argv = ["compare", "--result", str(tmp_path / "a" / "sweep.csv"), "--out", str(tmp_path / "c")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        ablate, compare = (
+            list(csv.DictReader(line for line in (tmp_path / d / "deviation.csv").read_text().splitlines()
+                                if not line.startswith("#")))
+            for d in "ac"
+        )
+        assert len(ablate) == len(compare) == 18
+        devs = ("peak_dev_rel", "final_dev_rel")
+        half, eps = 0.5e-8, np.finfo(float).eps  # half a unit of the 9th digit, relative
+        for a, c in zip(ablate, compare):
+            assert {k: v for k, v in a.items() if k not in devs} == {k: v for k, v in c.items() if k not in devs}
+            for stat in ("peak", "final"):
+                ratio = abs(float(a[f"{stat}_mean"]) / float(a[f"ref_{stat}_mean"]))
+                x, y = float(a[f"{stat}_dev_rel"]), float(c[f"{stat}_dev_rel"])
+                # the mean's rounding moves (mean - ref) / ref by at most
+                # half * ratio, and printing each deviation by half * |dev|;
+                # the few roundings of the division add eps * (ratio + 1)
+                assert abs(x - y) <= half * (ratio + abs(x) + abs(y)) + 4 * eps * (ratio + 1)
+
     def test_missing_result_file(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "compare", "--result", str(tmp_path / "nope.csv"),
@@ -484,6 +539,16 @@ class TestCompare:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {reference}: cell (tau=0, R0=0.5).peak_std: must be ")
         assert len(load_reference()) == 18  # the bundled table holds
+
+
+class TestConfigurationErrors:
+    def test_each_violation_raised_in_a_subcommand_prints_on_its_own_line(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, output, args):
+            raise ConfigurationError(["a", "b"])
+
+        monkeypatch.setitem(rumorsim.cli._COMMANDS, "simulate", fail)
+        code, out, err = run_cli(capsys, "simulate", "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (2, "", "error: a\nerror: b\n")
 
 
 class TestParser:

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from strategies import CONFIGS
 
 from rumorsim import (
-    ConfigFileError,
     ConfigurationError,
     HistoryFunction,
     IntegratorConfig,
@@ -90,7 +89,7 @@ class TestValidation:
             "integrator": {"step_size": -0.1},
             "ensemble": {"run_count": 0},
         }
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict(bad)
         joined = "\n".join(excinfo.value.violations)
         for field in ("model.beta", "model.gamma", "integrator.step_size", "ensemble.run_count"):
@@ -98,47 +97,47 @@ class TestValidation:
         assert len(excinfo.value.violations) >= 4
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ConfigFileError, match="model.betta: unknown field"):
+        with pytest.raises(ConfigurationError, match="model.betta: unknown field"):
             from_dict({"model": {"betta": 0.3}})
-        with pytest.raises(ConfigFileError, match="unknown block"):
+        with pytest.raises(ConfigurationError, match="unknown block"):
             from_dict({"modell": {}})
 
     def test_initial_must_sum_to_population(self):
-        with pytest.raises(ConfigFileError, match="sum to the population"):
+        with pytest.raises(ConfigurationError, match="sum to the population"):
             from_dict({"initial": {"s": 0.5, "i": 0.1}})
 
     def test_delay_grid_alignment_checked(self):
-        with pytest.raises(ConfigFileError, match="tau"):
+        with pytest.raises(ConfigurationError, match="tau"):
             from_dict({"model": {"tau": 0.25}})
 
     def test_types_checked(self):
-        with pytest.raises(ConfigFileError, match="must be a number"):
+        with pytest.raises(ConfigurationError, match="must be a number"):
             from_dict({"model": {"beta": "fast"}})
-        with pytest.raises(ConfigFileError, match="must be an integer"):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
             from_dict({"ensemble": {"seed": 1.5}})
-        with pytest.raises(ConfigFileError, match="must be true or false"):
+        with pytest.raises(ConfigurationError, match="must be true or false"):
             from_dict({"integrator": {"projection_enabled": "yes"}})
 
     def test_formats_validated(self):
-        with pytest.raises(ConfigFileError, match="output.formats"):
+        with pytest.raises(ConfigurationError, match="output.formats"):
             from_dict({"output": {"formats": ["pdf"]}})
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigFileError, match="invalid JSON"):
+        with pytest.raises(ConfigurationError, match="invalid JSON"):
             load_config(path)
 
     def test_missing_file_reported(self, tmp_path):
-        with pytest.raises(ConfigFileError, match="cannot read"):
+        with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(tmp_path / "absent.json")
 
     def test_numbers_beyond_the_float_range_are_not_finite(self):
-        with pytest.raises(ConfigFileError, match="model.beta: must be finite"):
+        with pytest.raises(ConfigurationError, match="model.beta: must be finite"):
             from_dict({"model": {"beta": 10**400}})
-        with pytest.raises(ConfigFileError, match=r"sweep.taus\[1\]: must be finite"):
+        with pytest.raises(ConfigurationError, match=r"sweep.taus\[1\]: must be finite"):
             from_dict({"sweep": {"taus": [0.0, -(10**400)]}})
-        with pytest.raises(ConfigFileError, match=r"sweep.r0_values\[0\]: must be finite"):
+        with pytest.raises(ConfigurationError, match=r"sweep.r0_values\[0\]: must be finite"):
             from_dict({"sweep": {"r0_values": [float("nan")]}})
 
     @pytest.mark.parametrize(
@@ -153,7 +152,7 @@ class TestValidation:
     def test_undecodable_files_reported(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_bytes(text)
-        with pytest.raises(ConfigFileError, match="invalid JSON"):
+        with pytest.raises(ConfigurationError, match="invalid JSON"):
             load_config(path)
 
 
@@ -176,7 +175,7 @@ class TestViolationOrder:
             "sweep": {"taus": [0.0, "x"], "r0_values": [], "run_count": 2.0, "seed": "7", "extra": 1},
             "output": {"directory": "", "formats": ["pdf", "csv", "csv"], "other": None},
         }
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict(data)
         assert excinfo.value.violations == [
             "bogus: unknown block",
@@ -219,7 +218,7 @@ class TestViolationOrder:
             "integrator": {"record_stride": 3},
             "output": {"formats": "csv"},
         }
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict(data)
         assert excinfo.value.violations == [
             "model.noise: must be an object with per-compartment intensities",
@@ -231,7 +230,7 @@ class TestViolationOrder:
 
     def test_horizon_shorter_than_one_step(self):
         data = {"model": {"beta": "x"}, "integrator": {"step_size": 1.0, "horizon": 1e-12}}
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict(data)
         assert excinfo.value.violations == [
             "model.beta: must be a number",
@@ -244,7 +243,7 @@ class TestListItems:
     and every bad item is reported."""
 
     def test_every_bad_number_is_reported_in_order(self):
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict({"sweep": {"taus": [-1, "x", -2]}})
         assert excinfo.value.violations == [
             "sweep.taus[0]: must be >= 0, got -1",
@@ -258,7 +257,7 @@ class TestListItems:
         assert str(excinfo.value) == "sweep.taus[0]: must be >= 0, got -1; sweep.taus[1]: must be >= 0, got -2"
 
     def test_every_bad_format_is_reported(self):
-        with pytest.raises(ConfigFileError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             from_dict({"output": {"formats": ["pdf", "x"]}})
         assert excinfo.value.violations == [
             "output.formats[0]: must be one of ['csv', 'svg'], got 'pdf'",
@@ -330,6 +329,35 @@ _BROKEN = [
 ]
 
 
+class TestSweepGridOnLoad:
+    """A file's own sweep grid meets the sweep's rules as it loads; default
+    delays the file never wrote do not, whatever its step size."""
+
+    def test_a_step_that_misses_the_default_delays_loads(self):
+        cfg = from_dict({"integrator": {"step_size": 2.0}})
+        assert (cfg.integrator.step_size, cfg.sweep.taus) == (2.0, (0.0, 5.0, 10.0))
+
+    @pytest.mark.parametrize(
+        "sweep,expected",
+        [
+            (
+                {"r0_values": [1, 1]},
+                "sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals",
+            ),
+            ({"taus": [-1]}, "sweep.taus[0]: must be >= 0, got -1"),
+            (
+                {"taus": [0, 3]},
+                "sweep.taus[1]: tau (3) must be an integer multiple of the step size (2); got ratio 1.5",
+            ),
+        ],
+        ids=["repeat", "bad-item", "off-grid"],
+    )
+    def test_only_the_files_own_grid_is_checked(self, sweep, expected):
+        with pytest.raises(ConfigurationError) as failed:
+            from_dict({"integrator": {"step_size": 2.0}, "sweep": sweep})
+        assert failed.value.violations == [expected]
+
+
 class TestLibraryAgreement:
     """The config file and the library reject a value by the same rule, in
     the same words."""
@@ -348,7 +376,7 @@ class TestLibraryAgreement:
         data = {name: value}
         for block in reversed(blocks):
             data = {block: data}
-        with pytest.raises(ConfigFileError) as from_file:
+        with pytest.raises(ConfigurationError) as from_file:
             from_dict(data)
         with pytest.raises(ConfigurationError) as from_library:
             _LIBRARY[".".join(blocks)](**{name: value})
@@ -362,7 +390,7 @@ class TestLibraryAgreement:
     )
     def test_grid_contract_in_the_same_words(self, step_size, horizon, record_stride):
         data = {"integrator": {"step_size": step_size, "horizon": horizon, "record_stride": record_stride}}
-        with pytest.raises(ConfigFileError) as from_file:
+        with pytest.raises(ConfigurationError) as from_file:
             from_dict(data)
         with pytest.raises(ConfigurationError) as from_library:
             IntegratorConfig(step_size, horizon, record_stride=record_stride)
@@ -374,6 +402,48 @@ class TestLibraryAgreement:
     def test_confidence_band_reports_the_ensemble_violation(self, path, level, method):
         with pytest.raises(ConfigurationError, match=rf"^{path}: must be"):
             confidence_band([1.0, 2.0], level, method)
+
+
+class TestOneExceptionType:
+    """A file, a flag and a constructor raise one type, which lists every
+    violation in the order reported; its message is their join."""
+
+    @pytest.mark.parametrize(
+        "make,expected",
+        [
+            (lambda: from_dict({"model": {"beta": -1, "gamma": 0}, "output": {"formats": []}}), [
+                "model.beta: must be >= 0, got -1", "model.gamma: must be > 0, got 0",
+                "output.formats: must be a non-empty list drawn from ['csv', 'svg']",
+            ]),
+            (lambda: apply_overrides(default_config(), seed=True, runs=0), [
+                "--seed: must be an integer", "--runs: must be >= 1, got 0",
+            ]),
+            (lambda: ModelParams(-1.0, 0.25, 0.0, 0.05, 0.1), [
+                "model.beta: must be >= 0, got -1", "model.gamma: must be > 0, got 0",
+            ]),
+            (lambda: SweepSpec((0.05, 0.05), (1.0,), 2, 0, default_params()), [
+                "sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals",
+                "sweep.taus[0]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5",
+                "sweep.taus[1]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5",
+            ]),
+        ],
+        ids=["from_dict", "apply_overrides", "ModelParams", "SweepSpec"],
+    )
+    def test_every_entry_lists_its_violations(self, make, expected):
+        with pytest.raises(ConfigurationError) as failed:
+            make()
+        assert failed.value.violations == expected
+        assert str(failed.value) == "; ".join(expected)
+
+    @pytest.mark.parametrize("content,prefix", [(None, "config: cannot read "), ("{", "config: invalid JSON in ")])
+    def test_load_config_lists_its_one_violation(self, tmp_path, content, prefix):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigurationError) as failed:
+            load_config(path)
+        [violation] = failed.value.violations
+        assert violation.startswith(f"{prefix}{path}") and str(failed.value) == violation
 
 
 class TestFuzz:
@@ -435,11 +505,11 @@ class TestOverrides:
         assert cfg.output.wants_svg
 
     def test_invalid_runs(self):
-        with pytest.raises(ConfigFileError):
+        with pytest.raises(ConfigurationError):
             apply_overrides(default_config(), runs=0)
 
     def test_flags_are_read_by_the_rules_of_their_fields(self):
-        with pytest.raises(ConfigFileError) as failed:
+        with pytest.raises(ConfigurationError) as failed:
             apply_overrides(default_config(), seed=True, runs=0, out_dir="", formats=("pdf",))
         assert failed.value.violations == [
             "--seed: must be an integer",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from oracles import compartment_rhs, recorder, rk4_path, weak_noise_ratios
 from strategies import RUNNABLE_CONFIGS
 from rumorsim import (
-    ConfigFileError,
     ConfigurationError,
     HistoryFunction,
     IntegratorConfig,
@@ -235,7 +234,7 @@ class TestOneRunPath:
     def test_any_runnable_config(self, data, seed):
         try:
             cfg = from_dict({block: data[block] for block in ("model", "integrator") if block in data})
-        except ConfigFileError:
+        except ConfigurationError:
             assume(False)
         history = HistoryFunction.constant(cfg.initial)
         one, row = one_run_and_batch_row(cfg.model, history, cfg.integrator, seed)
