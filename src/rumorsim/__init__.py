@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # The public names of the package, by the module that defines them.
 _EXPORTS = {
     "ablation": (
-        "DeviationReport", "SweepCell", "SweepResult", "SweepSpec", "compare_to_reference", "filter_reference",
-        "load_reference", "run_sweep",
+        "DeviationReport", "SweepCell", "SweepResult", "compare_to_reference", "filter_reference", "load_reference",
+        "run_sweep",
     ),
     "ensemble": (
         "EnsembleResult", "EnsembleSummary", "FinalSizeHorizonWarning", "OutbreakMetrics", "confidence_band",

@@ -7,7 +7,7 @@ runs an independent ensemble.  The whole grid runs as a single batch
 of ``(params, runs)`` cells, the runs of each delay forming one group
 of the integrator's delay ring.  Cell seeds are derived from
 ``(base_seed, tau_index, r0_index)`` so cells are statistically
-independent and the whole sweep is reproducible from its spec.
+independent and the whole sweep is reproducible from its arguments.
 
 Comparisons against the reference table are advisory: the reference fixes
 only tau, R0, and beta, so its remaining generating parameters (noise
@@ -33,7 +33,7 @@ from .errors import ConfigurationError, GridMismatchError, NumericsError, RumorS
 from .integrator import KEY_DECIMALS, IntegratorConfig, cell_key, check_memory, stream_model, write_table
 from .integrator import sweep_violations
 from .model import (
-    NONNEGATIVE, SWEEP_RULES, HistoryFunction, ModelParams, StateVector, check, default_initial_state, store_checked,
+    NONNEGATIVE, SWEEP_RULES, HistoryFunction, ModelParams, StateVector, check, default_initial_state,
 )
 from .rng import derive_seed
 
@@ -42,7 +42,6 @@ __all__ = [
     "DeviationRow",
     "SweepCell",
     "SweepResult",
-    "SweepSpec",
     "compare_to_reference",
     "filter_reference",
     "load_reference",
@@ -60,28 +59,6 @@ def _at_cell(items, tau: float, r0: float, what: str):
         if cell_key(item.tau, item.r0) == wanted:
             return item
     raise KeyError(f"no {what} at tau={tau}, R0={r0}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid definition plus the fixed parameter template for every cell."""
-
-    taus: tuple[float, ...]
-    r0_values: tuple[float, ...]
-    run_count: int
-    base_seed: int
-    template: ModelParams
-    integrator: IntegratorConfig = IntegratorConfig()
-    initial_state: StateVector | None = None
-
-    def __post_init__(self):
-        store_checked(self, "sweep", SWEEP_RULES, **{name: getattr(self, name) for name in SWEEP_RULES})
-        errors = sweep_violations(self.taus, self.r0_values, self.integrator.step_size)
-        if errors:
-            raise ConfigurationError(errors)
-
-    def beta_for(self, r0: float) -> float:
-        return r0 * self.template.removal_rate / self.template.population
 
 
 @dataclass(frozen=True)
@@ -112,8 +89,12 @@ class SweepResult:
         return _at_cell(self.cells, tau, r0, "sweep cell")
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run one ensemble per grid cell; a pure function of the grid spec.
+def run_sweep(
+    taus, r0_values, run_count: int, base_seed: int, template: ModelParams,
+    integrator: IntegratorConfig = IntegratorConfig(), initial_state: StateVector | None = None,
+) -> SweepResult:
+    """Run one ensemble per grid cell; a pure function of its arguments,
+    which are checked first as a config file's ``sweep`` block is.
 
     All cells run as one batch of ``(params, runs)`` cells in grid order,
     the cells of each delay one group of runs with its own delay ring in
@@ -124,30 +105,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     failing runs, the one at the earliest step across the grid is
     reported, the first in grid order on a tie.
     """
-    n, cfg = spec.run_count, spec.integrator
-    taus, r0s = spec.taus, spec.r0_values
+    taus, r0s, n = check("sweep", SWEEP_RULES, taus=taus, r0_values=r0_values, run_count=run_count).values()
+    errors = sweep_violations(taus, r0s, integrator.step_size)
+    if errors:
+        raise ConfigurationError(errors)
     grid, cells = list(itertools.product(taus, r0s)), []
     for tau, r0 in grid:
         try:
-            cells.append((replace(spec.template, tau=tau, beta=spec.beta_for(r0)), n))
+            cells.append((replace(template, tau=tau, beta=r0 * template.removal_rate / template.population), n))
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0:g}): {exc}") from exc
-    check_memory(cfg, cells, 6, 0)  # the kernel's buffers and block; a peak per run adds little
-    cell_seeds = [derive_seed(spec.base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
+    check_memory(integrator, cells, 6, 0)  # the kernel's buffers and block; a peak per run adds little
+    cell_seeds = [derive_seed(base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
-    start = spec.initial_state or default_initial_state(spec.template)
+    start = initial_state or default_initial_state(template)
     peak = np.full(len(seeds), -np.inf)
 
     def reduce(first, recorded):
         np.maximum(peak, np.maximum.reduce(recorded[:, 2]), out=peak)
 
     try:
-        terminal, _ = stream_model(cells, HistoryFunction.constant(start), cfg, seeds, reduce)
+        terminal, _ = stream_model(cells, HistoryFunction.constant(start), integrator, seeds, reduce)
     except NumericsError as exc:
         c, r = divmod(exc.run, n)
         raise NumericsError(
             f"sweep cell (tau={grid[c][0]:g}, R0={grid[c][1]:g}): non-finite state at "
-            f"step {exc.step} (t={exc.step * cfg.step_size:g}) in run {r} "
+            f"step {exc.step} (t={exc.step * integrator.step_size:g}) in run {r} "
             f"(seed {seeds[exc.run]})",
             step=exc.step,
             run=r,
@@ -161,7 +144,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             tau=tau, r0=r0, beta=p.beta, peak_mean=float(peaks.mean()), peak_std=_run_spread(peaks),
             final_mean=float(finals.mean()), final_std=_run_spread(finals),
         ))
-    return SweepResult(cells=tuple(results), run_count=spec.run_count, base_seed=spec.base_seed)
+    return SweepResult(cells=tuple(results), run_count=n, base_seed=base_seed)
 
 
 def load_reference(path=None) -> tuple[SweepCell, ...]:
@@ -304,6 +287,8 @@ def read_sweep_csv(path) -> SweepResult:
         ) from exc
     if not 1 <= run_count <= sys.float_info.max:
         raise RumorSimError(f"{path}: '# run_count=' must be at least 1 and within the float range")
+    if not cells:
+        raise RumorSimError(f"{path}: holds no (tau, R0) cell")
     return SweepResult(cells=cells, run_count=run_count, base_seed=base_seed)
 
 

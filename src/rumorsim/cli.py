@@ -11,8 +11,9 @@ Each warning that the active filters let through prints as one
 ``warning: ...`` line.
 
 The effective configuration, with every default resolved, is echoed into
-the output directory before anything is computed; re-running any
-subcommand from the echoed file reproduces the outputs byte for byte.
+the output directory with the first output file, so a run that fails
+before that writes nothing; re-running any subcommand from the echoed
+file reproduces the outputs byte for byte.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and serves every later call; importing the module builds none.
@@ -87,18 +88,21 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _outputs(cfg: RunConfig):
-    """Echo the effective configuration into the output directory.  Returns
-    ``output(name)``, which gives the path of a file there and lists it, and
-    the list of every path it gave."""
+    """Returns ``output(name)``, which gives the path of a file in the output
+    directory and lists it, and the list of every path it gave.  Its first
+    call makes the directory and echoes the effective configuration there,
+    listed first, so a run that fails before its first file writes nothing."""
     out_dir = Path(cfg.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def output(name: str) -> Path:
+        if not written:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            written.append(out_dir / "effective_config.json")
+            write_effective_config(cfg, written[0])
         written.append(out_dir / name)
         return written[-1]
 
-    write_effective_config(cfg, output("effective_config.json"))
     return output, written
 
 
@@ -189,19 +193,11 @@ def _cmd_stability(cfg: RunConfig, output, args) -> None:
 
 def _cmd_ablate(cfg: RunConfig, output, args) -> None:
     """sweep the delay x reproduction-number grid"""
-    from .ablation import SweepSpec, run_sweep, write_sweep_csv
+    from .ablation import run_sweep, write_sweep_csv
 
     sweep = cfg.sweep
     result = run_sweep(
-        SweepSpec(
-            taus=sweep.taus,
-            r0_values=sweep.r0_values,
-            run_count=sweep.run_count,
-            base_seed=sweep.seed,
-            template=cfg.model,
-            integrator=cfg.integrator,
-            initial_state=cfg.initial,
-        )
+        sweep.taus, sweep.r0_values, sweep.run_count, sweep.seed, cfg.model, cfg.integrator, cfg.initial
     )
     if cfg.output.wants_csv:
         write_sweep_csv(result, output("sweep.csv"))

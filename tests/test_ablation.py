@@ -17,7 +17,6 @@ from rumorsim import (
     NumericsError,
     SweepCell,
     SweepResult,
-    SweepSpec,
     compare_to_reference,
     default_initial_state,
     default_params,
@@ -36,7 +35,8 @@ CALIBRATION = Path(__file__).resolve().parents[1] / "configs" / "reference_calib
 
 
 def small_spec(taus=(0.0, 10.0), r0s=(0.5, 2.0), runs=12, seed=5):
-    return SweepSpec(
+    """The keyword arguments of :func:`run_sweep` for a small grid."""
+    return dict(
         taus=taus,
         r0_values=r0s,
         run_count=runs,
@@ -87,29 +87,29 @@ class TestReferenceTable:
 
 class TestRunSweep:
     def test_cell_count_and_order(self):
-        result = run_sweep(small_spec())
+        result = run_sweep(**small_spec())
         assert len(result.cells) == 4
         assert [(c.tau, c.r0) for c in result.cells] == [
             (0.0, 0.5), (0.0, 2.0), (10.0, 0.5), (10.0, 2.0),
         ]
 
     def test_beta_rule(self):
-        result = run_sweep(small_spec())
+        result = run_sweep(**small_spec())
         for cell in result.cells:
             assert cell.beta == pytest.approx(0.15 * cell.r0)
 
     def test_deterministic_given_spec(self):
-        a = run_sweep(small_spec())
-        b = run_sweep(small_spec())
+        a = run_sweep(**small_spec())
+        b = run_sweep(**small_spec())
         assert a == b
 
     def test_peak_ordering_in_r0(self):
-        result = run_sweep(small_spec())
+        result = run_sweep(**small_spec())
         assert result.cell(0.0, 2.0).peak_mean > result.cell(0.0, 0.5).peak_mean
 
     def test_cells_statistically_independent(self):
         # same R0 at different delays must not reuse the same stream
-        result = run_sweep(small_spec())
+        result = run_sweep(**small_spec())
         assert result.cell(0.0, 0.5).final_mean != result.cell(10.0, 0.5).final_mean
 
     @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
@@ -122,10 +122,10 @@ class TestRunSweep:
 
         def final_means(level):
             noisy = dataclasses.replace(template, noise=NoiseIntensities.uniform(level))
-            spec = SweepSpec(
+            result = run_sweep(
                 taus=(0.0, 5.0), r0_values=(2.0,), run_count=1000, base_seed=777 + seed_shift, template=noisy, integrator=cfg,
             )
-            return [cell.final_mean for cell in run_sweep(spec).cells]
+            return [cell.final_mean for cell in result.cells]
 
         coarse, fine = weak_noise_ratios(final_means, 0.0025)
         assert np.all(np.abs(fine - 4.0) < 0.1), fine
@@ -133,15 +133,15 @@ class TestRunSweep:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            small_spec(taus=())
+            run_sweep(**small_spec(taus=()))
         with pytest.raises(ValueError):
-            small_spec(r0s=(0.5, 0.0))
+            run_sweep(**small_spec(r0s=(0.5, 0.0)))
         with pytest.raises(ValueError):
-            small_spec(runs=0)
+            run_sweep(**small_spec(runs=0))
 
     def test_an_off_grid_delay_is_named_by_its_index(self):
         with pytest.raises(ConfigurationError) as failed:
-            small_spec(taus=(0.05,))
+            run_sweep(**small_spec(taus=(0.05,)))
         assert failed.value.violations == [
             "sweep.taus[0]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5"
         ]
@@ -152,23 +152,23 @@ class TestBatchedSweep:
     # ensemble of its own cell seed bit for bit
     @pytest.mark.parametrize("stride", [1, 5])
     def test_cells_equal_per_cell_ensembles(self, stride):
-        spec = dataclasses.replace(
-            small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3),
-            integrator=IntegratorConfig(0.1, 150.0, record_stride=stride),
-        )
+        spec = small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3) | {
+            "integrator": IntegratorConfig(0.1, 150.0, record_stride=stride),
+        }
         with warnings.catch_warnings(record=True) as swept:
             warnings.simplefilter("always")
-            result = run_sweep(spec)
-        expected_warnings = 0
-        for i, tau in enumerate(spec.taus):
-            for j, r0 in enumerate(spec.r0_values):
-                params = dataclasses.replace(spec.template, tau=tau, beta=spec.beta_for(r0))
+            result = run_sweep(**spec)
+        expected_warnings, template = 0, spec["template"]
+        for i, tau in enumerate(spec["taus"]):
+            for j, r0 in enumerate(spec["r0_values"]):
+                beta = r0 * template.removal_rate / template.population
+                params = dataclasses.replace(template, tau=tau, beta=beta)
                 history = HistoryFunction.constant(default_initial_state(params))
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     m = run_ensemble(
-                        params, history, spec.integrator, spec.run_count,
-                        derive_seed(spec.base_seed, i, j),
+                        params, history, spec["integrator"], spec["run_count"],
+                        derive_seed(spec["base_seed"], i, j),
                     ).metrics
                 expected_warnings += sum(
                     issubclass(w.category, FinalSizeHorizonWarning) for w in caught
@@ -183,29 +183,29 @@ class TestBatchedSweep:
         assert len(horizon) == expected_warnings
 
     def test_horizon_warnings_name_their_cells(self):
-        spec = dataclasses.replace(
-            small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3),
-            integrator=IntegratorConfig(0.1, 150.0),
-        )
+        spec = small_spec(taus=(0.0, 2.5), r0s=(0.5, 0.8, 2.0), runs=8, seed=3) | {
+            "integrator": IntegratorConfig(0.1, 150.0),
+        }
         with warnings.catch_warnings(record=True) as swept:
             warnings.simplefilter("always")
-            run_sweep(spec)
+            run_sweep(**spec)
         named = [
             str(w.message).split(": ")[0] for w in swept if issubclass(w.category, FinalSizeHorizonWarning)
         ]
-        unconverged = []
-        for i, tau in enumerate(spec.taus):
-            for j, r0 in enumerate(spec.r0_values):
-                params = dataclasses.replace(spec.template, tau=tau, beta=spec.beta_for(r0))
+        unconverged, template = [], spec["template"]
+        for i, tau in enumerate(spec["taus"]):
+            for j, r0 in enumerate(spec["r0_values"]):
+                beta = r0 * template.removal_rate / template.population
+                params = dataclasses.replace(template, tau=tau, beta=beta)
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     run_ensemble(
                         params, HistoryFunction.constant(default_initial_state(params)),
-                        spec.integrator, spec.run_count, derive_seed(spec.base_seed, i, j),
+                        spec["integrator"], spec["run_count"], derive_seed(spec["base_seed"], i, j),
                     )
                 if any(issubclass(w.category, FinalSizeHorizonWarning) for w in caught):
                     unconverged.append(f"sweep cell (tau={tau:g}, R0={r0:g})")
-        assert 0 < len(unconverged) < len(spec.taus) * len(spec.r0_values)
+        assert 0 < len(unconverged) < len(spec["taus"]) * len(spec["r0_values"])
         assert named == unconverged
 
     @pytest.mark.parametrize(
@@ -218,19 +218,18 @@ class TestBatchedSweep:
     )
     def test_nonfinite_state_names_cell_run_and_seed(self, taus, r0s, runs, cell):
         cfg = IntegratorConfig(0.1, 10.0, projection_enabled=False)
-        spec = dataclasses.replace(
-            small_spec(taus=taus, r0s=r0s, runs=runs, seed=11), integrator=cfg
-        )
+        spec = small_spec(taus=taus, r0s=r0s, runs=runs, seed=11) | {"integrator": cfg}
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericsError) as failed:
-                run_sweep(spec)
+                run_sweep(**spec)
             message = str(failed.value)
             assert message.startswith("sweep cell (tau=0, R0=1e+155): non-finite state at step ")
             run = int(message.split(" in run ")[1].split()[0])
-            seed = derive_seed(derive_seed(spec.base_seed, *cell), run)
+            seed = derive_seed(derive_seed(spec["base_seed"], *cell), run)
             assert message.endswith(f" in run {run} (seed {seed})")
             # the named seed reproduces the failure at the same step on its own
-            params = dataclasses.replace(spec.template, beta=spec.beta_for(1e155))
+            template = spec["template"]
+            params = dataclasses.replace(template, beta=1e155 * template.removal_rate / template.population)
             history = HistoryFunction.constant(default_initial_state(params))
             with pytest.raises(NumericsError) as single:
                 integrate(params, history, cfg, seed)
@@ -248,7 +247,7 @@ class TestExactFinalSize:
         gaps, sizes = {}, {}
         for h in hs:
             cfg = IntegratorConfig(h, 3000.0, record_stride=100)
-            for c in run_sweep(SweepSpec(taus, r0s, 2, 0, template, cfg)).cells:
+            for c in run_sweep(taus, r0s, 2, 0, template, cfg).cells:
                 p = dataclasses.replace(template, beta=c.beta, tau=c.tau)
                 sizes[c.tau, c.r0] = final_size_exact(p, start)
                 gaps.setdefault((c.tau, c.r0), []).append(abs(c.final_mean - sizes[c.tau, c.r0]))
@@ -274,10 +273,9 @@ class TestReferenceCalibration:
         cfg = load_config(CALIBRATION) if calibrated else default_config()
         taus, r0s = cfg.sweep.taus, [r0 for r0 in cfg.sweep.r0_values if r0 < 1.0]
         template = dataclasses.replace(cfg.model, noise=NoiseIntensities.zero())
-        spec = SweepSpec(taus, r0s, cfg.sweep.run_count, 0, template, cfg.integrator, cfg.initial)
         cells = []
         for tau, r0 in itertools.product(taus, r0s):
-            p = dataclasses.replace(template, tau=tau, beta=spec.beta_for(r0))
+            p = dataclasses.replace(template, tau=tau, beta=r0 * template.removal_rate / template.population)
             _, paths, _ = simulate_paths(p, HistoryFunction.constant(cfg.initial), cfg.integrator, [0])
             peak, final = float(paths[0, :, 2].max()), float(paths[0, -1, 3] + paths[0, -1, 5])
             cells.append(SweepCell(tau, r0, p.beta, peak, 0.0, final, 0.0))
@@ -294,8 +292,8 @@ class TestReferenceCalibration:
     def test_sweeps_under_the_calibration_flag_no_cell(self, seed):
         cfg = load_config(CALIBRATION)
         s = cfg.sweep
-        spec = SweepSpec(s.taus, s.r0_values, s.run_count, seed, cfg.model, cfg.integrator, cfg.initial)
-        report = compare_to_reference(run_sweep(spec), load_reference())
+        result = run_sweep(s.taus, s.r0_values, s.run_count, seed, cfg.model, cfg.integrator, cfg.initial)
+        report = compare_to_reference(result, load_reference())
         assert len(report.rows) == 18
         assert not report.flagged_rows, [row.note for row in report.flagged_rows]
 
@@ -398,7 +396,7 @@ class TestMalformedInputs:
 
 class TestCsvRoundTrip:
     def test_sweep_csv(self, tmp_path):
-        result = run_sweep(small_spec(runs=4))
+        result = run_sweep(**small_spec(runs=4))
         path = tmp_path / "sweep.csv"
         write_sweep_csv(result, path)
         lines = path.read_text().splitlines()

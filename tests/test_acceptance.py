@@ -35,7 +35,6 @@ from rumorsim import (
     verify_growth_bound,
     verify_lipschitz_bound,
 )
-from rumorsim.ablation import SweepSpec
 from rumorsim.cli import main as cli_main
 
 
@@ -58,17 +57,16 @@ def criterion(number, description, limit_seconds, extra_seconds=0.0):
 def table_sweep():
     """Full 18-cell sweep at the documented defaults, 100 runs per cell."""
     reference = load_reference()
-    spec = SweepSpec(
-        taus=(0.0, 5.0, 10.0),
-        r0_values=(0.5, 0.8, 1.0, 1.2, 1.5, 2.0),
-        run_count=100,
-        base_seed=20260810,
-        template=default_params(),
-        integrator=IntegratorConfig(0.1, 200.0),
-    )
     start = time.perf_counter()
     with pytest.warns(Warning):  # slow cells legitimately warn about the horizon
-        result = run_sweep(spec)
+        result = run_sweep(
+            taus=(0.0, 5.0, 10.0),
+            r0_values=(0.5, 0.8, 1.0, 1.2, 1.5, 2.0),
+            run_count=100,
+            base_seed=20260810,
+            template=default_params(),
+            integrator=IntegratorConfig(0.1, 200.0),
+        )
     elapsed = time.perf_counter() - start
     deviation = compare_to_reference(result, reference)
     return result, deviation, reference, elapsed

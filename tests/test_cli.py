@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from strategies import CONFIGS, RUNNABLE_CONFIGS
 
 import rumorsim
-from rumorsim import ConfigurationError, FinalSizeHorizonWarning, SweepSpec, load_reference, run_sweep
+from rumorsim import ConfigurationError, FinalSizeHorizonWarning, load_reference, run_sweep
 from rumorsim.cli import main
 from rumorsim.config import load_config
 from rumorsim.integrator import IntegratorConfig
@@ -161,6 +161,7 @@ class TestMemoryGuard:
         )
         assert code == 2
         assert err.startswith("error: ") and "GiB of physical memory" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
     @pytest.mark.parametrize("command, components", [("ensemble", 6), ("stability", 2)])
@@ -295,14 +296,13 @@ class TestWarnings:
         assert warnings.showwarning is showwarning
         # the library warns once per unconverged cell, with the class
         cfg = load_config(tmp_path / "out" / "effective_config.json")
-        spec = SweepSpec(
-            taus=cfg.sweep.taus, r0_values=cfg.sweep.r0_values, run_count=cfg.sweep.run_count,
-            base_seed=cfg.sweep.seed, template=cfg.model, integrator=cfg.integrator,
-            initial_state=cfg.initial,
-        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_sweep(spec)
+            run_sweep(
+                taus=cfg.sweep.taus, r0_values=cfg.sweep.r0_values, run_count=cfg.sweep.run_count,
+                base_seed=cfg.sweep.seed, template=cfg.model, integrator=cfg.integrator,
+                initial_state=cfg.initial,
+            )
         assert caught and all(issubclass(w.category, FinalSizeHorizonWarning) for w in caught)
         assert err.splitlines() == [f"warning: {w.message}" for w in caught]
         assert all(line.startswith("warning: sweep cell (tau=") for line in err.splitlines())
@@ -423,6 +423,7 @@ class TestAblate:
             assert (code, out) == (2, "")
             off_grid = "tau (5) must be an integer multiple of the step size (2); got ratio 2.5"
             assert err == f"error: sweep.taus[1]: {off_grid}\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
     def test_delays_alike_to_six_digits_keep_distinct_labels(self, tmp_path, capsys):
@@ -513,6 +514,18 @@ class TestCompare:
         )
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_result_with_no_cell(self, tmp_path, capsys):
+        # only the metadata and the header: against the bundled reference
+        # there would be nothing to compare, not a deviation table
+        result = tmp_path / "sweep.csv"
+        result.write_text("# run_count=3\n# base_seed=0\ntau,R0,beta,peak_mean,peak_std,final_mean,final_std\n")
+        argv = ["compare", "--result", str(result), "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {result}: holds no (tau, R0) cell\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("repeated", ["--result", "--reference"])
     def test_repeated_cell_is_rejected(self, tmp_path, capsys, repeated):

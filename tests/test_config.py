@@ -13,12 +13,12 @@ from rumorsim import (
     NoiseIntensities,
     RumorSimError,
     StateVector,
-    SweepSpec,
     confidence_band,
     config,
     default_initial_state,
     default_params,
     run_ensemble,
+    run_sweep,
     simulate_linearized,
 )
 from rumorsim.config import (
@@ -253,7 +253,7 @@ class TestListItems:
 
     def test_the_library_names_every_bad_item(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            SweepSpec(taus=(-1.0, -2.0), r0_values=(1.0,), run_count=2, base_seed=1, template=default_params())
+            run_sweep(taus=(-1.0, -2.0), r0_values=(1.0,), run_count=2, base_seed=1, template=default_params())
         assert str(excinfo.value) == "sweep.taus[0]: must be >= 0, got -1; sweep.taus[1]: must be >= 0, got -2"
 
     def test_every_bad_format_is_reported(self):
@@ -287,7 +287,7 @@ _LIBRARY = {
         _P, HistoryFunction.constant(default_initial_state(_P)), _CFG, run_count, 1, **kw
     ),
     "stability": lambda e0=0.005, i0=0.005, run_count=2: simulate_linearized(_P, e0, i0, _CFG, run_count, 1),
-    "sweep": lambda taus=(0.0,), r0_values=(1.0,), run_count=2: SweepSpec(taus, r0_values, run_count, 1, _P),
+    "sweep": lambda taus=(0.0,), r0_values=(1.0,), run_count=2: run_sweep(taus, r0_values, run_count, 1, _P, _CFG),
 }
 
 # a value that breaks each field's rule: a wrong type, a bound, a non-finite
@@ -421,13 +421,13 @@ class TestOneExceptionType:
             (lambda: ModelParams(-1.0, 0.25, 0.0, 0.05, 0.1), [
                 "model.beta: must be >= 0, got -1", "model.gamma: must be > 0, got 0",
             ]),
-            (lambda: SweepSpec((0.05, 0.05), (1.0,), 2, 0, default_params()), [
+            (lambda: run_sweep((0.05, 0.05), (1.0,), 2, 0, default_params()), [
                 "sweep grid repeats a cell: taus and R0 values must each be distinct to 9 decimals",
                 "sweep.taus[0]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5",
                 "sweep.taus[1]: tau (0.05) must be an integer multiple of the step size (0.1); got ratio 0.5",
             ]),
         ],
-        ids=["from_dict", "apply_overrides", "ModelParams", "SweepSpec"],
+        ids=["from_dict", "apply_overrides", "ModelParams", "run_sweep"],
     )
     def test_every_entry_lists_its_violations(self, make, expected):
         with pytest.raises(ConfigurationError) as failed:

@@ -22,7 +22,6 @@ from rumorsim import (
     NoiseIntensities,
     NumericsError,
     StateVector,
-    SweepSpec,
     default_initial_state,
     default_params,
     derive_seed,
@@ -248,12 +247,10 @@ class TestOneRunPath:
         p = default_params(tau=2.5, r0=2.0, noise_level=0.5)
         hist = HistoryFunction.constant(default_initial_state(p))
         cfg = IntegratorConfig(0.1, 20.0)
-        spec = SweepSpec(
-            taus=(p.tau,), r0_values=(1.5,), run_count=1, base_seed=7, template=p, integrator=cfg
-        )
+        spec = dict(taus=(p.tau,), r0_values=(1.5,), run_count=1, base_seed=7, template=p, integrator=cfg)
         if entry == "sweep":
-            p = dataclasses.replace(p, beta=spec.beta_for(1.5))
-            s = derive_seed(derive_seed(spec.base_seed, 0, 0), 0)
+            p = dataclasses.replace(p, beta=1.5 * p.removal_rate / p.population)
+            s = derive_seed(derive_seed(spec["base_seed"], 0, 0), 0)
         else:
             s = derive_seed(7, 0)
         times, paths, _ = simulate_paths(p, hist, cfg, [s, s])
@@ -265,7 +262,7 @@ class TestOneRunPath:
 
         monkeypatch.setattr("rumorsim.integrator.euler_maruyama", batch_kernel)
         if entry == "sweep":
-            (cell,) = run_sweep(spec).cells
+            (cell,) = run_sweep(**spec).cells
             assert (cell.peak_mean, cell.final_mean) == (float(peak[0]), float(final[0]))
             return
         result = run_ensemble(p, hist, cfg, 1, 7)
@@ -891,7 +888,7 @@ class TestMemory:
     @staticmethod
     def _two_delay_sweep(runs):
         # a k = 0 group and a k = 1000 group of ``runs`` runs each
-        spec = SweepSpec(
+        spec = dict(
             taus=(0.0, 100.0), r0_values=(2.0,), run_count=runs, base_seed=3,
             template=default_params(), integrator=IntegratorConfig(0.1, 100.0),
         )
@@ -902,10 +899,10 @@ class TestMemory:
         # the k = 0 runs keep no ring: the whole sweep peaks below what one
         # ring of k + 1 rows for every run would hold alone
         spec, k = self._two_delay_sweep(400)
-        shared = (k + 1) * 2 * spec.run_count * 8
+        shared = (k + 1) * 2 * spec["run_count"] * 8
         tracemalloc.start()
         try:
-            run_sweep(spec)
+            run_sweep(**spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -924,9 +921,9 @@ class TestMemory:
             check_memory(cfg, [(default_params(tau=100.0), 2 * runs)], 6, 0)
         # and the sweep counts its groups so, with no rows to spare for a shared ring
         spec, k = self._two_delay_sweep(400)
-        shared = (k + 1) * 2 * spec.run_count * 8
+        shared = (k + 1) * 2 * spec["run_count"] * 8
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": shared // 8}.get)
-        run_sweep(spec)
+        run_sweep(**spec)
 
     def test_delay_beyond_horizon_reads_only_the_history(self):
         # every step of the horizon reads the history, whatever the delay

@@ -14,7 +14,6 @@ from rumorsim import (
     NoiseIntensities,
     NumericsError,
     StateVector,
-    SweepSpec,
     classify_equilibrium,
     default_initial_state,
     default_params,
@@ -25,6 +24,7 @@ from rumorsim import (
     lipschitz_constant,
     reproduction_number,
     run_ensemble,
+    run_sweep,
     second_moment_envelope,
     simulate_linearized,
     simulate_paths,
@@ -345,10 +345,14 @@ class TestIntegerFields:
         for times in (integrate(p, hist, cfg, 1).times, result.summary.times, result.metrics.peak_times):
             assert times.dtype == np.float64
 
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
     def test_sweep_lists_are_stored_as_tuples_of_floats(self):
-        spec = SweepSpec(taus=[0, 5], r0_values=[1, 2.5], run_count=1, base_seed=0, template=default_params())
-        assert spec.taus == (0.0, 5.0) and spec.r0_values == (1.0, 2.5)
-        assert {type(v) for v in spec.taus + spec.r0_values} == {float}
+        result = run_sweep(
+            taus=[0, 5], r0_values=[1, 2.5], run_count=1, base_seed=0, template=default_params(),
+            integrator=IntegratorConfig(0.1, 1.0),
+        )
+        assert [(c.tau, c.r0) for c in result.cells] == [(0.0, 1.0), (0.0, 2.5), (5.0, 1.0), (5.0, 2.5)]
+        assert {type(v) for c in result.cells for v in (c.tau, c.r0)} == {float}
 
 
 _ORIGIN = StateVector(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
