@@ -115,7 +115,7 @@ def run_sweep(
             cells.append((replace(template, tau=tau, beta=r0 * template.removal_rate / template.population), n))
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep cell (tau={tau:g}, R0={r0:g}): {exc}") from exc
-    check_memory(integrator, cells, 6, 0)  # the kernel's buffers and block; a peak per run adds little
+    check_memory(integrator, cells, 6, n * len(cells))  # the kernel's buffers and block, and a peak per run
     cell_seeds = [derive_seed(base_seed, i, j) for i in range(len(taus)) for j in range(len(r0s))]
     seeds = [derive_seed(cell_seed, r) for cell_seed in cell_seeds for r in range(n)]
     start = initial_state or default_initial_state(template)

@@ -263,7 +263,7 @@ def run_ensemble(
     """
     check("ensemble", ENSEMBLE_RULES, run_count=run_count, ci_level=ci_level, ci_method=ci_method)
     rows, cells = cfg.recorded_count, [(p, run_count)]
-    check_memory(cfg, cells, 6, rows * (4 * 6 + 1))  # the outputs and times
+    check_memory(cfg, cells, 6, rows * (4 * 6 + 1) + 2 * run_count)  # the outputs, times and per-run peaks
     seeds = [derive_seed(base_seed, k) for k in range(run_count)]
 
     slab = None

@@ -199,13 +199,15 @@ def check_memory(cfg: IntegratorConfig, cells, components: int, held_values: int
     ``_MAX_PATH_STEPS`` path-steps.  The estimate adds the buffers of
     :func:`euler_maruyama`, with its delay rings at ``k + 1`` values per
     run of a cell (``D(n)`` at ``k = 0``), six drift scratch rows per run
-    (the most a drift binds), the noise chunk that :mod:`rumorsim.rng`
-    sizes and the record block and a copy, to the caller's ``held_values``.
+    (the most a drift binds), eight values per run for its seed (a list
+    slot and a Python int, its ``uint64`` copy and its stream key), the
+    noise chunk that :mod:`rumorsim.rng` sizes and the record block and a
+    copy, to the caller's ``held_values``.
     """
     runs = sum(n for _, n in cells)
     rings = sum((delay_steps(p.tau, cfg) + 1) * n for p, n in cells)
     blocks = 2 * block_rows(cfg, components * runs) * components * runs
-    held = 8 * (held_values + runs * (3 * components + 3 + 6) + rings + chunk_values(components, runs) + blocks)
+    held = 8 * (held_values + runs * (3 * components + 3 + 6 + 8) + rings + chunk_values(components, runs) + blocks)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -241,21 +243,20 @@ def _non_finite(step: int, h: float, run: int) -> NumericsError:
     return NumericsError(f"non-finite state at step {step} (t={step * h:g}) in run index {run}", step=step, run=run)
 
 
-def euler_maruyama(
-    drift, start, delays, delayed_column, noise, increments, cfg, reduce, project
-) -> tuple[np.ndarray, np.ndarray]:
+def euler_maruyama(drift, start, delays, noise, increments, cfg, reduce) -> tuple[np.ndarray, np.ndarray]:
     """Stream ``X(n+1) = X(n) + drift(X(n), D(n)) h + (noise * X(n)) *
     dW(n)`` on a ``(components, runs)`` state, with ``noise`` one intensity
     per component or one per component and run, and ``dW(n)`` plane ``n``
     of ``increments``: C-contiguous ``(steps, components, runs)`` chunks,
     read in order and only if some intensity is above zero.  The operation
     order fixes the bits of every output.  ``drift(x, out)`` binds the
-    state and a drift buffer once and returns ``step(d)``, which writes the
-    drift at ``x`` into ``out``; the state is then updated in place.
+    state and a drift buffer once and returns ``(step, row)``, where
+    ``step(d)`` writes the drift at ``x`` into ``out``; the state is then
+    updated in place.  ``row`` is the row of ``x`` that ``D`` lags.
 
-    ``delays`` splits the runs, in order, into groups ``(runs,
-    early)`` whose ``D(n)`` is row ``delayed_column`` of ``X(n - k)``, or
-    ``early[n]`` for the first ``k = len(early)`` steps.  A group with
+    ``delays`` splits the runs, in order, into groups ``(runs, early)``
+    whose ``D(n)`` is ``row`` at step ``n - k``, or ``early[n]`` for the
+    first ``k = len(early)`` steps.  A group with
     ``k > 0`` keeps its own ring of ``k + 1`` rows holding ``D(n .. n +
     k)``, so the rings hold ``(k + 1) * runs`` values per group; a group
     with ``k = 0`` keeps none and reads its own state row.  With one group
@@ -267,10 +268,10 @@ def euler_maruyama(
     ``reduce(first, rows)`` is handed the filled rows of each full block
     and of the last one, from row ``first``.  The kernel never reads a
     handed row again: ``reduce`` may overwrite the rows, and copies what
-    it keeps.  With ``project``, negative components are clamped to zero
-    after each step.  Returns the terminal state and the per-run count of
-    clamped steps; raises :class:`NumericsError` with ``step`` and ``run``
-    set for the lowest run index at the earliest non-finite step.
+    it keeps.  If ``cfg.projection_enabled``, negative entries are clamped
+    to zero after each step.  Returns the terminal state and the per-run
+    count of clamped steps; raises :class:`NumericsError` with ``step`` and
+    ``run`` set for the lowest run index at the earliest non-finite step.
 
     Every operand, view and ufunc is bound before the loop, and every call
     in it takes its output positionally.  One ``argmax`` screens a projected
@@ -281,12 +282,12 @@ def euler_maruyama(
     the state with itself, non-finite whenever an entry is, and only when
     it is non-finite are the entries scanned one by one.
     """
-    h, n_steps, stride = cfg.step_size, cfg.step_count, cfg.record_stride
+    h, n_steps, stride, project = cfg.step_size, cfg.step_count, cfg.record_stride, cfg.projection_enabled
     n_comp, n_runs = len(noise), sum(runs for runs, _ in delays)
     x = np.empty((n_comp, n_runs))  # the state, updated in place
     x[...] = np.reshape(start, (n_comp, 1))
     dx = np.empty_like(x)
-    step_drift, flat = drift(x, dx), x.reshape(-1)
+    (step_drift, delayed), flat = drift(x, dx), x.reshape(-1)
     bits = flat.view(np.uint64)
     # each group's slots hold D(n .. n + k): slot n % (k + 1) is read at
     # step n and then takes the new state's row, D(n + k + 1)
@@ -294,7 +295,7 @@ def euler_maruyama(
     for runs, early in delays:
         cols = slice(first, first + runs)
         first += runs
-        own = x[delayed_column, cols]
+        own = delayed[cols]
         slots = [own]  # with no delay, D(n) is the state's own row
         if len(early):
             ring = np.empty((len(early) + 1, runs))
@@ -360,10 +361,11 @@ def stream_model(
     stepper sizes and allocates its own block of rows for ``reduce``.  ``cells``
     is a sequence of ``(params, runs)`` pairs, a :class:`ModelParams` for
     each consecutive group of runs in seed order; every run starts from
-    ``history(0)``.  Consecutive cells of one delay form one delay group
-    of the kernel, and each rate and the noise intensities go to it as
-    one value where every cell agrees and one value per run otherwise,
-    and both steppers read the increments it draws from the seeds.
+    ``history(0)`` and reads ``history``'s ``I`` at the lags before it.
+    Consecutive cells of one delay form one delay group of the kernel, and
+    each rate and the noise intensities go to it as one value where every
+    cell agrees and one value per run otherwise; both steppers read the
+    increments it draws from the seeds, and clamp as ``cfg`` says.
 
     One seed is stepped in Python floats by :func:`_stream_one`, where
     numpy's per-call cost would dominate six-element steps, and two or more
@@ -388,13 +390,12 @@ def stream_model(
 
     rates = [per_run(rate) for rate in zip(*[(p.beta, p.gamma, p.rho, p.sigma_act, p.theta) for p in params])]
     noise, seeds = per_run([p.noise.as_array() for p in params]), seed_array(seeds)
-    dw = increment_chunks(seeds, 6, cfg.step_count, cfg.step_size)
+    x0, dw = history(0.0), increment_chunks(seeds, 6, cfg.step_count, cfg.step_size)
     try:
         if seeds.size > 1:
-            drift = functools.partial(_drift_with_delayed_i, rates)
-            return euler_maruyama(drift, history(0.0), delays, 2, noise, dw, cfg, reduce, cfg.projection_enabled)
+            return euler_maruyama(functools.partial(_drift_with_delayed_i, rates), x0, delays, noise, dw, cfg, reduce)
         (early,) = [early for n, early in delays if n]  # a cell may hold no runs
-        return _stream_one(rates, history(0.0), early, noise, dw, cfg, reduce, cfg.projection_enabled)
+        return _stream_one(rates, x0, early, noise, dw, cfg, reduce)
     except NumericsError as exc:
         raise NumericsError(f"{exc} (seed {seeds[exc.run]})", step=exc.step, run=exc.run) from exc
 
@@ -404,17 +405,17 @@ def _clamped(v: float) -> float:
     return v if v > 0.0 or v != v else 0.0
 
 
-def _stream_one(rates, start, early, noise, increments, cfg, reduce, project) -> tuple[np.ndarray, np.ndarray]:
+def _stream_one(rates, start, early, noise, increments, cfg, reduce) -> tuple[np.ndarray, np.ndarray]:
     """:func:`euler_maruyama` for the model's drift on its ``rates`` and one
     run, in Python floats, with the kernel's operations in its order;
     ``early`` holds the delayed spreader values of the first ``len(early)``
     steps.  Each recorded row is packed as six doubles into a buffer of
     ``block`` rows, which ``reduce`` is handed as ``(rows, 6, 1)`` views."""
-    h, n_steps, stride, block = cfg.step_size, cfg.step_count, cfg.record_stride, block_rows(cfg, 6)
+    h, n_steps, stride, project = cfg.step_size, cfg.step_count, cfg.record_stride, cfg.projection_enabled
     beta, gamma, rho, sigma, theta = (np.ravel(rate).item() for rate in rates)
     ns, ne, ni, nr, nig, nf = noise = np.ravel(noise).tolist()
     noisy = any(n > 0.0 for n in noise)
-    six = struct.Struct("6d")
+    six, block = struct.Struct("6d"), block_rows(cfg, 6)
     draws = itertools.chain.from_iterable(map(six.iter_unpack, increments))
     buf = bytearray(six.size * block)
     staged = np.frombuffer(buf).reshape(block, 6, 1)  # the rows as reduce is handed them

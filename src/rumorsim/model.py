@@ -260,12 +260,12 @@ def _state_array(x) -> np.ndarray:
 
 
 def _drift_with_delayed_i(c, x, out):
-    # Shared kernel, component-major: ``x`` and ``out`` are ``(6, n)``
-    # arrays, and the returned ``step(i_delayed)`` writes the drift at ``x``
-    # into ``out``, every operand and view bound here; ``c`` holds beta,
-    # gamma, rho, sigma_act and theta, each one value or one per run.  Each
-    # flow is computed once and reused with both signs, so the components
-    # cancel to zero up to the final rounding; stacked rows share one call.
+    # Shared kernel, component-major: ``x`` and ``out`` are ``(6, n)`` arrays,
+    # and of the returned ``(step, I)``, ``step(i_delayed)`` writes the drift at
+    # ``x`` into ``out``, every operand and view bound here; ``c`` holds beta,
+    # gamma, rho, sigma_act and theta, each one value or one per run.  Each flow
+    # is computed once and reused with both signs, so the components cancel to
+    # zero up to the final rounding; stacked rows share one call.
     beta, gamma, rho, sigma_act, theta = c
     rates = np.empty((2, x.shape[1]))
     rates[0], rates[1] = beta, sigma_act
@@ -288,7 +288,7 @@ def _drift_with_delayed_i(c, x, out):
         multiply(theta, ig, d_f)  # verification
         subtract(d_ig, d_f, d_ig)  # skepticism - verification
 
-    return step
+    return step, i
 
 
 def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
@@ -305,7 +305,7 @@ def drift(x, x_delayed, p: ModelParams) -> np.ndarray:
     out = np.empty(xa.shape)
     i_delayed = np.broadcast_to(ya[..., 2], xa.shape[:-1]).reshape(-1)
     rates = (p.beta, p.gamma, p.rho, p.sigma_act, p.theta)
-    _drift_with_delayed_i(rates, xa.reshape(-1, 6).T, out.reshape(-1, 6).T)(i_delayed)
+    _drift_with_delayed_i(rates, xa.reshape(-1, 6).T, out.reshape(-1, 6).T)[0](i_delayed)
     return out
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -411,14 +411,19 @@ class MeanSquareDecayReport:
 
 
 def _fit_decay_rate(times: np.ndarray, estimate: np.ndarray) -> float:
+    """The least-squares slope of ``log(estimate)`` over the fit window, in
+    closed form over ``math.log`` and ``math.fsum``, so that neither LAPACK
+    nor numpy's SIMD ``log`` sets its bits."""
     horizon = times[-1]
     start = np.searchsorted(times, _FIT_START_FRACTION * horizon)
     below = np.nonzero(estimate < _FIT_FLOOR)[0]
     stop = int(below[0]) if below.size else times.size
     if stop - start < 2:
         return float("nan")
-    window = slice(start, stop)
-    return float(np.polyfit(times[window], np.log(estimate[window]), 1)[0])
+    t, y = times[start:stop].tolist(), [math.log(v) for v in estimate[start:stop].tolist()]
+    t_mean, y_mean = math.fsum(t) / len(t), math.fsum(y) / len(y)
+    dt = [v - t_mean for v in t]
+    return math.fsum(d * (v - y_mean) for d, v in zip(dt, y)) / math.fsum(d * d for d in dt)
 
 
 def _linearized_drift(p: ModelParams, x, out):
@@ -436,7 +441,7 @@ def _linearized_drift(p: ModelParams, x, out):
         multiply(bn, i_delayed, transmission)
         subtract(head, tail, out)
 
-    return step
+    return step, x[1]
 
 
 def simulate_linearized(
@@ -452,9 +457,9 @@ def simulate_linearized(
 
     Uses constant history ``(e0, i0)``, Euler-Maruyama on the same step
     grid rules as the full model, and the counter noise stream (columns
-    0 and 1 for the E and I perturbations).  No nonnegativity projection
-    is applied: the subsystem is linear and the second moment is
-    sign-blind, while clamping would distort it.
+    0 and 1 for the E and I perturbations).  No projection is applied,
+    whatever ``cfg.projection_enabled`` says: the subsystem is linear and
+    the second moment is sign-blind, while clamping would distort it.
 
     The second moment is reduced per block of recorded rows that the
     kernel sizes and hands over, so memory scales with ``run_count`` times
@@ -475,12 +480,12 @@ def simulate_linearized(
             ms_estimate[first : first + len(recorded)] = squares.sum(axis=1).mean(axis=1)
 
     early = np.full(delay_steps(p.tau, cfg), i0)
-    noise_pair = np.array([p.noise.e, p.noise.i])
     seeds = seed_array([derive_seed(base_seed, j) for j in range(run_count)])
     increments = increment_chunks(seeds, 2, cfg.step_count, cfg.step_size)
-    drift = functools.partial(_linearized_drift, p)
+    drift, noise = functools.partial(_linearized_drift, p), np.array([p.noise.e, p.noise.i])
+    unprojected = replace(cfg, projection_enabled=False)
     try:
-        euler_maruyama(drift, (e0, i0), [(run_count, early)], 1, noise_pair, increments, cfg, reduce, False)
+        euler_maruyama(drift, (e0, i0), [(run_count, early)], noise, increments, unprojected, reduce)
     except NumericsError as exc:
         raise NumericsError(
             f"linearized second moment overflowed at step {exc.step} (t={exc.step * cfg.step_size:g}) "

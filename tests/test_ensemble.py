@@ -481,13 +481,13 @@ class TestBlockwiseStatistics:
         recorded = []
 
         def spy(*args):
-            *head, reduce, project = args
+            *head, reduce = args
 
             def seen(first, rows):
                 recorded.extend(rows.copy())
                 reduce(first, rows)
 
-            return euler_maruyama(*head, seen, project)
+            return euler_maruyama(*head, seen)
 
         monkeypatch.setattr("rumorsim.stability.euler_maruyama", spy)
         runs, cfg = 5, IntegratorConfig(0.1, 20.0)

@@ -541,7 +541,7 @@ class TestKernel:
         chunks = np.array_split(draws, 7)
         operands = {
             _stream_one: (rates, start, early),
-            euler_maruyama: (functools.partial(_drift_with_delayed_i, rates), start, [(1, early)], 2),
+            euler_maruyama: (functools.partial(_drift_with_delayed_i, rates), start, [(1, early)]),
         }
 
         def run(stepper, poison=False):
@@ -552,7 +552,7 @@ class TestKernel:
                 if poison:
                     recorded[...] = np.nan
 
-            terminal, counts = stepper(*operands[stepper], p.noise.as_array(), chunks, cfg, keep, project)
+            terminal, counts = stepper(*operands[stepper], p.noise.as_array(), chunks, cfg, keep)
             return np.concatenate(rows), terminal, counts
 
         return cfg, run
@@ -630,9 +630,9 @@ class TestKernel:
                 for xc, oc in zip(x, out):
                     np.multiply(rates, xc, out=oc)
 
-            return step
+            return step, x[0]
 
-        cfg = IntegratorConfig(1.0, 200.0, projection_enabled=False)
+        cfg = IntegratorConfig(1.0, 200.0, projection_enabled=project)
         first_step = []
         for rate in rates.tolist():  # exact scan, one run at a time in Python floats
             x, step = 1.0, None
@@ -645,10 +645,7 @@ class TestKernel:
         step = min(first_step)
         assert step < max(s for s in first_step if s < np.inf)
         with pytest.raises(NumericsError) as failed:
-            euler_maruyama(
-                drift, (1.0, 1.0), [(rates.size, [1.0] * k)], 0, np.zeros(2), (),
-                cfg, lambda first, rows: None, project,
-            )
+            euler_maruyama(drift, (1.0, 1.0), [(rates.size, [1.0] * k)], np.zeros(2), (), cfg, lambda first, rows: None)
         assert failed.value.step == step
         assert failed.value.run == first_step.index(step)
         assert str(failed.value).endswith(f" (t={step:g}) in run index {failed.value.run}")
@@ -659,11 +656,10 @@ class TestKernel:
                 for oc in out:
                     oc[...] = 0.0
 
-            return step
+            return step, x[0]
 
         terminal, _ = euler_maruyama(
-            drift, (1e308, 1e308), [(3, [])], 0, np.zeros(2), (),
-            IntegratorConfig(1.0, 5.0), lambda first, rows: None, True,
+            drift, (1e308, 1e308), [(3, [])], np.zeros(2), (), IntegratorConfig(1.0, 5.0), lambda first, rows: None,
         )
         assert np.all(terminal == 1e308)
 
@@ -689,7 +685,7 @@ class TestKernel:
                 for xc, oc in zip(x, out):
                     np.copysign(0.0, xc, out=oc)
 
-            return step
+            return step, x[0]
 
         if start == "sum_overflow":
             first, (value, outcomes) = 1e308, (1e308, {True: 1e308, False: 1e308})
@@ -698,8 +694,8 @@ class TestKernel:
         expected = outcomes[project]
         try:
             terminal, counts = euler_maruyama(
-                drift, (first, value), [(3, [])], 0, np.zeros(2), (),
-                IntegratorConfig(1.0, 3.0), lambda first, rows: None, project,
+                drift, (first, value), [(3, [])], np.zeros(2), (),
+                IntegratorConfig(1.0, 3.0, projection_enabled=project), lambda first, rows: None,
             )
         except NumericsError as exc:
             assert (exc.step, exc.run) == expected
@@ -731,9 +727,7 @@ class TestStrongOrder:
             cfg = IntegratorConfig(m * self.H_REF, self.HORIZON, projection_enabled=False)
             coarse = fine.reshape(fine_steps // m, m, *fine.shape[1:]).sum(axis=1)
             early = np.full(delay_steps(self.TAU, cfg), start[delayed_column])
-            x, _ = euler_maruyama(
-                drift, start, [(self.RUNS, early)], delayed_column, noise, [coarse], cfg, lambda first, rows: None, False,
-            )
+            x, _ = euler_maruyama(drift, start, [(self.RUNS, early)], noise, [coarse], cfg, lambda first, rows: None)
             return x
 
         reference = terminal(1)
@@ -816,13 +810,13 @@ class TestStepScreens:
             def step(delayed):
                 out[...] = 0.0
 
-            return step
+            return step, x[0]
 
         start = (1e200, -3e200) if width % 2 == 0 else (1e200,)
         runs = width // len(start)
         terminal, counts = euler_maruyama(
-            drift, start, [(runs, [])], 0, np.zeros(len(start)), (),
-            IntegratorConfig(1.0, 3.0), lambda first, rows: None, False,
+            drift, start, [(runs, [])], np.zeros(len(start)), (),
+            IntegratorConfig(1.0, 3.0, projection_enabled=False), lambda first, rows: None,
         )
         assert terminal.tobytes() == np.repeat(np.reshape(start, (-1, 1)), runs, axis=1).tobytes()
         assert not counts.any()
@@ -962,21 +956,48 @@ class TestMemory:
     @pytest.mark.parametrize("components", [2, 6])
     def test_estimate_is_the_buffers_rings_and_two_noise_chunks(self, monkeypatch, components, runs):
         # the estimate, to the byte: the held values, the kernel's 3 * components
-        # + 9 rows per run, each cell's ring of k + 1 rows, two arrays of
-        # max(components * runs, 32,768) draws and the record block of about
-        # 65,536 values with one copy; the batch fits a machine of exactly
-        # that many bytes and not one of a byte less
+        # + 9 rows per run and 8 values per run for its seed, each cell's ring of
+        # k + 1 rows, two arrays of max(components * runs, 32,768) draws and the
+        # record block of about 65,536 values with one copy; the batch fits a
+        # machine of exactly that many bytes and not one of a byte less
         cfg = IntegratorConfig(0.1, 10.0)
         cells = [(default_params(tau=0.0), runs), (default_params(tau=0.5), 3)]
         total = runs + 3
         block = max(1, min(cfg.recorded_count, 65_536 // (components * total)))
-        held = 8 * (7 + total * (3 * components + 9) + (runs + 6 * 3) + 2 * max(components * total, 32_768))
+        held = 8 * (7 + total * (3 * components + 9 + 8) + (runs + 6 * 3) + 2 * max(components * total, 32_768))
         held += 8 * 2 * block * components * total
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held}.get)
         check_memory(cfg, cells, components, 7)
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": held - 1}.get)
         with pytest.raises(ConfigurationError, match="GiB of physical memory"):
             check_memory(cfg, cells, components, 7)
+
+    # each entry point on 20,000 runs of 20 steps at tau = 1
+    _ENTRIES = {
+        "run_ensemble": lambda p, history, cfg: run_ensemble(p, history, cfg, 20_000, 3),
+        "run_sweep": lambda p, history, cfg: run_sweep((0.0, 1.0), (0.8, 2.0), 5_000, 3, p, cfg),
+        "simulate_linearized": lambda p, history, cfg: simulate_linearized(p, 0.01, 0.01, cfg, 20_000, 3),
+        "simulate_paths": lambda p, history, cfg: simulate_paths(p, history, cfg, range(20_000)),
+    }
+
+    @pytest.mark.filterwarnings("ignore::rumorsim.ensemble.FinalSizeHorizonWarning")
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_guard_counts_all_that_an_entry_point_holds(self, entry, monkeypatch):
+        # the estimate is at least the traced peak: the guard refuses the
+        # batch on a machine of one byte less
+        p = default_params(tau=1.0)
+        call = functools.partial(
+            self._ENTRIES[entry], p, HistoryFunction.constant(default_initial_state(p)), IntegratorConfig(0.1, 2.0)
+        )
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak - 1}.get)
+        with pytest.raises(ConfigurationError, match="GiB of physical memory"):
+            call()
 
     def test_work_bound_holds_where_memory_is_unknown(self, monkeypatch):
         def unknown(name):

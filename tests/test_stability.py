@@ -41,14 +41,15 @@ def linear_params(r0, noise_i=0.0, noise_e=0.0, tau=0.0):
     )
 
 
-def lab_paths(p, start, cfg, runs, increments):
+def lab_paths(p, start, cfg, runs, increments, project=False):
     """The lab's recorded ``(rows, 2, runs)`` (E, I) paths from ``start``
-    and a constant history, its kernel stepped on ``increments``."""
+    and a constant history, its kernel stepped on ``increments``, as the
+    lab steps it unless ``project``, whatever ``cfg`` says."""
     rows, keep = recorder(cfg, 2, runs)
     early = np.full(delay_steps(p.tau, cfg), start[1])
     euler_maruyama(
-        functools.partial(_linearized_drift, p), start, [(runs, early)], 1, np.array([p.noise.e, p.noise.i]),
-        increments, cfg, keep, False,
+        functools.partial(_linearized_drift, p), start, [(runs, early)], np.array([p.noise.e, p.noise.i]),
+        increments, dataclasses.replace(cfg, projection_enabled=project), keep,
     )
     return rows
 
@@ -143,6 +144,22 @@ class TestLinearizedSimulation:
         report = simulate_linearized(p, 0.005, 0.005, IntegratorConfig(0.1, 400.0), 2, 1)
         assert report.fitted_rate == pytest.approx(2 * lam, rel=0.15)
 
+    @pytest.mark.parametrize("tau", [0.0, 2.0, 5.0, 10.0])
+    def test_fitted_rate_is_the_least_squares_slope(self, tau):
+        # the closed form over math.log agrees with np.polyfit on np.log over
+        # the same window: from a tenth of the horizon to the first estimate
+        # below 1e-12, which the decaying sets reach
+        cfg, floored = IntegratorConfig(0.1, 200.0), 0
+        for r0 in (0.3, 0.8, 1.5, 3.0):
+            report = simulate_linearized(linear_params(r0, 0.3, 0.3, tau), 0.01, 0.01, cfg, 20, 7)
+            t, ms = report.times, report.ms_estimate
+            below = np.flatnonzero(ms < 1e-12)
+            floored += below.size > 0
+            window = slice(np.searchsorted(t, 0.1 * t[-1]), below[0] if below.size else t.size)
+            want = np.polyfit(t[window], np.log(ms[window]), 1)[0]
+            assert report.fitted_rate == pytest.approx(want, rel=1e-12, abs=0.0), r0
+        assert floored
+
     def test_decay_over_margin_grid(self):
         # empirical sweep: every positive-margin set decays for each delay
         for r0, noise in ((0.3, 0.05), (0.6, 0.1)):
@@ -168,9 +185,9 @@ class TestLinearizedSimulation:
         # returned, outside its errstate: states that stay finite while
         # their squares overflow still end in the lab's own error
         def deferred(*args):
-            *head, reduce, project = args
+            *head, reduce = args
             handed = []
-            terminal = euler_maruyama(*head, lambda first, rows: handed.append((first, rows.copy())), project)
+            terminal = euler_maruyama(*head, lambda first, rows: handed.append((first, rows.copy())))
             for first, rows in handed:
                 reduce(first, rows)
             return terminal
@@ -239,7 +256,7 @@ class TestLinearizedDrift:
         x = np.array([data.draw(states), data.draw(states)])
         delayed = np.array(data.draw(states))
         out = np.empty_like(x)
-        step = _linearized_drift(p, x, out)
+        step, _ = _linearized_drift(p, x, out)
         with np.errstate(over="ignore", invalid="ignore"):
             step(delayed)
             want = np.empty_like(x)
@@ -382,6 +399,26 @@ class TestLinearizationOracle:
         # TestSNoiseGap shows in the mean, path by path
         gaps = self.noisy_gaps(0.01)
         assert np.all(gaps > 1.0), gaps
+
+
+class TestLabProjection:
+    def test_the_lab_steps_unprojected_whatever_the_config_says(self):
+        # under strong noise E and I go below zero, where a projected
+        # kernel on the lab's own increments would clamp them; the lab
+        # gives the same bytes with integrator.projection_enabled either way
+        p, runs, start = linear_params(r0=2.0, noise_i=1.0, noise_e=1.0, tau=1.0), 100, (0.01, 0.01)
+        on, off = (IntegratorConfig(0.1, 10.0, projection_enabled=flag) for flag in (True, False))
+        estimate = simulate_linearized(p, *start, on, runs, 5).ms_estimate
+        assert estimate.tobytes() == simulate_linearized(p, *start, off, runs, 5).ms_estimate.tobytes()
+        seeds = seed_array([derive_seed(5, j) for j in range(runs)])
+        paths = {
+            project: lab_paths(p, start, on, runs, increment_chunks(seeds, 2, on.step_count, 0.1), project)
+            for project in (False, True)
+        }
+        assert (paths[False] < 0.0).any() and not (paths[True] < 0.0).any()
+        squares = {project: np.square(rows).sum(axis=1).mean(axis=1) for project, rows in paths.items()}
+        assert squares[False].tobytes() == estimate.tobytes()
+        assert not np.array_equal(squares[True], estimate)
 
 
 class TestLabMean:
