@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-from .ensemble import ENSEMBLE_RULES
+from .ensemble import CI_LEVEL, CI_METHODS, ENSEMBLE_RULES
 from .errors import ConfigurationError
 from .integrator import INTEGRATOR_RULES, IntegratorConfig, grid_violations, sweep_violations
 from .model import (
@@ -38,8 +38,8 @@ __all__ = [
 @dataclass(frozen=True)
 class EnsembleSettings:
     run_count: int = 100
-    ci_level: float = 0.95
-    ci_method: str = "quantile"
+    ci_level: float = CI_LEVEL
+    ci_method: str = CI_METHODS[0]
     seed: int = 12345
 
 

@@ -49,7 +49,8 @@ __all__ = [
     "write_summary_csv",
 ]
 
-CI_METHODS = ("quantile", "normal")
+CI_METHODS = ("quantile", "normal")  # the first is the default
+CI_LEVEL = 0.95  # the default band level
 
 ENSEMBLE_RULES = {
     "run_count": COUNT, "ci_level": (float, "in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -66,7 +67,7 @@ class FinalSizeHorizonWarning(UserWarning):
     final-size statistics underestimate the eventual reach."""
 
 
-def confidence_band(values, level: float, method: str = "quantile"):
+def confidence_band(values, level: float, method: str = CI_METHODS[0]):
     """Confidence band over a sample, pointwise along its first axis.
 
     A 1-D sample of scalars gives a ``(lo, hi)`` pair of floats; a sample
@@ -245,8 +246,8 @@ def run_ensemble(
     run_count: int,
     base_seed: int,
     *,
-    ci_level: float = 0.95,
-    ci_method: str = "quantile",
+    ci_level: float = CI_LEVEL,
+    ci_method: str = CI_METHODS[0],
 ) -> EnsembleResult:
     """Run ``run_count`` independent realizations and summarize them.
 

@@ -538,13 +538,12 @@ def write_table(path, header, columns, meta=None) -> None:
         for start in range(0, min(map(len, columns), default=0), chunk):
             part = slice(start, start + chunk)
             if floats:
-                codes, keep = numtext.records(np.stack([columns[j][part] for j in floats], 1), seps[floats])
+                codes = numtext.records(np.stack([columns[j][part] for j in floats], 1), seps[floats])
             cells = [
-                (codes[:, floats.index(j)], keep[:, floats.index(j)]) if j in floats
-                else numtext.strings(_cell_texts(column[part]), seps[j])
+                codes[:, floats.index(j)] if j in floats else numtext.strings(_cell_texts(column[part]), seps[j])
                 for j, column in enumerate(columns)
             ]
-            fh.write(numtext.join([(codes, keep)] if len(floats) == len(columns) else cells))
+            fh.write(numtext.join([codes] if len(floats) == len(columns) else cells))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

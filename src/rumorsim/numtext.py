@@ -1,8 +1,9 @@
 """Exact number text an array at a time.
 
 :func:`records` lays out ``'%.9g' % v`` (CSV) or ``'%.3f' % v`` (SVG) for
-every value of a float array as a fixed slot record with a keep mask, and
-:func:`join` compacts records with one ``np.compress``.  ``%`` rounds
+every value of a float array as a fixed slot record of bytes, NUL in
+every slot the value does not print, and :func:`join` drops the NULs with
+one ``bytes.translate``, so a text may not hold NUL.  ``%`` rounds
 correctly (Gay's dtoa), and so does the kernel where that is provable:
 ``|v|`` times an exact ``10**k`` (``|k| <= 22``) takes one rounding, of
 error at most ``2**-23`` below ``2**30``, so it rounds to the printed
@@ -36,14 +37,14 @@ _LEADING_ZEROS = np.logical_and.accumulate(_DIGITS == 0, axis=1).sum(1, dtype=np
 
 
 def _keep_rows(neg, zeros, lo, hi, pos, expo):
-    """Keep masks, a row per parameter row: the sign, "0." and ``zeros``
+    """Byte masks, a row per parameter row: the sign, "0." and ``zeros``
     zeros (neither if negative), digits ``lo..hi`` with a point after digit
     ``pos`` if a digit follows it, the exponent, the separator."""
     rows = np.zeros((neg.size, 32), bool)
     rows[:, 0], rows[:, 1:3], rows[:, 3:6] = neg.ravel(), zeros >= 0, zeros > _J[:3]
     rows[:, 6:24:2], rows[:, 7:24:2] = (lo <= _J) & (_J <= hi), (_J == pos) & (pos < hi)
     rows[:, 24:28], rows[:, 28] = expo, True
-    return rows
+    return (rows * np.uint8(0xFF)).view("<u8")
 
 
 def _general_keep():
@@ -61,21 +62,21 @@ _FIXED_KEEP = _keep_rows(np.tile([[0], [1]], (6, 1)), -1, np.repeat(np.arange(6)
 
 
 def strings(texts, sep, width=0):
-    """Records of ``texts`` (a list of str) in at least ``width`` slots,
-    followed by the separator code ``sep``: codes and keep mask."""
+    """NUL-padded records of ``texts`` (a list of str without NUL) in at
+    least ``width`` slots, followed by the separator code ``sep``."""
+    if "\0" in "".join(texts):
+        bad = next(t for t in texts if "\0" in t)
+        raise ValueError(f"text {bad!r} holds NUL, which a record does not print")
     raw = [s.encode() for s in texts]
     width = max([width, *map(len, raw)])
-    codes = np.frombuffer(b"".join(r.ljust(width) + bytes([sep]) for r in raw), np.uint8)
-    keep = np.arange(width + 1) < np.array([len(r) for r in raw], dtype=np.intp).reshape(-1, 1)
-    keep[:, -1] = True
-    return codes.reshape(len(raw), width + 1), keep
+    codes = np.frombuffer(b"".join(r.ljust(width, b"\0") + bytes([sep]) for r in raw), np.uint8)
+    return codes.reshape(len(raw), width + 1)
 
 
 def records(values, sep, fixed=False):
     """Records of ``'%.3f' % v`` if ``fixed``, else of ``'%.9g' % v``, for
     every ``v`` in ``values``, each followed by the separator code ``sep``
-    (broadcast against ``values``): codes and keep mask, of shape
-    ``values.shape + (width,)``."""
+    (broadcast against ``values``), of shape ``values.shape + (width,)``."""
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
     with np.errstate(all="ignore"):
@@ -99,24 +100,20 @@ def records(values, sep, fixed=False):
     else:
         words[..., 3] |= _EXPONENT[x - _EXPONENTS[0]]
         code = (x - _EXPONENTS[0]) * 9 + 8 - _TRAILING_ZEROS[low] - (low == 0) * _TRAILING_ZEROS[high]
+    words &= np.take(_FIXED_KEEP if fixed else _GENERAL_KEEP, 2 * code + np.signbit(v), axis=0)
     codes = words.view(np.uint8)
-    keep = np.take(_FIXED_KEEP if fixed else _GENERAL_KEEP, 2 * code + np.signbit(v), axis=0)
     texts = [(FIXED_FORMAT if fixed else GENERAL_FORMAT) % u for u in v[fall].tolist()]
     if texts:
-        text_codes, text_keep = strings(texts, 0, 28)
-        width = text_codes.shape[1] - 1
+        text_codes = strings(texts, 0, 28)[:, :-1]
+        width = text_codes.shape[1]
         if width > 28:  # a wider text widens every record before its last word
-            codes, keep = (np.insert(r, [24] * (width - 28), 0, axis=-1) for r in (codes, keep))
-        spliced = np.flatnonzero(fall)
-        codes.reshape(-1, width + 4)[spliced, :width] = text_codes[:, :-1]
-        keep.reshape(-1, width + 4)[spliced, :width] = text_keep[:, :-1]
-    return codes, keep
+            codes = np.insert(codes, [24] * (width - 28), 0, axis=-1)
+        codes.reshape(-1, width + 4)[np.flatnonzero(fall), :width] = text_codes
+    return codes
 
 
 def join(cells) -> str:
-    """The text of ``(codes, keep)`` records laid side by side along their
-    last axis, row by row."""
-    if len(cells) > 1:
-        cells = [tuple(np.concatenate(part, axis=-1) for part in zip(*cells))]
-    (codes, keep), = cells
-    return np.compress(keep.ravel(), codes.ravel()).tobytes().decode()
+    """The text of records laid side by side along their last axis, row
+    by row."""
+    codes = np.concatenate(cells, axis=-1) if len(cells) > 1 else cells[0]
+    return codes.tobytes().translate(None, b"\0").decode()

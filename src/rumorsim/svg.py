@@ -80,7 +80,7 @@ def _coord(v: float) -> str:
 
 def _points(xs, ys: np.ndarray) -> str:
     """``x,y`` pixel pairs in ``_coord`` precision, space-separated, from
-    the grid's ``x,`` records (see :func:`~rumorsim.numtext.records`)."""
+    the grid's ``x,`` record array (see :func:`~rumorsim.numtext.records`)."""
     return numtext.join([xs, numtext.records(ys, ord(" "), fixed=True)])[:-1]
 
 
@@ -175,7 +175,7 @@ def render_svg(
     for s, color, px in zip(series, colors, xs):
         if s.band is not None:
             lo, hi = s.band
-            points = f"{_points(px, sy(hi))} {_points([r[::-1] for r in px], sy(lo[::-1]))}"
+            points = f"{_points(px, sy(hi))} {_points(px[::-1], sy(lo[::-1]))}"
             out.append(
                 _tag("polygon", class_="band", points=points, fill=color, fill_opacity="0.25", stroke="none")
             )

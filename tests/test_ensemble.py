@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from rumorsim import (
     simulate_linearized,
     simulate_paths,
 )
+from rumorsim.config import EnsembleSettings
 from rumorsim.ensemble import (
     CI_METHODS,
     OutbreakMetrics,
@@ -344,6 +346,14 @@ class TestInputValidation:
     def test_ci_level_range(self, params, initial_history, short_cfg):
         with pytest.raises(ValueError):
             run_ensemble(params, initial_history, short_cfg, 2, 1, ci_level=1.0)
+
+
+def test_library_band_defaults_are_the_config_defaults():
+    settings = EnsembleSettings()
+    ensemble = inspect.signature(run_ensemble).parameters
+    band = inspect.signature(confidence_band).parameters
+    assert (ensemble["ci_level"].default, ensemble["ci_method"].default) == (settings.ci_level, settings.ci_method)
+    assert band["method"].default == settings.ci_method
 
 
 def set_block(monkeypatch, rows, values_per_row):

@@ -8,7 +8,9 @@ comes with the name of the layer that moved.
   calls no library transcendental, on the model's drift and on the lab's;
 * ``ensemble._spread_and_band`` on a fixed sample: the statistics and the
   band, whose bits follow numpy's reduction order and sort (and, for the
-  ``normal`` band, scipy's ``ndtri``).
+  ``normal`` band, scipy's ``ndtri``);
+* ``numtext.join`` of ``numtext.records`` on a fixed corpus: the text of
+  every CSV and SVG number, kernel-printed and ``%``-printed alike.
 
 The hand-made increments and samples are uniforms from numpy's
 ``Generator.random``, which uses integer arithmetic and one exact scaling,
@@ -23,6 +25,7 @@ import pytest
 
 from oracles import recorder
 from rumorsim import IntegratorConfig, default_initial_state, default_params, derive_seed
+from rumorsim import numtext
 from rumorsim.ensemble import _spread_and_band
 from rumorsim.integrator import delay_steps, euler_maruyama
 from rumorsim.model import _drift_with_delayed_i
@@ -136,3 +139,39 @@ def band_digest(method):
 @pytest.mark.parametrize("method", ["quantile", "normal"])
 def test_band(method):
     assert band_digest(method) == BAND_DIGESTS[method]
+
+
+def numtext_corpus(top):
+    """Uniforms scaled by exact powers of ten from ``1e-30`` to ``10**top``,
+    either sign, in rows of three, followed by values that ``%`` prints:
+    not finite, ``%.9g``'s zeros, near a tie, beyond ``1e9``.  Under
+    ``%.3f``, values from ``1e24`` up widen the record."""
+    rng = np.random.default_rng(29)
+    powers = np.array([float(f"1e{k}") for k in range(-30, top + 1)])
+    values = rng.random(600) * powers[rng.integers(0, powers.size, 600)] * rng.choice([-1.0, 1.0], 600)
+    edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.0625, 0.5825, 3522.4575, 100000000.5, 5e-324, 1e-05, 1e23]
+    return np.concatenate([values, edges]).reshape(-1, 3)
+
+
+# name -> (fixed, top)
+NUMTEXT_CASES = {"general": (False, 30), "fixed": (True, 20), "fixed_widened": (True, 30)}
+
+NUMTEXT_DIGESTS = {
+    "general": "173ff0e70f8732507ee7f862f1582d153298fd5b7138c419c8cec442633b8a94",
+    "fixed": "344b51c8c134e05b9ef78fa4f2cea1a7b1520c71bcb5694944b9fb0453e752eb",
+    "fixed_widened": "bff2f52722c929a402ae87ae00d337b3206725c0fd1771765034c7639bef9fa3",
+}
+
+
+def numtext_digest(name):
+    fixed, top = NUMTEXT_CASES[name]
+    seps = np.array([ord(","), ord(","), ord("\n")], np.uint8)
+    text = numtext.join([numtext.records(numtext_corpus(top), seps, fixed)])
+    widest = max(map(len, text.replace("\n", ",").split(",")))
+    assert (widest > 28) == (name == "fixed_widened")  # a record holds 28 slots of text
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NUMTEXT_CASES))
+def test_numtext(name):
+    assert numtext_digest(name) == NUMTEXT_DIGESTS[name]

@@ -17,8 +17,7 @@ FORMATS = [("%.9g", False), ("%.3f", True)]
 
 def formatted(values, fixed):
     """Each value's text from one kernel call."""
-    codes, keep = numtext.records(np.asarray(values, dtype=float), ord("\n"), fixed)
-    return numtext.join([(codes, keep)]).split("\n")[:-1]
+    return numtext.join([numtext.records(np.asarray(values, dtype=float), ord("\n"), fixed)]).split("\n")[:-1]
 
 
 def reference(values, fmt):
@@ -99,8 +98,8 @@ def test_powers_of_ten_and_their_neighbours(fmt, fixed):
 
 def test_two_dimensional_records_take_a_separator_per_column():
     values = np.array([[0.5, 1 / 3, np.nan], [-2.0, 1e-20, 7.0]])
-    codes, keep = numtext.records(values, np.array([ord(","), ord(","), ord("\n")], np.uint8))
-    assert numtext.join([(codes, keep)]) == "0.5,0.333333333,nan\n-2,1e-20,7\n"
+    codes = numtext.records(values, np.array([ord(","), ord(","), ord("\n")], np.uint8))
+    assert numtext.join([codes]) == "0.5,0.333333333,nan\n-2,1e-20,7\n"
 
 
 def test_table_of_every_column_kind_matches_the_csv_module(tmp_path):
@@ -126,11 +125,16 @@ def test_table_of_every_column_kind_matches_the_csv_module(tmp_path):
         assert fh.read() == expected.getvalue()
 
 
+def test_a_text_cell_holding_nul_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="NUL"):
+        write_table(tmp_path / "table.csv", ["v", "note"], [np.array([0.5, 1.5]), ["plain", "a\0b"]])
+
+
 def test_band_polygon_matches_percent_pairs():
     rng = np.random.default_rng(3)
     xs = np.sort(rng.uniform(64.0, 706.0, 2001))
     hi, lo = rng.uniform(30.0, 200.0, 2001), rng.uniform(200.0, 414.0, 2001)
     px = numtext.records(xs, ord(","), fixed=True)
-    points = f"{_points(px, hi)} {_points([r[::-1] for r in px], lo[::-1])}"
+    points = f"{_points(px, hi)} {_points(px[::-1], lo[::-1])}"
     pairs = [*zip(xs.tolist(), hi.tolist()), *zip(xs[::-1].tolist(), lo[::-1].tolist())]
     assert points == " ".join("%.3f,%.3f" % pair for pair in pairs)
